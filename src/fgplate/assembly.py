@@ -1,30 +1,33 @@
 """Discrete operators for the four-unknown plate model on a NURBS patch.
 
 Each control point carries the DOFs (u0, v0, wb, ws); global DOF index is
-4*A + component with A the flattened control point index. Assembly loops over
-nonempty knot spans and scatters serially, so results are deterministic.
+4*A + component with A the flattened control point index.
 
-The matrices K, M and Kg use a (p+1) x (q+1) Gauss rule per element. On an
-affine square their integrands are polynomials of degree at most 2p per
-direction, which that rule integrates exactly, and on the disks more points
-move buckling loads by less than 1e-6. Element matrices are symmetric by
-construction. The load vector F gets its own (p+3) x (q+3) rule, because its
-integrand q(x, y) R det J is not a polynomial for the half-sine load, nor on
-the rational disk: the (p+1) rule leaves a relative error of order 1e-8 in F
-there, the (p+3) rule one of order 1e-14.
+Assembly loops over nonempty knot spans. The 1-D bases are tabulated once
+per span and Gauss point (nurbs.tabulate), and nurbs.grid_basis forms each
+element's basis at all of its points at once. The matrices K, M and Kg use a
+(p+1) x (q+1) Gauss rule per element: on an affine square their integrands
+are polynomials of degree at most 2p per direction, which that rule
+integrates exactly, and on the disks more points move buckling loads by less
+than 1e-6. Element matrices are one batched product over the element's
+points, symmetric by construction, and are scattered serially, one element
+at a time, so results are deterministic. The load vector F gets its own
+(p+3) x (q+3) rule, because its integrand q(x, y) R det J is not a
+polynomial for the half-sine load, nor on the rational disk: the (p+1) rule
+leaves a relative error of order 1e-8 in F there, the (p+3) rule one of
+order 1e-14.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .bspline import basis_derivs
-from .errors import ConfigurationError, SingularMappingError
+from .errors import ConfigurationError
 from .materials import FGMSpec, SectionConstants, ShearModel
-from .nurbs import BasisLocal, Patch, physical_derivs
+from .nurbs import BasisLocal, Patch, grid_basis, tabulate
 
 __all__ = [
     "BC",
@@ -110,18 +113,15 @@ class GlobalSystem:
     Kg: Optional[np.ndarray] = None
     F: Optional[np.ndarray] = None
     fixed_dofs: np.ndarray = None
+    free_dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         fixed = np.array([], dtype=int) if self.fixed_dofs is None else np.unique(self.fixed_dofs)
         object.__setattr__(self, "fixed_dofs", fixed)
-
-    @property
-    def free_dofs(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n_dofs), self.fixed_dofs)
+        object.__setattr__(self, "free_dofs", np.setdiff1d(np.arange(self.n_dofs), fixed))
 
     def reduce(self, matrix: np.ndarray) -> np.ndarray:
-        free = self.free_dofs
-        return matrix[np.ix_(free, free)]
+        return matrix[np.ix_(self.free_dofs, self.free_dofs)]
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Embed a free-DOF vector (or mode block) into the full DOF space."""
@@ -132,49 +132,45 @@ class GlobalSystem:
 
 
 def strain_operators(basis: BasisLocal):
-    """Element strain matrices (Bm, Bb1, Bb2, Bs, Bg) at one quadrature point.
+    """Element strain matrices (Bm, Bb1, Bb2, Bs, Bg) at one quadrature point,
+    or stacked along the leading point axis of a grid basis.
 
     Columns are the element DOFs (4 per active control point); the column
     sparsity mirrors the kinematics: membrane strains use only (u0, v0),
     bending curvatures only wb, shear-warping curvatures and shear only ws,
     and the deflection gradient both wb and ws.
     """
-    nact = len(basis.active_indices)
-    edof = 4 * nact
     dR = basis.dRdx
     d2R = basis.d2Rdx2
+    lead, edof = dR.shape[:-2], 4 * dR.shape[-2]
 
-    Bm = np.zeros((3, edof))
-    Bm[0, 0::4] = dR[:, 0]
-    Bm[1, 1::4] = dR[:, 1]
-    Bm[2, 0::4] = dR[:, 1]
-    Bm[2, 1::4] = dR[:, 0]
+    Bm = np.zeros(lead + (3, edof))
+    Bm[..., 0, 0::4] = dR[..., 0]
+    Bm[..., 1, 1::4] = dR[..., 1]
+    Bm[..., 2, 0::4] = dR[..., 1]
+    Bm[..., 2, 1::4] = dR[..., 0]
 
-    Bb1 = np.zeros((3, edof))
-    Bb1[0, 2::4] = -d2R[:, 0]
-    Bb1[1, 2::4] = -d2R[:, 1]
-    Bb1[2, 2::4] = -2.0 * d2R[:, 2]
+    Bb1 = np.zeros(lead + (3, edof))
+    Bb1[..., 0, 2::4] = -d2R[..., 0]
+    Bb1[..., 1, 2::4] = -d2R[..., 1]
+    Bb1[..., 2, 2::4] = -2.0 * d2R[..., 2]
 
-    Bb2 = np.zeros((3, edof))
-    Bb2[0, 3::4] = d2R[:, 0]
-    Bb2[1, 3::4] = d2R[:, 1]
-    Bb2[2, 3::4] = 2.0 * d2R[:, 2]
+    Bb2 = np.zeros(lead + (3, edof))
+    Bb2[..., 0, 3::4] = d2R[..., 0]
+    Bb2[..., 1, 3::4] = d2R[..., 1]
+    Bb2[..., 2, 3::4] = 2.0 * d2R[..., 2]
 
-    Bs = np.zeros((2, edof))
-    Bs[0, 3::4] = dR[:, 0]
-    Bs[1, 3::4] = dR[:, 1]
+    Bs = np.zeros(lead + (2, edof))
+    Bs[..., 0, 3::4] = dR[..., 0]
+    Bs[..., 1, 3::4] = dR[..., 1]
 
-    Bg = np.zeros((2, edof))
-    Bg[0, 2::4] = dR[:, 0]
-    Bg[0, 3::4] = dR[:, 0]
-    Bg[1, 2::4] = dR[:, 1]
-    Bg[1, 3::4] = dR[:, 1]
+    Bg = np.zeros(lead + (2, edof))
+    Bg[..., 0, 2::4] = dR[..., 0]
+    Bg[..., 0, 3::4] = dR[..., 0]
+    Bg[..., 1, 2::4] = dR[..., 1]
+    Bg[..., 1, 3::4] = dR[..., 1]
 
     return Bm, Bb1, Bb2, Bs, Bg
-
-
-def _gauss_rule(n_points: int):
-    return np.polynomial.legendre.leggauss(n_points)
 
 
 def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
@@ -200,9 +196,31 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
     return GlobalSystem(n_dofs=model.n_dofs, K=K, M=M, Kg=Kg, F=F)
 
 
+def _element_bases(patch: Patch, extra_points: int, order: int):
+    """Per element, in span order with u outer: the basis of the given order
+    on its (p+extra) x (q+extra) Gauss grid and the Gauss weights times det J.
+    The 1-D bases are tabulated once per span and Gauss point."""
+    per_direction = []
+    for knots in (patch.knot_u, patch.knot_v):
+        gx, gw = np.polynomial.legendre.leggauss(knots.degree + extra_points)
+        per_direction.append([
+            (tabulate(knots, 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx, order), 0.5 * (hi - lo) * gw)
+            for _, lo, hi in knots.spans()
+        ])
+    for tab_u, wu in per_direction[0]:
+        for tab_v, wv in per_direction[1]:
+            basis = grid_basis(patch, tab_u, tab_v)
+            yield basis, np.outer(wu, wv).ravel() * basis.jacobian_det
+
+
+def _weighted_gram(wq: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Sum over points q of wq[q] B[q]^T D B[q] for B of shape (n_q, rows, edof)."""
+    return np.tensordot(wq[:, None, None] * B, D @ B, axes=([0, 1], [0, 1]))
+
+
 def _assemble_matrices(model: PlateModel, want: set):
-    """K, M and Kg (None where not wanted) in one (p+1) x (q+1) Gauss sweep."""
-    patch = model.patch
+    """K, M and Kg (None where not wanted) in one (p+1) x (q+1) Gauss sweep,
+    one batched element integration and one scatter per element."""
     section = model.section
     n = model.n_dofs
     K = np.zeros((n, n)) if "K" in want else None
@@ -212,112 +230,46 @@ def _assemble_matrices(model: PlateModel, want: set):
     Db = section.bending_block()
     Ds = section.Ds
     if M is not None:
-        I0 = section.inertia_block()
-        mblock = np.zeros((9, 9))
-        for b in range(3):
-            mblock[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = I0
+        mblock = np.kron(np.eye(3), section.inertia_block())
     n0 = model.prestress
 
-    pu, pv = patch.degrees
-    gx_u, gw_u = _gauss_rule(pu + 1)
-    gx_v, gw_v = _gauss_rule(pv + 1)
+    for basis, wq in _element_bases(model.patch, 1, 2):
+        active = basis.active_indices[0]
+        dofs = (4 * active[:, None] + np.arange(4)).ravel()
+        idx = np.ix_(dofs, dofs)
+        Bm, Bb1, Bb2, Bs, Bg = strain_operators(basis)
 
-    for (u0, u1), (v0, v1) in patch.elements():
-        du, dv = 0.5 * (u1 - u0), 0.5 * (v1 - v0)
-        for ax, awt in zip(gx_u, gw_u):
-            xi = 0.5 * (u0 + u1) + du * ax
-            for bx, bwt in zip(gx_v, gw_v):
-                eta = 0.5 * (v0 + v1) + dv * bx
-                basis = physical_derivs(patch, xi, eta)
-                wq = awt * bwt * du * dv * basis.jacobian_det
-
-                dofs = (4 * basis.active_indices[:, None] + np.arange(4)).ravel()
-                idx = np.ix_(dofs, dofs)
-                Bm, Bb1, Bb2, Bs, Bg = strain_operators(basis)
-
-                if K is not None:
-                    Bb = np.vstack([Bm, Bb1, Bb2])
-                    K[idx] += wq * (Bb.T @ Db @ Bb + Bs.T @ Ds @ Bs)
-                if M is not None:
-                    nact = len(basis.active_indices)
-                    Rt = np.zeros((9, 4 * nact))
-                    Rt[0, 0::4] = basis.R
-                    Rt[1, 2::4] = -basis.dRdx[:, 0]
-                    Rt[2, 3::4] = basis.dRdx[:, 0]
-                    Rt[3, 1::4] = basis.R
-                    Rt[4, 2::4] = -basis.dRdx[:, 1]
-                    Rt[5, 3::4] = basis.dRdx[:, 1]
-                    Rt[6, 2::4] = basis.R
-                    Rt[6, 3::4] = basis.R
-                    M[idx] += wq * (Rt.T @ mblock @ Rt)
-                if Kg is not None:
-                    Kg[idx] += wq * (Bg.T @ n0 @ Bg)
+        if K is not None:
+            Bb = np.concatenate([Bm, Bb1, Bb2], axis=1)
+            K[idx] += _weighted_gram(wq, Bb, Db) + _weighted_gram(wq, Bs, Ds)
+        if M is not None:
+            R, dR = basis.R, basis.dRdx
+            Rt = np.zeros((len(wq), 9, dofs.size))
+            Rt[:, 0, 0::4] = R
+            Rt[:, 1, 2::4] = -dR[..., 0]
+            Rt[:, 2, 3::4] = dR[..., 0]
+            Rt[:, 3, 1::4] = R
+            Rt[:, 4, 2::4] = -dR[..., 1]
+            Rt[:, 5, 3::4] = dR[..., 1]
+            Rt[:, 6, 2::4] = R
+            Rt[:, 6, 3::4] = R
+            M[idx] += _weighted_gram(wq, Rt, mblock)
+        if Kg is not None:
+            Kg[idx] += _weighted_gram(wq, Bg, n0)
 
     # element contributions are exactly symmetric; remove roundoff asymmetry
-    if K is not None:
-        K = 0.5 * (K + K.T)
-    if M is not None:
-        M = 0.5 * (M + M.T)
-    if Kg is not None:
-        Kg = 0.5 * (Kg + Kg.T)
-    return K, M, Kg
-
-
-def _span_tables(knots, n_points: int):
-    """Per nonempty span: active basis indices, Gauss weights scaled to the
-    span, and the 1-D basis values and first derivatives at the span's Gauss
-    points as a (2, n_points, p+1) array."""
-    gx, gw = _gauss_rule(n_points)
-    tables = []
-    for _, lo, hi in knots.spans():
-        half = 0.5 * (hi - lo)
-        ders = [basis_derivs(knots, 0.5 * (lo + hi) + half * x, 1) for x in gx]
-        span = ders[0][0]
-        index = np.arange(span - knots.degree, span + 1)
-        tables.append((index, half * gw, np.stack([d for _, d in ders], axis=1)))
-    return tables
+    return tuple(None if A is None else 0.5 * (A + A.T) for A in (K, M, Kg))
 
 
 def _assemble_load(model: PlateModel) -> np.ndarray:
-    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element.
-
-    The load needs only R, det J and the physical point, so the 1-D bases are
-    tabulated once per span and combined per element, all points at once.
-    """
-    patch = model.patch
-    nu = patch.net.shape[0]
-    weights = patch.net.weights.ravel(order="F")
-    points = patch.net.points.reshape(-1, 2, order="F")
-    pu, pv = patch.degrees
+    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element."""
     F = np.zeros(model.n_dofs)
-
-    tables_v = _span_tables(patch.knot_v, pv + 3)
-    for iu, wu, Nu in _span_tables(patch.knot_u, pu + 3):
-        for iv, wv, Nv in tables_v:
-            # rows are Gauss points (a, b) with the u point outer, as in
-            # np.outer(wu, wv); columns are active functions (j, i) with the v
-            # index outer, as in _tensor_basis
-            active = (iv[:, None] * nu + iu[None, :]).ravel()
-            n_act = active.size
-            w = weights[active]
-            pts = points[active]
-            N = np.einsum("bj,ai->abji", Nv[0], Nu[0]).reshape(-1, n_act) * w
-            Nxi = np.einsum("bj,ai->abji", Nv[0], Nu[1]).reshape(-1, n_act) * w
-            Neta = np.einsum("bj,ai->abji", Nv[1], Nu[0]).reshape(-1, n_act) * w
-            W = N.sum(axis=1, keepdims=True)
-            R = N / W
-            x = R @ pts
-            x_xi = (Nxi - R * Nxi.sum(axis=1, keepdims=True)) / W @ pts
-            x_eta = (Neta - R * Neta.sum(axis=1, keepdims=True)) / W @ pts
-            det = x_xi[:, 0] * x_eta[:, 1] - x_xi[:, 1] * x_eta[:, 0]
-            scale = np.maximum(np.abs(np.hstack([x_xi, x_eta])).max(axis=1), 1.0e-30) ** 2
-            if np.any(np.abs(det) < 1.0e-14 * scale):
-                raise SingularMappingError("geometry Jacobian is singular at a load quadrature point")
-
-            wq = np.outer(wu, wv).ravel() * det
-            Fe = (wq * model.load.value(x[:, 0], x[:, 1])) @ R
-            F[4 * active + 2] += Fe
-            F[4 * active + 3] += Fe
+    for basis, wq in _element_bases(model.patch, 3, 1):
+        x = basis.point
+        Fe = (wq * model.load.value(x[:, 0], x[:, 1])) @ basis.R
+        active = basis.active_indices[0]
+        F[4 * active + 2] += Fe
+        F[4 * active + 3] += Fe
     return F
 
 
@@ -342,23 +294,29 @@ def apply_boundary_conditions(system: GlobalSystem, model: PlateModel) -> Global
     fixes (u0, wb, ws). A clamped edge fixes all four DOFs on the edge and
     additionally (wb, ws) on the adjacent control point line, which enforces
     a zero normal slope of both deflection parts.
+
+    Supports on the u edges alone leave the in-plane translation u0 free (and
+    on the v edges alone v0), which makes the reduced stiffness singular. Such
+    a component is pinned at the middle control point of a free edge along
+    it: a rigid translation carries no strain and no load, so w and the
+    stresses do not change. A fully free plate is left as it is.
     """
     fixed: set[int] = set(int(d) for d in system.fixed_dofs)
     shape = model.patch.net.shape
+    floating = {0, 1}
     for edge, bc in enumerate(model.edge_bcs):
         if bc is BC.FREE:
             continue
-        boundary = _edge_point_indices(shape, edge, 0)
-        if bc is BC.SIMPLY_SUPPORTED:
+        if bc is BC.CLAMPED:
+            comps = (0, 1, 2, 3)
+            fixed.update(4 * int(a) + c for a in _edge_point_indices(shape, edge, 1) for c in (2, 3))
+        else:
             comps = (1, 2, 3) if edge in (0, 1) else (0, 2, 3)
-            for a in boundary:
-                for c in comps:
-                    fixed.add(4 * int(a) + c)
-        elif bc is BC.CLAMPED:
-            for a in boundary:
-                for c in range(4):
-                    fixed.add(4 * int(a) + c)
-            for a in _edge_point_indices(shape, edge, 1):
-                fixed.add(4 * int(a) + 2)
-                fixed.add(4 * int(a) + 3)
+        fixed.update(4 * int(a) + c for a in _edge_point_indices(shape, edge, 0) for c in comps)
+        floating -= set(comps)
+    if any(bc is not BC.FREE for bc in model.edge_bcs):
+        for c in floating:
+            # u0 floats only when both v edges are free, v0 when both u edges are
+            line = _edge_point_indices(shape, 2 if c == 0 else 0, 0)
+            fixed.add(4 * int(line[len(line) // 2]) + c)
     return replace(system, fixed_dofs=np.array(sorted(fixed), dtype=int))

@@ -94,14 +94,9 @@ def run_case(config: CaseConfig) -> CaseResult:
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
 
 
-def _variant(config: CaseConfig, axis: str, value) -> CaseConfig:
-    if axis == "n":
-        return config.replace(power_index=value)
-    if axis == "aspect":
-        return config.replace(thickness_ratio=value)
-    if axis == "mesh":
-        return config.replace(elements=value)
-    return config.replace(shear_model=value)
+# the configuration field each sweep axis varies
+_SWEEP_FIELDS = {"n": "power_index", "aspect": "thickness_ratio", "mesh": "elements",
+                 "model": "shear_model"}
 
 
 def sweep_case(config: CaseConfig) -> SweepResult:
@@ -110,7 +105,7 @@ def sweep_case(config: CaseConfig) -> SweepResult:
         raise ConfigurationError("configuration has no sweep section")
     reports = []
     for value in config.sweep_values:
-        result = run_case(_variant(config, config.sweep_axis, value))
+        result = run_case(config.replace(**{_SWEEP_FIELDS[config.sweep_axis]: value}))
         reports.append(result.report)
     return SweepResult(config=config, axis=config.sweep_axis,
                        values=config.sweep_values, reports=tuple(reports))

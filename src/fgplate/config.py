@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -116,28 +116,13 @@ class CaseConfig:
                           load=load, prestress=prestress)
 
     def replace(self, **updates) -> "CaseConfig":
-        doc = dict(self.raw)
-        doc.update(updates_to_doc(self, updates))
+        """Re-parse the document with field-level updates. An update's key is
+        its document key, except power_index, which lives in the material
+        section."""
+        doc = dict(self.raw, **updates)
+        if "power_index" in updates:
+            doc["material"] = dict(self.raw["material"], power_index=doc.pop("power_index"))
         return parse_config(doc)
-
-
-def updates_to_doc(config: CaseConfig, updates: dict) -> dict:
-    """Translate field-level updates back into document form for re-parsing."""
-    doc: dict[str, Any] = {}
-    for key, value in updates.items():
-        if key == "power_index":
-            material = dict(config.raw["material"])
-            material["power_index"] = value
-            doc["material"] = material
-        elif key == "thickness_ratio":
-            doc["thickness_ratio"] = value
-        elif key == "elements":
-            doc["elements"] = value
-        elif key == "shear_model":
-            doc["shear_model"] = value
-        else:
-            doc[key] = value
-    return doc
 
 
 def _fail(message: str) -> ConfigurationError:

@@ -3,10 +3,18 @@
 The plate mid-surface is a single rational tensor-product patch on the
 parametric square [0,1]^2. Control points are stored on an (nu, nv) grid and
 flattened with the u index running fastest: A = i + j * nu.
+
+Every basis evaluation takes one tabulated path, as in Bezier extraction
+(Borden, Scott, Evans, Hughes, IJNME 2011): tabulate evaluates the 1-D
+derivatives once per parameter and direction, and grid_basis forms R, its
+physical derivatives, det J and the points on a whole tensor grid at once,
+with a leading point axis. surface_basis, physical_derivs and evaluate_point
+are one-point calls into it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +32,8 @@ __all__ = [
     "ControlNet",
     "Patch",
     "BasisLocal",
+    "tabulate",
+    "grid_basis",
     "surface_basis",
     "physical_derivs",
     "make_square_patch",
@@ -102,116 +112,144 @@ class Patch:
 
 @dataclass(frozen=True)
 class BasisLocal:
-    """Nonzero rational basis data at one point, in physical coordinates.
+    """Nonzero rational basis data in physical coordinates, at one point or,
+    with a leading point axis on every array, at a grid of points.
 
-    Arrays are ordered to match active_indices; d2Rdx2 columns are (xx, yy, xy).
+    Columns follow active_indices; dRdx columns are (x, y) and d2Rdx2 columns
+    (xx, yy, xy). Fields above the tabulated derivative order are None.
     """
 
     active_indices: np.ndarray
     R: np.ndarray
-    dRdx: np.ndarray
-    d2Rdx2: np.ndarray
-    jacobian_det: float
+    dRdx: Optional[np.ndarray]
+    d2Rdx2: Optional[np.ndarray]
+    jacobian_det: Optional[np.ndarray]
     point: np.ndarray
 
+    def __getitem__(self, k) -> "BasisLocal":
+        """Basis data at point k of a grid."""
+        return BasisLocal(*(None if v is None else v[k] for v in vars(self).values()))
 
-def _tensor_basis(patch: Patch, xi: float, eta: float):
-    """Raw 2D B-spline values/derivatives and the active index block."""
-    pu, pv = patch.degrees
-    su, du = basis_derivs(patch.knot_u, xi, 2)
-    sv, dv = basis_derivs(patch.knot_v, eta, 2)
-    nu = patch.net.shape[0]
-    iu = np.arange(su - pu, su + 1)
-    iv = np.arange(sv - pv, sv + 1)
-    active = (iv[:, None] * nu + iu[None, :]).ravel()
-    N = np.outer(dv[0], du[0]).ravel()
-    Nxi = np.outer(dv[0], du[1]).ravel()
-    Neta = np.outer(dv[1], du[0]).ravel()
-    Nxixi = np.outer(dv[0], du[2]).ravel()
-    Netaeta = np.outer(dv[2], du[0]).ravel()
-    Nxieta = np.outer(dv[1], du[1]).ravel()
-    return active, N, Nxi, Neta, Nxixi, Netaeta, Nxieta
+
+def tabulate(knots: KnotVector, params, order: int):
+    """1-D nonzero basis functions and derivatives up to order at each parameter.
+
+    Returns (params, first, ders): ders[k, d, i] is the d-th derivative of
+    basis function first[k] + i at params[k]. This is the only caller of
+    basis_derivs; every 2-D evaluation combines two such tables.
+    """
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    spans, ders = zip(*(basis_derivs(knots, t, order) for t in params))
+    return params, np.array(spans) - knots.degree, np.stack(ders)
+
+
+def _tables(patch: Patch, xis, etas, order: int):
+    """The u and v tables of the tensor grid xis x etas (scalars for one point)."""
+    return tabulate(patch.knot_u, xis, order), tabulate(patch.knot_v, etas, order)
+
+
+# (u order, v order) of the tensor-product derivatives, in column order
+# (value, xi, eta, xi xi, eta eta, xi eta)
+_DERIV_PAIRS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+
+
+def _rational(patch: Patch, tab_u, tab_v):
+    """Rational basis and its parametric derivatives on the tensor grid of two
+    tables, up to their common order.
+
+    Points run with the u parameter outer; columns run with the v index
+    outer. Returns (active, R, dR, d2R) shaped (n, m), (n, m), (n, m, 2) and
+    (n, m, 3), dR columns (xi, eta), d2R columns (xi xi, eta eta, xi eta);
+    derivatives above the order are None.
+    """
+    (_, first_u, ders_u), (_, first_v, ders_v) = tab_u, tab_v
+    order = ders_u.shape[1] - 1
+    n = len(first_u) * len(first_v)
+    iu = first_u[:, None] + np.arange(ders_u.shape[2])
+    iv = first_v[:, None] + np.arange(ders_v.shape[2])
+    active = (iv[None, :, :, None] * patch.net.shape[0] + iu[:, None, None, :]).reshape(n, -1)
+    wts = patch.net.weights.ravel(order="F")[active]
+    # derivative axis first, so that every sum runs over a contiguous axis
+    # in the order of a 1-D sum
+    k, l = np.array(_DERIV_PAIRS[: (order + 1) * (order + 2) // 2]).T
+    wN = wts * np.einsum("bdj,aci->cdabji", ders_v, ders_u)[k, l].reshape(len(k), n, -1)
+    W = wN.sum(axis=2, keepdims=True)
+    R = wN[0] / W[0]
+    if order == 0:
+        return active, R, None, None
+    derivs = [(wN[1:3] - R * W[1:3]) / W[0]]
+    if order == 2:
+        (Rxi, Reta), (Wxi, Weta) = derivs[0], W[1:3]
+        derivs.append(np.stack([
+            wN[3] - 2.0 * Rxi * Wxi - R * W[3],
+            wN[4] - 2.0 * Reta * Weta - R * W[4],
+            wN[5] - Rxi * Weta - Reta * Wxi - R * W[5],
+        ]) / W[0])
+    # one contiguous block per point fixes the summation order of the products
+    # in grid_basis: det J is ill-conditioned near the rational disk's corners,
+    # and another order moves K there by up to 4e-13 relative
+    dR, d2R = [d.transpose(1, 2, 0).copy() for d in derivs] + [None] * (2 - order)
+    return active, R, dR, d2R
+
+
+def grid_basis(patch: Patch, tab_u, tab_v) -> BasisLocal:
+    """Physical rational basis on the tensor grid of two tables (see tabulate).
+
+    Order 1 tables give R, dRdx, det J and the points, order 2 tables also
+    d2Rdx2; order 0 tables give R and the points only. Second derivatives use
+    the full chain rule, subtracting the geometry Hessian contribution before
+    inverting the second-order transform.
+    """
+    active, R, dR, d2R = _rational(patch, tab_u, tab_v)
+    pts = patch.net.points.reshape(-1, 2, order="F")[active]
+    x = (R[:, None, :] @ pts)[:, 0]
+    if dR is None:
+        return BasisLocal(active, R, None, None, None, x)
+
+    jac = dR.transpose(0, 2, 1) @ pts  # jac[., k, l] = d x_l / d xi_k
+    (xu, yu), (xv, yv) = jac[:, 0].T, jac[:, 1].T
+    det = xu * yv - yu * xv
+    scale = np.maximum(np.abs(jac).max(axis=(1, 2)), 1.0e-30) ** 2
+    singular = np.flatnonzero(np.abs(det) < 1.0e-14 * scale)
+    if singular.size:
+        a, b = divmod(int(singular[0]), len(tab_v[0]))
+        raise SingularMappingError(
+            f"geometry Jacobian is singular at (xi, eta) = ({tab_u[0][a]:.6g}, {tab_v[0][b]:.6g})"
+        )
+
+    # inverse of jac^T: inv[., k, l] = d xi_k / d x_l
+    inv = np.stack([yv, -xv, -yu, xu], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    dRdx = dR @ inv
+    d2Rdx2 = None
+    if d2R is not None:
+        hess = d2R.transpose(0, 2, 1) @ pts  # rows (xixi, etaeta, xieta), columns (x, y)
+        T = np.stack([xu * xu, yu * yu, 2.0 * xu * yu,
+                      xv * xv, yv * yv, 2.0 * xv * yv,
+                      xu * xv, yu * yv, xu * yv + xv * yu], axis=-1).reshape(-1, 3, 3)
+        rhs = d2R - dRdx @ hess.transpose(0, 2, 1)
+        d2Rdx2 = np.linalg.solve(T, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return BasisLocal(active, R, dRdx, d2Rdx2, det, x)
 
 
 def surface_basis(patch: Patch, xi: float, eta: float):
-    """Rational basis with parametric derivatives up to order 2.
+    """Rational basis with parametric derivatives up to order 2 at one point.
 
     Returns (active_indices, R, dR, d2R) where dR has columns (xi, eta) and
     d2R has columns (xi xi, eta eta, xi eta). With unit weights this reduces
     exactly to the tensor-product B-spline basis.
     """
-    active, N, Nxi, Neta, Nxixi, Netaeta, Nxieta = _tensor_basis(patch, xi, eta)
-    wts = patch.net.weights.ravel(order="F")[active]
-    wN = wts * N
-    W = wN.sum()
-    Wxi = (wts * Nxi).sum()
-    Weta = (wts * Neta).sum()
-    Wxixi = (wts * Nxixi).sum()
-    Wetaeta = (wts * Netaeta).sum()
-    Wxieta = (wts * Nxieta).sum()
-
-    R = wN / W
-    Rxi = (wts * Nxi - R * Wxi) / W
-    Reta = (wts * Neta - R * Weta) / W
-    Rxixi = (wts * Nxixi - 2.0 * Rxi * Wxi - R * Wxixi) / W
-    Retaeta = (wts * Netaeta - 2.0 * Reta * Weta - R * Wetaeta) / W
-    Rxieta = (wts * Nxieta - Rxi * Weta - Reta * Wxi - R * Wxieta) / W
-
-    dR = np.column_stack([Rxi, Reta])
-    d2R = np.column_stack([Rxixi, Retaeta, Rxieta])
-    return active, R, dR, d2R
+    active, R, dR, d2R = _rational(patch, *_tables(patch, xi, eta, 2))
+    return active[0], R[0], dR[0], d2R[0]
 
 
 def physical_derivs(patch: Patch, xi: float, eta: float) -> BasisLocal:
-    """Push parametric derivatives to physical (x, y) via the geometry map.
-
-    Second derivatives use the full chain rule, subtracting the geometry
-    Hessian contribution before inverting the second-order transform.
-    """
-    active, R, dR, d2R = surface_basis(patch, xi, eta)
-    pts = patch.net.points.reshape(-1, 2, order="F")[active]
-
-    x = R @ pts
-    jac = dR.T @ pts  # jac[k, l] = d x_l / d xi_k
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    scale = max(abs(jac).max(), 1.0e-30) ** 2
-    if abs(det) < 1.0e-14 * scale:
-        raise SingularMappingError(
-            f"geometry Jacobian is singular at (xi, eta) = ({xi:.6g}, {eta:.6g})"
-        )
-
-    # jac[k, l] = d x_l / d xi_k; inv[k, l] = d xi_k / d x_l (inverse of jac^T)
-    inv = np.array([[jac[1, 1], -jac[1, 0]], [-jac[0, 1], jac[0, 0]]]) / det
-    dRdx = dR @ inv
-
-    hess = d2R.T @ pts  # rows: (xixi, etaeta, xieta); columns: (x, y)
-    xu, yu = jac[0]
-    xv, yv = jac[1]
-    T = np.array(
-        [
-            [xu * xu, yu * yu, 2.0 * xu * yu],
-            [xv * xv, yv * yv, 2.0 * xv * yv],
-            [xu * xv, yu * yv, xu * yv + xv * yu],
-        ]
-    )
-    rhs = d2R - dRdx @ hess.T
-    d2Rdx2 = np.linalg.solve(T, rhs.T).T
-
-    return BasisLocal(
-        active_indices=active,
-        R=R,
-        dRdx=dRdx,
-        d2Rdx2=d2Rdx2,
-        jacobian_det=float(det),
-        point=x,
-    )
+    """Basis with physical derivatives up to order 2 at one point."""
+    return grid_basis(patch, *_tables(patch, xi, eta, 2))[0]
 
 
 def evaluate_point(patch: Patch, xi: float, eta: float) -> np.ndarray:
     """Physical position of a parametric point."""
-    active, R, _, _ = surface_basis(patch, xi, eta)
-    pts = patch.net.points.reshape(-1, 2, order="F")[active]
-    return R @ pts
+    return grid_basis(patch, *_tables(patch, xi, eta, 0)).point[0]
 
 
 def make_square_patch(
@@ -341,27 +379,44 @@ def h_refine(patch: Patch, new_knots_u, new_knots_v) -> Patch:
 
 
 def locate_point(patch: Patch, x: float, y: float, max_iter: int = 50) -> tuple[float, float]:
-    """Invert the geometry map by Newton iteration with a coarse-grid start."""
+    """Invert the geometry map by Newton iteration with backtracking.
+
+    The start is the nearest of a 9 x 9 grid of parametric cell centres,
+    evaluated in one call. The grid leaves out the patch corners: the
+    rational disk's Jacobian is singular at its 45-degree corners, and a
+    Newton iteration started there for a station near one stalls. Each step
+    is halved until the residual decreases; a direction without descent
+    (a point off the patch, say) fails at once.
+    """
     target = np.array([x, y])
-    grid = np.linspace(0.0, 1.0, 9)
-    best, best_d = (0.5, 0.5), np.inf
-    for gu in grid:
-        for gv in grid:
-            d = np.sum((evaluate_point(patch, gu, gv) - target) ** 2)
-            if d < best_d:
-                best, best_d = (gu, gv), d
-    uv = np.array(best)
-    scale = max(np.abs(patch.net.points).max(), 1e-30)
+    points = patch.net.points.reshape(-1, 2, order="F")
+    scale = max(np.abs(points).max(), 1e-30)
+    grid = (np.arange(9) + 0.5) / 9.0
+    seeds = grid_basis(patch, *_tables(patch, grid, grid, 0))
+    a, b = divmod(int(np.argmin(np.sum((seeds.point - target) ** 2, axis=1))), len(grid))
+
+    def residual(uv):
+        active, R, dR, _ = _rational(patch, *_tables(patch, uv[0], uv[1], 1))
+        pts = points[active[0]]
+        return R[0] @ pts - target, dR[0].T @ pts
+
+    uv = np.array([grid[a], grid[b]])
+    res, jac = residual(uv)
     for _ in range(max_iter):
-        active, R, dR, _ = surface_basis(patch, uv[0], uv[1])
-        pts = patch.net.points.reshape(-1, 2, order="F")[active]
-        res = R @ pts - target
         if np.linalg.norm(res) <= 1e-13 * scale:
             return float(uv[0]), float(uv[1])
-        jac = dR.T @ pts
         try:
             step = np.linalg.solve(jac.T, res)
         except np.linalg.LinAlgError as exc:
             raise GeometryError(f"inverse map Jacobian singular near {tuple(uv)}") from exc
-        uv = np.clip(uv - step, 0.0, 1.0)
+        t = 1.0
+        while True:
+            trial = np.clip(uv - t * step, 0.0, 1.0)
+            trial_res, trial_jac = residual(trial)
+            if np.linalg.norm(trial_res) < np.linalg.norm(res):
+                break
+            t *= 0.5
+            if t < 1e-8:  # no descent along the Newton direction, e.g. off the patch
+                raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")
+        uv, res, jac = trial, trial_res, trial_jac
     raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")

@@ -1,7 +1,7 @@
 """Assembly tests: strain-operator sparsity, matrix symmetry, the rigid-body
 nullspace of the unconstrained stiffness, load-column sums, the disk load
-resultant, quadrature consistency of the load vector, and constrained-DOF
-bookkeeping."""
+resultant, quadrature consistency of the load vector, constrained-DOF
+bookkeeping, and the solvability of every SSFF preset."""
 from dataclasses import replace
 
 import numpy as np
@@ -262,3 +262,48 @@ def test_mixed_edges_follow_spec_pattern():
         a = 0 + j * nu
         assert 4 * a + 1 in fixed and 4 * a + 2 in fixed and 4 * a + 3 in fixed
         assert 4 * a + 0 not in fixed
+
+
+def test_ssff_pins_one_in_plane_translation():
+    # supports on the u edges leave u0 free: exactly one u0 DOF is pinned, on
+    # a free edge, and the reduced stiffness is positive definite
+    bcs = (BC.SIMPLY_SUPPORTED, BC.SIMPLY_SUPPORTED, BC.FREE, BC.FREE)
+    model = square_model(bcs=bcs, nel=3)
+    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K",)), model)
+    nu = model.patch.net.shape[0]
+    pinned = system.fixed_dofs[system.fixed_dofs % 4 == 0] // 4
+    assert pinned.size == 1 and 0 < pinned[0] < nu - 1
+    K = system.reduce(system.K)
+    d = 1.0 / np.sqrt(np.diag(K))
+    assert np.linalg.eigvalsh(K * d[:, None] * d[None, :]).min() > 1e-8
+
+
+# w_bar of the SSFF presets whose reduced stiffness happened to factorize
+# before the in-plane translation was pinned; the others raised SolverError
+SSFF_SOLVED_BEFORE = {
+    "bend-uni-sfsf-ceramic-atan": 0.5074424747158991,
+    "bend-uni-sfsf-ceramic-atan_sin": 0.5060089758888106,
+    "bend-uni-sfsf-metal-atan": 1.4498356420445306,
+    "bend-uni-sfsf-metal-atan_sin": 1.4457399311096533,
+    "bend-uni-sfsf-n0.5-atan": 0.7588434423373791,
+    "bend-uni-sfsf-n0.5-atan_sin": 0.7568480162630875,
+}
+
+
+@pytest.fixture(scope="module")
+def ssff_deflections():
+    names = sorted(name for name in fg.PRESETS if name.startswith("bend-uni-sfsf-"))
+    assert len(names) == 14
+    return {name: fg.run_case(fg.preset_config(name)).report.w_bar for name in names}
+
+
+def test_every_ssff_preset_solves_and_keeps_its_deflection(ssff_deflections):
+    for name, expected in SSFF_SOLVED_BEFORE.items():
+        assert abs(ssff_deflections[name] - expected) <= 1e-10 * expected, name
+
+
+@pytest.mark.parametrize("shear", ["atan", "atan_sin"])
+def test_ssff_deflection_grows_from_ceramic_to_metal(ssff_deflections, shear):
+    labels = ["ceramic", "n0.5", "n1", "n2", "n4", "n8", "metal"]
+    w = [ssff_deflections[f"bend-uni-sfsf-{label}-{shear}"] for label in labels]
+    assert all(b > a for a, b in zip(w, w[1:])), w

@@ -1,6 +1,8 @@
 """Patch-level tests: partition of unity, B-spline reduction, geometry
-reproduction, physical derivatives against finite differences, the exact
-circular boundary of the disk patch, refinement invariance and C1 continuity."""
+reproduction, physical derivatives against finite differences, the grid basis
+against one-point calls, the exact circular boundary of the disk patch,
+refinement invariance, C1 continuity, and the inverse map at random stations
+on both disk nets."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from numpy.testing import assert_allclose
 import fgplate as fg
 from fgplate.bspline import basis_derivs
 from fgplate.errors import RefinementError, SingularMappingError
-from fgplate.nurbs import evaluate_point, locate_point, surface_basis
+from fgplate.nurbs import evaluate_point, grid_basis, locate_point, surface_basis, tabulate
 
 from oracles import central_diff, central_diff2
 
@@ -203,6 +205,21 @@ def test_disk_area_converges():
     assert abs(area - np.pi) < 1e-8
 
 
+def test_grid_basis_matches_one_point_calls(disk):
+    # a grid across several spans: every point has its own active set
+    xis, etas = np.array([0.05, 0.31, 0.62]), np.array([0.12, 0.5, 0.77, 0.93])
+    grid = grid_basis(disk, tabulate(disk.knot_u, xis, 2), tabulate(disk.knot_v, etas, 2))
+    Bgrid = fg.strain_operators(grid)
+    for k, (xi, eta) in enumerate((u, v) for u in xis for v in etas):
+        b = fg.physical_derivs(disk, xi, eta)
+        assert np.array_equal(grid.active_indices[k], b.active_indices)
+        for name in ("R", "dRdx", "d2Rdx2", "jacobian_det", "point"):
+            assert_allclose(getattr(grid, name)[k], getattr(b, name), rtol=1e-14, atol=1e-14)
+        for batched, single in zip(Bgrid, fg.strain_operators(b)):
+            assert_allclose(batched[k], single, rtol=1e-14, atol=1e-14)
+    assert evaluate_point(disk, xis[1], etas[2]) == pytest.approx(grid.point[6], abs=1e-15)
+
+
 def test_disk_corner_mapping_is_singular(disk):
     with pytest.raises(SingularMappingError):
         fg.physical_derivs(disk, 0.0, 0.0)
@@ -261,3 +278,17 @@ def test_locate_point_round_trip(square, disk):
             u, v = locate_point(patch, x, y)
             x2, y2 = evaluate_point(patch, u, v)
             assert np.hypot(x2 - x, y2 - y) < 1e-11
+
+
+@pytest.mark.parametrize("make", [fg.make_disk_patch, fg.make_mapped_disk_patch])
+def test_locate_point_round_trip_at_random_stations(make):
+    # a 9 x 9 grid seed that includes the patch corners started Newton at the
+    # rational disk's singular 45-degree corners for stations near them
+    radius = 0.5
+    patch = make(radius, 3, 11)
+    rng = np.random.default_rng(0)
+    r = 0.98 * radius * np.sqrt(rng.random(1000))
+    theta = 2.0 * np.pi * rng.random(1000)
+    for x, y in zip(r * np.cos(theta), r * np.sin(theta)):
+        u, v = locate_point(patch, x, y)
+        assert np.hypot(*(evaluate_point(patch, u, v) - (x, y))) < 1e-12

@@ -3,15 +3,41 @@
 Each control point carries the DOFs (u0, v0, wb, ws); global DOF index is
 4*A + component with A the flattened control point index.
 
-Assembly loops over nonempty knot spans. The 1-D bases are tabulated once
-per span and Gauss point (nurbs.tabulate), and nurbs.grid_basis forms each
-element's basis at all of its points at once. The matrices K, M and Kg use a
-(p+1) x (q+1) Gauss rule per element: on an affine square their integrands
-are polynomials of degree at most 2p per direction, which that rule
-integrates exactly, and on the disks more points move buckling loads by less
-than 1e-6. Element matrices are one batched product over the element's
-points, symmetric by construction, and are scattered serially, one element
-at a time, so results are deterministic. The load vector F gets its own
+The FGM is graded through the thickness only, so the section constants
+(A..H, Ds, I1..I6) and the prestress N0 are the same at every point of the
+mid-surface. Element integration therefore splits exactly into a
+geometry-only part and a small per-case contraction, in the spirit of sum
+factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 2015):
+
+- S_e = Phi^T diag(w det J) Phi is the Gram of the element's six basis
+  channels (R, R_x, R_y, R_xx, R_yy, R_xy) over its Gauss points, a
+  (6 nb) x (6 nb) matrix for nb basis functions (96 x 96 for a cubic
+  element), kept as S_e[(a, b), (c, d)] of shape (nb^2, 36);
+- C = L^T D L is a 36 x 16 table C[(c, d), (i, j)] per matrix and case, with
+  D the section's bending and shear blocks (K), its inertia block (M) or N0
+  (Kg), and L the kinematic table: strain_operators evaluated on a unit
+  six-function basis, or the inertia rows of M;
+- Ke[(a, i), (b, j)] = sum over (c, d) of S_e[(a, b), (c, d)] C[(c, d), (i, j)].
+
+Assembly walks the patch one row of elements (one u span, every v span) at a
+time, with one grid_basis call per row from 1-D bases tabulated once per
+span and Gauss point (nurbs.tabulate); no array spans the whole patch. Every
+BLAS product stays at element size: the Gram is one (6 nb x n_q) @
+(n_q x 6 nb) product per element and the contraction a stacked
+(elements, nb^2, 36) @ (36, 16). One (elements nb^2, 36) @ (36, 16) product
+per row of 11 cubic elements exceeds OpenBLAS's threading threshold
+(m n k > 262,144). numpy and scipy each load their own OpenBLAS, and a
+worker woken in numpy's spins for about 0.1 s after the product; the dense
+scipy eigh that follows in the same case then shares two CPUs with it and
+went from 0.030 s to 0.058 s, and n-sweeps over the 11x11 cubic presets got
+slower end to end.
+
+K, M and Kg use a (p+1) x (q+1) Gauss rule per element: on an affine square
+their integrands are polynomials of degree at most 2p per direction, which
+that rule integrates exactly, and on the disks more points move buckling
+loads by less than 1e-6. Each element matrix is made exactly symmetric and
+scattered serially, one element at a time, so results are deterministic and
+the global matrices bitwise symmetric. The load vector F gets its own
 (p+3) x (q+3) rule, because its integrand q(x, y) R det J is not a
 polynomial for the half-sine load, nor on the rational disk: the (p+1) rule
 leaves a relative error of order 1e-8 in F there, the (p+3) rule one of
@@ -139,6 +165,9 @@ def strain_operators(basis: BasisLocal):
     sparsity mirrors the kinematics: membrane strains use only (u0, v0),
     bending curvatures only wb, shear-warping curvatures and shear only ws,
     and the deflection gradient both wb and ws.
+
+    This is where the kinematics are defined: assembly builds K and Kg from
+    these operators evaluated on a unit basis (see _kinematic_tables).
     """
     dR = basis.dRdx
     d2R = basis.d2Rdx2
@@ -173,6 +202,40 @@ def strain_operators(basis: BasisLocal):
     return Bm, Bb1, Bb2, Bs, Bg
 
 
+# basis channels of the element Gram, in order: R, R_x, R_y, R_xx, R_yy, R_xy
+_CHANNELS = 6
+
+
+def _kinematic_tables():
+    """Coefficients of the basis channels in the rows of the bending, shear,
+    prestress and inertia operators, for each DOF component: tables of shape
+    (rows, 4 * _CHANNELS) with columns (channel, component), channel outer.
+
+    The strain rows are strain_operators on a unit basis of six functions,
+    function c being 1 in channel c and 0 in the others, so the kinematics
+    are defined there alone. The nine inertia rows pair with
+    kron(I3, inertia_block), one triple per direction: (u0, -wb_x, ws_x) for
+    x, (v0, -wb_y, ws_y) for y and (wb + ws, 0, 0) for z.
+    """
+    eye = np.eye(_CHANNELS)
+    unit = BasisLocal(np.arange(_CHANNELS), eye[:, 0], eye[:, 1:3], eye[:, 3:], None, None)
+    Bm, Bb1, Bb2, Bs, Bg = strain_operators(unit)
+    R, dR = unit.R, unit.dRdx
+    inertia = np.zeros((9, 4 * _CHANNELS))
+    inertia[0, 0::4] = R
+    inertia[1, 2::4] = -dR[:, 0]
+    inertia[2, 3::4] = dR[:, 0]
+    inertia[3, 1::4] = R
+    inertia[4, 2::4] = -dR[:, 1]
+    inertia[5, 3::4] = dR[:, 1]
+    inertia[6, 2::4] = R
+    inertia[6, 3::4] = R
+    return np.concatenate([Bm, Bb1, Bb2]), Bs, Bg, inertia
+
+
+_BENDING_ROWS, _SHEAR_ROWS, _PRESTRESS_ROWS, _INERTIA_ROWS = _kinematic_tables()
+
+
 def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
     """Build the requested global matrices and load vector.
 
@@ -196,80 +259,90 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
     return GlobalSystem(n_dofs=model.n_dofs, K=K, M=M, Kg=Kg, F=F)
 
 
-def _element_bases(patch: Patch, extra_points: int, order: int):
-    """Per element, in span order with u outer: the basis of the given order
-    on its (p+extra) x (q+extra) Gauss grid and the Gauss weights times det J.
-    The 1-D bases are tabulated once per span and Gauss point."""
-    per_direction = []
+def _element_rows(patch: Patch, extra_points: int, order: int):
+    """Per row of elements (one u span and every v span, rows in u order):
+    the basis of the given order at each element's (p+extra) x (q+extra)
+    Gauss points, and the Gauss weights times det J.
+
+    Every array leads with (element, point), elements in v order and points
+    with u outer, so the working set is one row of elements. The 1-D bases
+    are tabulated once per span and Gauss point, the 2-D basis once per row.
+    """
+    rules = []
     for knots in (patch.knot_u, patch.knot_v):
         gx, gw = np.polynomial.legendre.leggauss(knots.degree + extra_points)
-        per_direction.append([
-            (tabulate(knots, 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx, order), 0.5 * (hi - lo) * gw)
-            for _, lo, hi in knots.spans()
-        ])
-    for tab_u, wu in per_direction[0]:
-        for tab_v, wv in per_direction[1]:
-            basis = grid_basis(patch, tab_u, tab_v)
-            yield basis, np.outer(wu, wv).ravel() * basis.jacobian_det
+        lo, hi = np.array([span[1:] for span in knots.spans()]).T
+        half = 0.5 * (hi - lo)
+        rules.append(((0.5 * (lo + hi))[:, None] + half[:, None] * gx, half[:, None] * gw))
+    (params_u, weights_u), (params_v, weights_v) = rules
+    n_el, n_v = params_v.shape
+    n_u = params_u.shape[1]
+    tab_v = tabulate(patch.knot_v, params_v.ravel(), order)
+
+    def by_element(a):
+        a = a.reshape((n_u, n_el, n_v) + a.shape[1:]).swapaxes(0, 1)
+        return a.reshape((n_el, n_u * n_v) + a.shape[3:])
+
+    for params, weights in zip(params_u, weights_u):
+        basis = grid_basis(patch, tabulate(patch.knot_u, params, order), tab_v)
+        wq = np.outer(weights, weights_v).ravel() * basis.jacobian_det
+        grouped = (None if v is None else by_element(v) for v in vars(basis).values())
+        yield BasisLocal(*grouped), by_element(wq)
 
 
-def _weighted_gram(wq: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Sum over points q of wq[q] B[q]^T D B[q] for B of shape (n_q, rows, edof)."""
-    return np.tensordot(wq[:, None, None] * B, D @ B, axes=([0, 1], [0, 1]))
+def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """C = L^T D L for a kinematic table L, regrouped as C[(c, d), (i, j)]
+    with channels c, d and DOF components i, j: shape (36, 16)."""
+    C = (rows.T @ D @ rows).reshape(_CHANNELS, 4, _CHANNELS, 4)
+    return C.transpose(0, 2, 1, 3).reshape(_CHANNELS**2, 16)
 
 
 def _assemble_matrices(model: PlateModel, want: set):
-    """K, M and Kg (None where not wanted) in one (p+1) x (q+1) Gauss sweep,
-    one batched element integration and one scatter per element."""
+    """K, M and Kg (None where not wanted) from the basis Gram of each
+    element, contracted with one coefficient table per matrix."""
     section = model.section
+    tables = {}
+    if "K" in want:
+        tables["K"] = (_coefficient_table(_BENDING_ROWS, section.bending_block())
+                       + _coefficient_table(_SHEAR_ROWS, section.Ds))
+    if "M" in want:
+        tables["M"] = _coefficient_table(_INERTIA_ROWS, np.kron(np.eye(3), section.inertia_block()))
+    if "Kg" in want:
+        tables["Kg"] = _coefficient_table(_PRESTRESS_ROWS, model.prestress)
     n = model.n_dofs
-    K = np.zeros((n, n)) if "K" in want else None
-    M = np.zeros((n, n)) if "M" in want else None
-    Kg = np.zeros((n, n)) if "Kg" in want else None
+    out = {name: np.zeros(n * n) for name in tables}
 
-    Db = section.bending_block()
-    Ds = section.Ds
-    if M is not None:
-        mblock = np.kron(np.eye(3), section.inertia_block())
-    n0 = model.prestress
-
-    for basis, wq in _element_bases(model.patch, 1, 2):
-        active = basis.active_indices[0]
-        dofs = (4 * active[:, None] + np.arange(4)).ravel()
-        idx = np.ix_(dofs, dofs)
-        Bm, Bb1, Bb2, Bs, Bg = strain_operators(basis)
-
-        if K is not None:
-            Bb = np.concatenate([Bm, Bb1, Bb2], axis=1)
-            K[idx] += _weighted_gram(wq, Bb, Db) + _weighted_gram(wq, Bs, Ds)
-        if M is not None:
-            R, dR = basis.R, basis.dRdx
-            Rt = np.zeros((len(wq), 9, dofs.size))
-            Rt[:, 0, 0::4] = R
-            Rt[:, 1, 2::4] = -dR[..., 0]
-            Rt[:, 2, 3::4] = dR[..., 0]
-            Rt[:, 3, 1::4] = R
-            Rt[:, 4, 2::4] = -dR[..., 1]
-            Rt[:, 5, 3::4] = dR[..., 1]
-            Rt[:, 6, 2::4] = R
-            Rt[:, 6, 3::4] = R
-            M[idx] += _weighted_gram(wq, Rt, mblock)
-        if Kg is not None:
-            Kg[idx] += _weighted_gram(wq, Bg, n0)
-
-    # element contributions are exactly symmetric; remove roundoff asymmetry
-    return tuple(None if A is None else 0.5 * (A + A.T) for A in (K, M, Kg))
+    for basis, wq in _element_rows(model.patch, 1, 2):
+        n_el, n_q, nb = basis.R.shape
+        phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
+                              basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(n_el, n_q, -1)
+        # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)]
+        gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
+        gram = gram.reshape(n_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
+        gram = gram.reshape(n_el, nb * nb, _CHANNELS**2)
+        # flat index of the global entry of element DOFs (a, i) and (b, j), laid
+        # out like Ke: (element, a, b, i, j)
+        dof = 4 * basis.active_indices[:, 0, :, None] + np.arange(4)
+        flat = dof[:, :, None, :, None] * n + dof[:, None, :, None, :]
+        for name, C in tables.items():
+            Ke = (gram @ C).reshape(flat.shape)
+            Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1, 4, 3))
+            A = out[name]
+            for f, ke in zip(flat, Ke):
+                A[f] += ke
+    return tuple(out[name].reshape(n, n) if name in out else None for name in ("K", "M", "Kg"))
 
 
 def _assemble_load(model: PlateModel) -> np.ndarray:
     """Consistent load vector with a (p+3) x (q+3) Gauss rule per element."""
     F = np.zeros(model.n_dofs)
-    for basis, wq in _element_bases(model.patch, 3, 1):
+    for basis, wq in _element_rows(model.patch, 3, 1):
         x = basis.point
-        Fe = (wq * model.load.value(x[:, 0], x[:, 1])) @ basis.R
-        active = basis.active_indices[0]
-        F[4 * active + 2] += Fe
-        F[4 * active + 3] += Fe
+        wq = wq * model.load.value(x[..., 0], x[..., 1])
+        for active, we, R in zip(basis.active_indices[:, 0], wq, basis.R):
+            Fe = we @ R
+            F[4 * active + 2] += Fe
+            F[4 * active + 3] += Fe
     return F
 
 

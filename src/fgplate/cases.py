@@ -9,17 +9,22 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import apply_boundary_conditions, assemble
+from .assembly import PlateModel, apply_boundary_conditions, assemble
 from .errors import ConfigurationError
 from .config import CaseConfig
+from .nurbs import BasisLocal
 from .postprocess import (
     NondimReport,
     ReportFamily,
     StressProfile,
-    field_at,
+    _field,
+    _profile,
+    _station_basis,
     nondimensionalize,
-    stress_profile,
 )
+# run_case recovers the station through one located basis, not through these
+# public queries; perfbench's tracer still wraps them in this namespace
+from .postprocess import field_at, stress_profile  # noqa: F401
 from .solvers import EigenResult, solve_buckling, solve_static, solve_vibration
 
 __all__ = ["CaseResult", "SweepResult", "run_case", "sweep_case", "profile_case"]
@@ -67,18 +72,7 @@ def run_case(config: CaseConfig) -> CaseResult:
     model = config.build_model()
 
     if config.analysis == "static":
-        system = apply_boundary_conditions(assemble(model, want=("K", "F")), model)
-        q = solve_static(system)
-        x, y = config.center()
-        w_center = field_at(q, model, x, y)[4]
-        sigma = None
-        if config.report is ReportFamily.BENDING_EC:
-            h = model.section.h
-            sigma = stress_profile(q, model, x, y, [h / 3.0]).sigma_x[0]
-        report = nondimensionalize(config.report, model, span=config.span,
-                                   q0=config.q0, w_center=w_center, sigma_x=sigma)
-        return CaseResult(config=config, report=report, model=model, q=q,
-                          w_center=w_center, sigma_x=sigma)
+        return _static_case(config, model)[0]
 
     if config.analysis == "vibrate":
         system = apply_boundary_conditions(assemble(model, want=("K", "M")), model)
@@ -92,6 +86,25 @@ def run_case(config: CaseConfig) -> CaseResult:
     report = nondimensionalize(config.report, model, span=config.span,
                                p_crs=eigen.values)
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
+
+
+def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, BasisLocal]:
+    """A static case and the basis at its station, which is located once for
+    the deflection, the stress and a profile."""
+    system = apply_boundary_conditions(assemble(model, want=("K", "F")), model)
+    q = solve_static(system)
+    x, y = config.center()
+    basis = _station_basis(model, x, y)
+    w_center = _field(q, basis)[4]
+    sigma = None
+    if config.report is ReportFamily.BENDING_EC:
+        h = model.section.h
+        sigma = _profile(q, model, basis, (x, y), [h / 3.0]).sigma_x[0]
+    report = nondimensionalize(config.report, model, span=config.span,
+                               q0=config.q0, w_center=w_center, sigma_x=sigma)
+    result = CaseResult(config=config, report=report, model=model, q=q,
+                        w_center=w_center, sigma_x=sigma)
+    return result, basis
 
 
 # the configuration field each sweep axis varies
@@ -115,10 +128,7 @@ def profile_case(config: CaseConfig) -> tuple[CaseResult, StressProfile]:
     """Static solve plus a through-thickness stress profile at the station."""
     if config.analysis != "static":
         raise ConfigurationError("profiles require a static analysis configuration")
-    result = run_case(config)
-    model = result.model
-    h = model.section.h
+    result, basis = _static_case(config, config.build_model())
+    h = result.model.section.h
     z = np.linspace(-h / 2.0, h / 2.0, config.profile_samples)
-    x, y = config.center()
-    prof = stress_profile(result.q, model, x, y, z)
-    return result, prof
+    return result, _profile(result.q, result.model, basis, config.center(), z)

@@ -125,15 +125,11 @@ class CaseConfig:
         return parse_config(doc)
 
 
-def _fail(message: str) -> ConfigurationError:
-    return ConfigurationError(message)
-
-
 def _reject_duplicate_keys(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise _fail(f"conflicting duplicate key {key!r} in configuration")
+            raise ConfigurationError(f"conflicting duplicate key {key!r} in configuration")
         seen[key] = value
     return seen
 
@@ -143,9 +139,9 @@ def load_config(path: str) -> CaseConfig:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
     except FileNotFoundError as exc:
-        raise _fail(f"config file not found: {path}") from exc
+        raise ConfigurationError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
 
@@ -153,42 +149,48 @@ def _phase_from(doc, name: str) -> Phase:
     value = doc.get(name)
     if isinstance(value, str):
         if value not in MATERIALS:
-            raise _fail(f"unknown material preset {value!r}; options: {sorted(MATERIALS)}")
+            raise ConfigurationError(
+                f"unknown material preset {value!r}; options: {sorted(MATERIALS)}"
+            )
         return MATERIALS[value]
     if isinstance(value, dict):
         try:
             return Phase(float(value["E"]), float(value["nu"]), float(value.get("rho", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
-            raise _fail(f"invalid phase definition for {name!r}: needs numeric E, nu[, rho]") from exc
-    raise _fail(f"material.{name} must be a preset name or a phase object")
+            raise ConfigurationError(
+                f"invalid phase definition for {name!r}: needs numeric E, nu[, rho]"
+            ) from exc
+    raise ConfigurationError(f"material.{name} must be a preset name or a phase object")
 
 
 def _edge_bcs_from(value) -> tuple[BC, BC, BC, BC]:
     if isinstance(value, str):
         letters = value.strip().upper()
         if len(letters) != 4 or any(c not in "SCF" for c in letters):
-            raise _fail(f"edge_bcs string must be 4 letters from S/C/F, got {value!r}")
+            raise ConfigurationError(f"edge_bcs string must be 4 letters from S/C/F, got {value!r}")
         return tuple(BC(c) for c in letters)
     if isinstance(value, dict):
         extra = set(value) - set(_EDGE_KEYS)
         missing = set(_EDGE_KEYS) - set(value)
         if extra or missing:
-            raise _fail(f"edge_bcs mapping needs exactly the keys {_EDGE_KEYS}")
+            raise ConfigurationError(f"edge_bcs mapping needs exactly the keys {_EDGE_KEYS}")
         try:
             return tuple(BC(str(value[k]).upper()) for k in _EDGE_KEYS)
         except ValueError as exc:
-            raise _fail("edge conditions must be S, C or F") from exc
-    raise _fail("edge_bcs must be a 4-letter string or an edge mapping")
+            raise ConfigurationError("edge conditions must be S, C or F") from exc
+    raise ConfigurationError("edge_bcs must be a 4-letter string or an edge mapping")
 
 
 def parse_config(doc: dict) -> CaseConfig:
     """Validate a configuration document; every problem raises before assembly."""
     if not isinstance(doc, dict):
-        raise _fail("configuration must be a JSON object")
+        raise ConfigurationError("configuration must be a JSON object")
 
     geometry = doc.get("geometry")
     if not isinstance(geometry, dict) or geometry.get("type") not in ("square", "disk"):
-        raise _fail('geometry must be {"type": "square", ...} or {"type": "disk", ...}')
+        raise ConfigurationError(
+            'geometry must be {"type": "square", ...} or {"type": "disk", ...}'
+        )
     gtype = geometry["type"]
     if gtype == "square":
         a = float(geometry.get("a", 1.0))
@@ -196,43 +198,45 @@ def parse_config(doc: dict) -> CaseConfig:
     else:
         a = b = float(geometry.get("radius", 0.0))
     if a <= 0 or b <= 0:
-        raise _fail("geometry dimensions must be positive")
+        raise ConfigurationError("geometry dimensions must be positive")
     disk_net = str(geometry.get("net", "rational"))
     if disk_net not in ("rational", "mapped"):
-        raise _fail('disk net must be "rational" or "mapped"')
+        raise ConfigurationError('disk net must be "rational" or "mapped"')
     interior_multiplicity = int(geometry.get("interior_multiplicity", 1))
 
     ratio = float(doc.get("thickness_ratio", 0.0))
     if ratio <= 0:
-        raise _fail("thickness_ratio must be positive (a/h for squares, h/R for disks)")
+        raise ConfigurationError(
+            "thickness_ratio must be positive (a/h for squares, h/R for disks)"
+        )
 
     degree = int(doc.get("degree", 3))
     elements = int(doc.get("elements", 11))
     if degree < 2:
-        raise _fail("degree must be at least 2 for the C1 discretization")
+        raise ConfigurationError("degree must be at least 2 for the C1 discretization")
     if elements < 1:
-        raise _fail("elements must be at least 1")
+        raise ConfigurationError("elements must be at least 1")
     if not 1 <= interior_multiplicity <= degree - 1:
-        raise _fail("geometry.interior_multiplicity must lie in [1, degree-1]")
+        raise ConfigurationError("geometry.interior_multiplicity must lie in [1, degree-1]")
 
     material = doc.get("material")
     if not isinstance(material, dict):
-        raise _fail("material section is required")
+        raise ConfigurationError("material section is required")
     ceramic = _phase_from(material, "ceramic")
     metal = _phase_from(material, "metal")
     try:
         scheme = Scheme(material.get("scheme", "rule_of_mixture"))
         profile = Profile(material.get("profile", "ceramic_power"))
     except ValueError as exc:
-        raise _fail(f"invalid homogenization scheme/profile: {exc}") from exc
+        raise ConfigurationError(f"invalid homogenization scheme/profile: {exc}") from exc
     power_index = float(material.get("power_index", 0.0))
     if power_index < 0:
-        raise _fail("power_index must be nonnegative")
+        raise ConfigurationError("power_index must be nonnegative")
 
     try:
         shear = ShearModel(doc.get("shear_model", "atan"))
     except ValueError as exc:
-        raise _fail(
+        raise ConfigurationError(
             f"unknown shear_model {doc.get('shear_model')!r}; options: {[m.value for m in ShearModel]}"
         ) from exc
 
@@ -240,33 +244,35 @@ def parse_config(doc: dict) -> CaseConfig:
 
     analysis_doc = doc.get("analysis", {"type": "static"})
     if not isinstance(analysis_doc, dict) or analysis_doc.get("type") not in _ANALYSES:
-        raise _fail(f"analysis.type must be one of {_ANALYSES}")
+        raise ConfigurationError(f"analysis.type must be one of {_ANALYSES}")
     analysis = analysis_doc["type"]
     modes = int(analysis_doc.get("modes", 1 if analysis == "vibrate" else 4))
     if analysis != "static" and modes < 1:
-        raise _fail("analysis.modes must be at least 1")
+        raise ConfigurationError("analysis.modes must be at least 1")
 
     load_doc = doc.get("load")
     load_type = None
     q0 = 1.0
     if load_doc is not None:
         if not isinstance(load_doc, dict) or load_doc.get("type") not in ("sinusoidal", "uniform"):
-            raise _fail('load must be {"type": "sinusoidal"|"uniform", "q0": ...}')
+            raise ConfigurationError('load must be {"type": "sinusoidal"|"uniform", "q0": ...}')
         load_type = load_doc["type"]
         q0 = float(load_doc.get("q0", 1.0))
         if load_type == "sinusoidal" and gtype == "disk":
-            raise _fail("sinusoidal load is defined for square geometry only")
+            raise ConfigurationError("sinusoidal load is defined for square geometry only")
     if analysis == "static" and load_type is None:
-        raise _fail("static analysis requires a load")
+        raise ConfigurationError("static analysis requires a load")
 
     prestress = None
     if doc.get("prestress") is not None:
         arr = np.asarray(doc["prestress"], dtype=float)
         if arr.shape != (2, 2) or not np.allclose(arr, arr.T):
-            raise _fail("prestress must be a symmetric 2x2 matrix in N/m")
+            raise ConfigurationError("prestress must be a symmetric 2x2 matrix in N/m")
         prestress = tuple(tuple(float(x) for x in row) for row in arr)
     if analysis == "buckle" and prestress is None:
-        raise _fail("buckling analysis: missing prestress state (in-plane force matrix)")
+        raise ConfigurationError(
+            "buckling analysis: missing prestress state (in-plane force matrix)"
+        )
 
     report_value = doc.get("report")
     if report_value is None:
@@ -275,46 +281,48 @@ def parse_config(doc: dict) -> CaseConfig:
         try:
             report = ReportFamily(report_value)
         except ValueError as exc:
-            raise _fail(
+            raise ConfigurationError(
                 f"unknown report family {report_value!r}; options: {[f.value for f in ReportFamily]}"
             ) from exc
     if report not in _REPORT_FOR_ANALYSIS[analysis]:
-        raise _fail(f"report family {report.value!r} does not apply to {analysis} analysis")
+        raise ConfigurationError(
+            f"report family {report.value!r} does not apply to {analysis} analysis"
+        )
 
     station = None
     if doc.get("station") is not None:
         pair = doc["station"]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise _fail("station must be an [x, y] pair")
+            raise ConfigurationError("station must be an [x, y] pair")
         station = (float(pair[0]), float(pair[1]))
 
     profile_samples = int(doc.get("profile_samples", 101))
     if profile_samples < 2:
-        raise _fail("profile_samples must be at least 2")
+        raise ConfigurationError("profile_samples must be at least 2")
 
     sweep_axis = None
     sweep_values: tuple = ()
     if doc.get("sweep") is not None:
         sweep_doc = doc["sweep"]
         if not isinstance(sweep_doc, dict) or sweep_doc.get("axis") not in _SWEEP_AXES:
-            raise _fail(f"sweep.axis must be one of {_SWEEP_AXES}")
+            raise ConfigurationError(f"sweep.axis must be one of {_SWEEP_AXES}")
         sweep_axis = sweep_doc["axis"]
         values = sweep_doc.get("values")
         if not isinstance(values, (list, tuple)) or not values:
-            raise _fail("sweep.values must be a nonempty list")
+            raise ConfigurationError("sweep.values must be a nonempty list")
         if sweep_axis == "model":
             bad = [v for v in values if v not in {m.value for m in ShearModel}]
             if bad:
-                raise _fail(f"sweep over models: unknown shear models {bad}")
+                raise ConfigurationError(f"sweep over models: unknown shear models {bad}")
             sweep_values = tuple(str(v) for v in values)
         elif sweep_axis == "mesh":
             sweep_values = tuple(int(v) for v in values)
             if any(v < 1 for v in sweep_values):
-                raise _fail("mesh sweep values must be positive element counts")
+                raise ConfigurationError("mesh sweep values must be positive element counts")
         else:
             sweep_values = tuple(float(v) for v in values)
             if any(v <= 0 for v in sweep_values):
-                raise _fail("sweep values must be positive")
+                raise ConfigurationError("sweep values must be positive")
 
     return CaseConfig(
         geometry_type=gtype, a=a, b=b, thickness_ratio=ratio, degree=degree,
@@ -495,5 +503,5 @@ PRESETS: dict[str, dict] = _build_presets()
 
 def preset_config(name: str) -> CaseConfig:
     if name not in PRESETS:
-        raise _fail(f"unknown preset {name!r}; run 'fgplate presets list'")
+        raise ConfigurationError(f"unknown preset {name!r}; run 'fgplate presets list'")
     return parse_config(PRESETS[name])

@@ -113,7 +113,8 @@ class Patch:
 @dataclass(frozen=True)
 class BasisLocal:
     """Nonzero rational basis data in physical coordinates, at one point or,
-    with a leading point axis on every array, at a grid of points.
+    with the same leading axes on every array (a point axis, or the element
+    and point axes of assembly), at a grid of points.
 
     Columns follow active_indices; dRdx columns are (x, y) and d2Rdx2 columns
     (xx, yy, xy). Fields above the tabulated derivative order are None.

@@ -16,7 +16,7 @@ import numpy as np
 from .assembly import PlateModel, strain_operators
 from .errors import ConfigurationError
 from .materials import effective_props, shear_fn
-from .nurbs import locate_point, physical_derivs
+from .nurbs import BasisLocal, locate_point, physical_derivs
 
 __all__ = [
     "StressProfile",
@@ -67,10 +67,15 @@ class NondimReport:
     p_cr_bar: tuple[float, ...] = field(default_factory=tuple)
 
 
-def field_at(q: np.ndarray, model: PlateModel, x: float, y: float):
-    """Generalized displacements (u0, v0, wb, ws, w) at a physical point."""
+def _station_basis(model: PlateModel, x: float, y: float) -> BasisLocal:
+    """Basis with physical derivatives at a physical station. The field and
+    the stresses at one station are recovered from one such basis, so the
+    station is located once."""
     xi, eta = locate_point(model.patch, x, y)
-    basis = physical_derivs(model.patch, xi, eta)
+    return physical_derivs(model.patch, xi, eta)
+
+
+def _field(q: np.ndarray, basis: BasisLocal):
     dofs = 4 * basis.active_indices
     u0 = float(basis.R @ q[dofs])
     v0 = float(basis.R @ q[dofs + 1])
@@ -79,19 +84,16 @@ def field_at(q: np.ndarray, model: PlateModel, x: float, y: float):
     return u0, v0, wb, ws, wb + ws
 
 
-def _strains_at(q: np.ndarray, model: PlateModel, x: float, y: float):
-    xi, eta = locate_point(model.patch, x, y)
-    basis = physical_derivs(model.patch, xi, eta)
+def field_at(q: np.ndarray, model: PlateModel, x: float, y: float):
+    """Generalized displacements (u0, v0, wb, ws, w) at a physical point."""
+    return _field(q, _station_basis(model, x, y))
+
+
+def _profile(q: np.ndarray, model: PlateModel, basis: BasisLocal, station: tuple[float, float],
+             z_samples: Sequence[float]) -> StressProfile:
     Bm, Bb1, Bb2, Bs, _ = strain_operators(basis)
     qe = q[(4 * basis.active_indices[:, None] + np.arange(4)).ravel()]
-    return Bm @ qe, Bb1 @ qe, Bb2 @ qe, Bs @ qe
-
-
-def stress_profile(
-    q: np.ndarray, model: PlateModel, x: float, y: float, z_samples: Sequence[float]
-) -> StressProfile:
-    """In-plane and transverse shear stresses through the thickness at (x, y)."""
-    eps0, kb, ks, es = _strains_at(q, model, x, y)
+    eps0, kb, ks, es = Bm @ qe, Bb1 @ qe, Bb2 @ qe, Bs @ qe
     h = model.section.h
     z = np.asarray(z_samples, dtype=float)
     sx = np.empty_like(z)
@@ -110,7 +112,14 @@ def stress_profile(
         gshear = E / (2.0 * (1.0 + nu)) * fp
         txz[i] = gshear * es[0]
         tyz[i] = gshear * es[1]
-    return StressProfile((x, y), z, sx, sy, txy, txz, tyz)
+    return StressProfile(station, z, sx, sy, txy, txz, tyz)
+
+
+def stress_profile(
+    q: np.ndarray, model: PlateModel, x: float, y: float, z_samples: Sequence[float]
+) -> StressProfile:
+    """In-plane and transverse shear stresses through the thickness at (x, y)."""
+    return _profile(q, model, _station_basis(model, x, y), (x, y), z_samples)
 
 
 def nondimensionalize(

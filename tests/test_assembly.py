@@ -1,7 +1,8 @@
 """Assembly tests: strain-operator sparsity, matrix symmetry, the rigid-body
-nullspace of the unconstrained stiffness, load-column sums, the disk load
-resultant, quadrature consistency of the load vector, constrained-DOF
-bookkeeping, and the solvability of every SSFF preset."""
+nullspace of the unconstrained stiffness, K, M and Kg against a point-by-point
+reference, load-column sums, the disk load resultant, quadrature consistency
+of the load vector, constrained-DOF bookkeeping, and the solvability of every
+SSFF preset."""
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,58 @@ def test_kg_symmetric_and_semidefinite_for_compression():
     assert np.abs(system.Kg - system.Kg.T).max() <= 1e-12 * np.abs(system.Kg).max()
     vals = np.linalg.eigvalsh(system.Kg)
     assert vals.max() <= 1e-10 * np.abs(vals).max()
+
+
+def pointwise_matrices(model):
+    """K, M and Kg summed Gauss point by Gauss point, w det J B^T D B with the
+    one-point basis, written apart from the element Gram of the library."""
+    patch, sec = model.patch, model.section
+    n = model.n_dofs
+    K, M, Kg = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    Db = sec.bending_block()
+    inertia = np.kron(np.eye(3), sec.inertia_block())
+    gu, wu = np.polynomial.legendre.leggauss(patch.degrees[0] + 1)
+    gv, wv = np.polynomial.legendre.leggauss(patch.degrees[1] + 1)
+    for (u0, u1), (v0, v1) in patch.elements():
+        du, dv = (u1 - u0) / 2, (v1 - v0) / 2
+        for a, aw in zip(gu, wu):
+            for b, bw in zip(gv, wv):
+                basis = fg.physical_derivs(patch, (u0 + u1) / 2 + du * a, (v0 + v1) / 2 + dv * b)
+                wq = aw * bw * du * dv * basis.jacobian_det
+                dofs = (4 * basis.active_indices[:, None] + np.arange(4)).ravel()
+                idx = np.ix_(dofs, dofs)
+                Bm, Bb1, Bb2, Bs, Bg = fg.strain_operators(basis)
+                Bb = np.vstack([Bm, Bb1, Bb2])
+                K[idx] += wq * (Bb.T @ Db @ Bb + Bs.T @ sec.Ds @ Bs)
+                # displacement in x, y, z at height z: [1, z, g(z)] times a row triple
+                R, dR = basis.R, basis.dRdx
+                rows = np.zeros((9, dofs.size))
+                rows[0, 0::4], rows[1, 2::4], rows[2, 3::4] = R, -dR[:, 0], dR[:, 0]
+                rows[3, 1::4], rows[4, 2::4], rows[5, 3::4] = R, -dR[:, 1], dR[:, 1]
+                rows[6, 2::4] = rows[6, 3::4] = R
+                M[idx] += wq * (rows.T @ inertia @ rows)
+                Kg[idx] += wq * (Bg.T @ model.prestress @ Bg)
+    return K, M, Kg
+
+
+@pytest.mark.parametrize("geometry", ["square", "disk"])
+def test_matrices_match_pointwise_reference(geometry):
+    prestress = np.array([[-1.3, 0.4], [0.4, -0.7]])
+    if geometry == "square":
+        model = square_model(n=1.5, p=3, nel=3, prestress=prestress)
+    else:
+        spec = fg.FGMSpec(ceramic=AL2O3, metal=AL, n=2.0)
+        shear = fg.ShearModel.ATAN
+        model = fg.PlateModel(patch=fg.make_disk_patch(1.0, 3, 3),
+                              section=fg.section_constants(spec, shear, 0.1), spec=spec,
+                              shear=shear, edge_bcs=(BC.CLAMPED,) * 4, prestress=prestress)
+    system = fg.assemble(model, want=("K", "M", "Kg"))
+    for got, ref in zip((system.K, system.M, system.Kg), pointwise_matrices(model)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got, got.T)
+    again = fg.assemble(model, want=("K", "M", "Kg"))
+    for got, repeat in zip((system.K, system.M, system.Kg), (again.K, again.M, again.Kg)):
+        assert np.array_equal(got, repeat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Field recovery and nondimensionalization tests: deflection splitting,
-traction-free shear recovery, stress antisymmetry, scaling linearity and the
-report formulas."""
+traction-free shear recovery, stress antisymmetry, one point location per
+static case, scaling linearity and the report formulas."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -98,6 +98,39 @@ def test_stress_profile_continuous_in_z(case):
     jump_coarse = np.abs(np.diff(coarse.sigma_x)).max()
     jump_fine = np.abs(np.diff(fine.sigma_x)).max()
     assert jump_fine < 0.5 * jump_coarse
+
+
+def test_static_case_locates_its_station_once(monkeypatch):
+    # run_case and profile_case recover w and the stresses at the centre from
+    # one located basis; the values equal the separate public queries
+    config = fg.preset_config("bend-sin-atan-n1-r4").replace(elements=5)
+    assert config.report is fg.ReportFamily.BENDING_EC
+    locate = fg.postprocess.locate_point
+    calls = []
+
+    def counting_locate(*args, **kwargs):
+        calls.append(args[1:])
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(fg.postprocess, "locate_point", counting_locate)
+    result = fg.run_case(config)
+    assert len(calls) == 1
+    _, profile = fg.profile_case(config)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    model, q = result.model, result.q
+    h = model.section.h
+    x, y = config.center()
+    w = fg.field_at(q, model, x, y)[4]
+    sigma = fg.stress_profile(q, model, x, y, [h / 3.0]).sigma_x[0]
+    expected = fg.nondimensionalize(config.report, model, span=config.span, q0=config.q0,
+                                    w_center=w, sigma_x=sigma)
+    assert (result.w_center, result.sigma_x) == (w, sigma)
+    assert (result.report.w_bar, result.report.sigma_x_bar) == (expected.w_bar, expected.sigma_x_bar)
+    public = fg.stress_profile(q, model, x, y, profile.z_samples)
+    for name in ("sigma_x", "sigma_y", "tau_xy", "tau_xz", "tau_yz"):
+        assert np.array_equal(getattr(profile, name), getattr(public, name))
 
 
 # ---------------------------------------------------------------------------

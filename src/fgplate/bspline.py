@@ -1,8 +1,11 @@
-"""One-dimensional B-spline primitives: knot vectors, span lookup, basis derivatives.
+"""One-dimensional B-spline primitives: knot vectors, span lookup, basis
+derivatives, knot insertion and degree elevation.
 
 All knot vectors are open (clamped): the end knots repeat degree+1 times, so the
 curve interpolates its end control points and evaluation at the right endpoint
-falls back to the last nonempty span.
+falls back to the last nonempty span. Span lookup and basis evaluation take a
+scalar or an array of parameters through one vectorized path; knot insertion
+and degree elevation act along axis 0 of a control array of any shape.
 """
 from __future__ import annotations
 
@@ -76,92 +79,71 @@ def open_uniform_knots(degree: int, n_elements: int, interior_multiplicity: int 
     return KnotVector(values, degree)
 
 
-def find_span(knots: KnotVector, xi: float) -> int:
-    """0-based index i with values[i] <= xi < values[i+1].
+def find_span(knots: KnotVector, xi):
+    """0-based index i with values[i] <= xi < values[i+1], for a scalar or an
+    array of parameters.
 
-    At the right end of the domain the last nonempty span is returned so
-    that boundary sampling stays evaluable.
+    At the right end of the domain the last span, n_basis - 1, is returned so
+    that boundary sampling stays evaluable; the open end makes it nonempty.
+    Parameters outside the knot range, NaN included, raise DomainError.
     """
-    v = knots.values
     lo, hi = knots.domain
-    if xi < lo or xi > hi:
+    x = np.asarray(xi)
+    if not ((x >= lo) & (x <= hi)).all():
         raise DomainError(f"parameter {xi} outside knot range [{lo}, {hi}]")
-    n = knots.n_basis
-    if xi >= v[n]:  # right endpoint: clamp to last nonempty span
-        span = n - 1
-        while v[span + 1] <= v[span]:
-            span -= 1
-        return span
-    return int(np.searchsorted(v, xi, side="right") - 1)
+    return np.minimum(np.searchsorted(knots.values, xi, side="right") - 1, knots.n_basis - 1)
 
 
-def basis_derivs(knots: KnotVector, xi: float, max_deriv: int = 2) -> tuple[int, np.ndarray]:
-    """Nonzero basis functions and derivatives at xi.
+def basis_derivs(knots: KnotVector, xi, max_deriv: int = 2):
+    """Nonzero basis functions and derivatives at a scalar or an array xi.
 
-    Returns (span, ders) where ders has shape (max_deriv+1, degree+1);
-    ders[k, j] is the k-th derivative of basis function span-degree+j.
-    Zero-width knot differences follow the 0/0 -> 0 convention of the
-    recursion and never raise.
+    Returns (span, ders). For a scalar, span is an int and ders has shape
+    (max_deriv+1, degree+1), ders[k, j] being the k-th derivative of basis
+    function span-degree+j; an array xi adds a leading parameter axis to both.
+    The degrees are built bottom-up by the Cox-de Boor recursion, vectorized
+    over the basis index and the parameter; the k-th derivative follows from
+    the degree p-k functions by k differencing steps. Every knot difference
+    divided by spans the parameter's nonempty span, so none is zero.
     """
     if max_deriv < 0 or max_deriv > 2:
         raise ValueError("max_deriv must be 0, 1 or 2")
     span = find_span(knots, xi)
     p = knots.degree
-    U = knots.values
-    nd = min(max_deriv, p)
+    x = np.asarray(xi, dtype=float).reshape(-1, 1)
+    u = knots.values[np.reshape(span, (-1, 1)) + np.arange(1 - p, p + 1)]
+    left = x - u[:, :p]     # xi - U[span+1-j] in column p-j, j = 1..p
+    right = u[:, p:] - x    # U[span+j] - xi in column j-1
 
-    ndu = np.zeros((p + 1, p + 1))
-    ndu[0, 0] = 1.0
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
+    N = [np.ones((len(x), 1))]  # N[j]: the j+1 nonzero functions of degree j
+    dens = [None]               # dens[j][:, r]: U[span+r+1] - U[span+r+1-j]
     for j in range(1, p + 1):
-        left[j] = xi - U[span + 1 - j]
-        right[j] = U[span + j] - xi
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
+        dens.append(right[:, :j] + left[:, p - j :])
+        temp = N[-1] / dens[j]
+        N.append(np.zeros((len(x), j + 1)))
+        N[j][:, :j] = right[:, :j] * temp
+        N[j][:, 1:] += left[:, p - j :] * temp
 
-    ders = np.zeros((max_deriv + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-
-    a = np.zeros((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nd + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    fac = float(p)
-    for k in range(1, nd + 1):
-        ders[k, :] *= fac
-        fac *= p - k
+    ders = np.zeros((len(x), max_deriv + 1, p + 1))
+    ders[:, 0] = N[p]
+    for k in range(1, min(max_deriv, p) + 1):
+        D = N[p - k]
+        for j in range(p - k + 1, p + 1):
+            temp = D / dens[j]
+            D = np.zeros((len(x), j + 1))
+            D[:, 1:] = temp
+            D[:, :j] -= temp
+            D *= j
+        ders[:, k] = D
+    if np.ndim(xi) == 0:
+        return int(span), ders[0]
     return span, ders
 
 
 def insert_knot(knots: KnotVector, ctrl: np.ndarray, xi: float) -> tuple[KnotVector, np.ndarray]:
     """Insert one knot at xi (Boehm), returning the refined vector and net.
 
-    ctrl has shape (n_basis, dim) and is treated as homogeneous coordinates;
-    geometry is preserved exactly.
+    ctrl has shape (n_basis, ...), the control points running along axis 0,
+    and is treated as homogeneous coordinates; geometry is preserved exactly.
     """
     v = knots.values
     p = knots.degree
@@ -173,29 +155,25 @@ def insert_knot(knots: KnotVector, ctrl: np.ndarray, xi: float) -> tuple[KnotVec
         raise RefinementError(f"knot {xi} already has multiplicity {mult} (max {p} allowed)")
     k = int(np.searchsorted(v, xi, side="right") - 1)
     ctrl = np.asarray(ctrl, dtype=float)
-    new_ctrl = np.empty((ctrl.shape[0] + 1, ctrl.shape[1]))
-    new_ctrl[: k - p + 1] = ctrl[: k - p + 1]
-    new_ctrl[k + 1 :] = ctrl[k:]
-    for i in range(k - p + 1, k + 1):
-        denom = v[i + p] - v[i]
-        alpha = (xi - v[i]) / denom if denom > 0 else 0.0
-        new_ctrl[i] = alpha * ctrl[i] + (1.0 - alpha) * ctrl[i - 1]
-    new_values = np.insert(v, k + 1, xi)
-    return KnotVector(new_values, p), new_ctrl
+    i = np.arange(k - p + 1, k + 1)
+    # v[i] <= v[k] <= xi < v[k+1] <= v[i+p]: no denominator is zero
+    alpha = ((xi - v[i]) / (v[i + p] - v[i])).reshape((-1,) + (1,) * (ctrl.ndim - 1))
+    new_ctrl = np.concatenate([
+        ctrl[: k - p + 1],
+        alpha * ctrl[k - p + 1 : k + 1] + (1.0 - alpha) * ctrl[k - p : k],
+        ctrl[k:],
+    ])
+    return KnotVector(np.insert(v, k + 1, xi), p), new_ctrl
 
 
 def elevate_bezier(ctrl: np.ndarray, times: int = 1) -> np.ndarray:
-    """Degree-elevate a single Bezier segment given by its homogeneous net."""
+    """Degree-elevate Bezier segments given by their homogeneous net, the
+    control points running along axis 0 of an (p+1, ...) array."""
     ctrl = np.asarray(ctrl, dtype=float)
     for _ in range(times):
         p = ctrl.shape[0] - 1
-        out = np.empty((p + 2, ctrl.shape[1]))
-        out[0] = ctrl[0]
-        out[p + 1] = ctrl[p]
-        for i in range(1, p + 1):
-            t = i / (p + 1)
-            out[i] = t * ctrl[i - 1] + (1.0 - t) * ctrl[i]
-        ctrl = out
+        t = (np.arange(1, p + 1) / (p + 1)).reshape((-1,) + (1,) * (ctrl.ndim - 1))
+        ctrl = np.concatenate([ctrl[:1], t * ctrl[:-1] + (1.0 - t) * ctrl[1:], ctrl[-1:]])
     return ctrl
 
 

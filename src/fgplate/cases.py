@@ -11,7 +11,7 @@ import numpy as np
 
 from .assembly import PlateModel, apply_boundary_conditions, assemble
 from .errors import ConfigurationError
-from .config import CaseConfig
+from .config import _SWEEP_FIELDS, CaseConfig
 from .nurbs import BasisLocal
 from .postprocess import (
     NondimReport,
@@ -105,11 +105,6 @@ def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, Bas
     result = CaseResult(config=config, report=report, model=model, q=q,
                         w_center=w_center, sigma_x=sigma)
     return result, basis
-
-
-# the configuration field each sweep axis varies
-_SWEEP_FIELDS = {"n": "power_index", "aspect": "thickness_ratio", "mesh": "elements",
-                 "model": "shear_model"}
 
 
 def sweep_case(config: CaseConfig) -> SweepResult:

@@ -7,6 +7,7 @@ every published comparison case can be run by name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +31,10 @@ __all__ = ["CaseConfig", "load_config", "parse_config", "PRESETS", "preset_confi
 
 _EDGE_KEYS = ("xmin", "xmax", "ymin", "ymax")
 _ANALYSES = ("static", "vibrate", "buckle")
-_SWEEP_AXES = ("n", "aspect", "mesh", "model")
+# the configuration field each sweep axis varies
+_SWEEP_FIELDS = {"n": "power_index", "aspect": "thickness_ratio", "mesh": "elements",
+                 "model": "shear_model"}
+_SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 _REPORT_FOR_ANALYSIS = {
     "static": {ReportFamily.BENDING_EC, ReportFamily.BENDING_DM, ReportFamily.BENDING_CPT},
@@ -145,6 +149,20 @@ def load_config(path: str) -> CaseConfig:
     return parse_config(doc)
 
 
+def _number(value, key: str, kind=float):
+    """value read as a finite float, or as an int with kind=int; anything else,
+    a fractional value for an int included, raises ConfigurationError naming
+    the key."""
+    try:
+        number = kind(value)
+        if math.isfinite(number) and number == float(value):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind_name = "an integer" if kind is int else "a finite number"
+    raise ConfigurationError(f"{key} must be {kind_name}, got {value!r}")
+
+
 def _phase_from(doc, name: str) -> Phase:
     value = doc.get(name)
     if isinstance(value, str):
@@ -154,9 +172,10 @@ def _phase_from(doc, name: str) -> Phase:
             )
         return MATERIALS[value]
     if isinstance(value, dict):
+        value = {"rho": 0.0, **value}
         try:
-            return Phase(float(value["E"]), float(value["nu"]), float(value.get("rho", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            return Phase(*(_number(value[k], f"material.{name}.{k}") for k in ("E", "nu", "rho")))
+        except (KeyError, ValueError) as exc:
             raise ConfigurationError(
                 f"invalid phase definition for {name!r}: needs numeric E, nu[, rho]"
             ) from exc
@@ -193,25 +212,26 @@ def parse_config(doc: dict) -> CaseConfig:
         )
     gtype = geometry["type"]
     if gtype == "square":
-        a = float(geometry.get("a", 1.0))
-        b = float(geometry.get("b", a))
+        a = _number(geometry.get("a", 1.0), "geometry.a")
+        b = _number(geometry.get("b", a), "geometry.b")
     else:
-        a = b = float(geometry.get("radius", 0.0))
+        a = b = _number(geometry.get("radius", 0.0), "geometry.radius")
     if a <= 0 or b <= 0:
         raise ConfigurationError("geometry dimensions must be positive")
     disk_net = str(geometry.get("net", "rational"))
     if disk_net not in ("rational", "mapped"):
         raise ConfigurationError('disk net must be "rational" or "mapped"')
-    interior_multiplicity = int(geometry.get("interior_multiplicity", 1))
+    interior_multiplicity = _number(geometry.get("interior_multiplicity", 1),
+                                    "geometry.interior_multiplicity", int)
 
-    ratio = float(doc.get("thickness_ratio", 0.0))
+    ratio = _number(doc.get("thickness_ratio", 0.0), "thickness_ratio")
     if ratio <= 0:
         raise ConfigurationError(
             "thickness_ratio must be positive (a/h for squares, h/R for disks)"
         )
 
-    degree = int(doc.get("degree", 3))
-    elements = int(doc.get("elements", 11))
+    degree = _number(doc.get("degree", 3), "degree", int)
+    elements = _number(doc.get("elements", 11), "elements", int)
     if degree < 2:
         raise ConfigurationError("degree must be at least 2 for the C1 discretization")
     if elements < 1:
@@ -229,7 +249,7 @@ def parse_config(doc: dict) -> CaseConfig:
         profile = Profile(material.get("profile", "ceramic_power"))
     except ValueError as exc:
         raise ConfigurationError(f"invalid homogenization scheme/profile: {exc}") from exc
-    power_index = float(material.get("power_index", 0.0))
+    power_index = _number(material.get("power_index", 0.0), "material.power_index")
     if power_index < 0:
         raise ConfigurationError("power_index must be nonnegative")
 
@@ -246,7 +266,8 @@ def parse_config(doc: dict) -> CaseConfig:
     if not isinstance(analysis_doc, dict) or analysis_doc.get("type") not in _ANALYSES:
         raise ConfigurationError(f"analysis.type must be one of {_ANALYSES}")
     analysis = analysis_doc["type"]
-    modes = int(analysis_doc.get("modes", 1 if analysis == "vibrate" else 4))
+    modes = _number(analysis_doc.get("modes", 1 if analysis == "vibrate" else 4),
+                    "analysis.modes", int)
     if analysis != "static" and modes < 1:
         raise ConfigurationError("analysis.modes must be at least 1")
 
@@ -257,7 +278,7 @@ def parse_config(doc: dict) -> CaseConfig:
         if not isinstance(load_doc, dict) or load_doc.get("type") not in ("sinusoidal", "uniform"):
             raise ConfigurationError('load must be {"type": "sinusoidal"|"uniform", "q0": ...}')
         load_type = load_doc["type"]
-        q0 = float(load_doc.get("q0", 1.0))
+        q0 = _number(load_doc.get("q0", 1.0), "load.q0")
         if load_type == "sinusoidal" and gtype == "disk":
             raise ConfigurationError("sinusoidal load is defined for square geometry only")
     if analysis == "static" and load_type is None:
@@ -265,10 +286,11 @@ def parse_config(doc: dict) -> CaseConfig:
 
     prestress = None
     if doc.get("prestress") is not None:
-        arr = np.asarray(doc["prestress"], dtype=float)
+        arr = np.asarray(doc["prestress"], dtype=object)
+        arr = np.array([_number(x, "prestress") for x in arr.ravel()]).reshape(arr.shape)
         if arr.shape != (2, 2) or not np.allclose(arr, arr.T):
             raise ConfigurationError("prestress must be a symmetric 2x2 matrix in N/m")
-        prestress = tuple(tuple(float(x) for x in row) for row in arr)
+        prestress = tuple(map(tuple, arr.tolist()))
     if analysis == "buckle" and prestress is None:
         raise ConfigurationError(
             "buckling analysis: missing prestress state (in-plane force matrix)"
@@ -294,9 +316,9 @@ def parse_config(doc: dict) -> CaseConfig:
         pair = doc["station"]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigurationError("station must be an [x, y] pair")
-        station = (float(pair[0]), float(pair[1]))
+        station = (_number(pair[0], "station"), _number(pair[1], "station"))
 
-    profile_samples = int(doc.get("profile_samples", 101))
+    profile_samples = _number(doc.get("profile_samples", 101), "profile_samples", int)
     if profile_samples < 2:
         raise ConfigurationError("profile_samples must be at least 2")
 
@@ -316,11 +338,11 @@ def parse_config(doc: dict) -> CaseConfig:
                 raise ConfigurationError(f"sweep over models: unknown shear models {bad}")
             sweep_values = tuple(str(v) for v in values)
         elif sweep_axis == "mesh":
-            sweep_values = tuple(int(v) for v in values)
+            sweep_values = tuple(_number(v, "sweep.values", int) for v in values)
             if any(v < 1 for v in sweep_values):
                 raise ConfigurationError("mesh sweep values must be positive element counts")
         else:
-            sweep_values = tuple(float(v) for v in values)
+            sweep_values = tuple(_number(v, "sweep.values") for v in values)
             if any(v <= 0 for v in sweep_values):
                 raise ConfigurationError("sweep values must be positive")
 

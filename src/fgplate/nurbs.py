@@ -6,10 +6,12 @@ flattened with the u index running fastest: A = i + j * nu.
 
 Every basis evaluation takes one tabulated path, as in Bezier extraction
 (Borden, Scott, Evans, Hughes, IJNME 2011): tabulate evaluates the 1-D
-derivatives once per parameter and direction, and grid_basis forms R, its
-physical derivatives, det J and the points on a whole tensor grid at once,
-with a leading point axis. surface_basis, physical_derivs and evaluate_point
-are one-point calls into it.
+derivatives at all parameters of a direction in one array call, and
+grid_basis forms R, its physical derivatives, det J and the points on a
+whole tensor grid at once, with a leading point axis; the second physical
+derivatives come from a closed-form inverse of the second-order chain rule.
+surface_basis, physical_derivs and evaluate_point are one-point calls into
+it. Knot insertion and degree elevation act on the whole control net at once.
 """
 from __future__ import annotations
 
@@ -140,8 +142,8 @@ def tabulate(knots: KnotVector, params, order: int):
     basis_derivs; every 2-D evaluation combines two such tables.
     """
     params = np.atleast_1d(np.asarray(params, dtype=float))
-    spans, ders = zip(*(basis_derivs(knots, t, order) for t in params))
-    return params, np.array(spans) - knots.degree, np.stack(ders)
+    spans, ders = basis_derivs(knots, params, order)
+    return params, spans - knots.degree, ders
 
 
 def _tables(patch: Patch, xis, etas, order: int):
@@ -198,8 +200,9 @@ def grid_basis(patch: Patch, tab_u, tab_v) -> BasisLocal:
 
     Order 1 tables give R, dRdx, det J and the points, order 2 tables also
     d2Rdx2; order 0 tables give R and the points only. Second derivatives use
-    the full chain rule, subtracting the geometry Hessian contribution before
-    inverting the second-order transform.
+    the full chain rule: the geometry Hessian contribution is subtracted, and
+    the second-order transform is inverted in closed form from the inverse
+    Jacobian.
     """
     active, R, dR, d2R = _rational(patch, tab_u, tab_v)
     pts = patch.net.points.reshape(-1, 2, order="F")[active]
@@ -224,11 +227,15 @@ def grid_basis(patch: Patch, tab_u, tab_v) -> BasisLocal:
     d2Rdx2 = None
     if d2R is not None:
         hess = d2R.transpose(0, 2, 1) @ pts  # rows (xixi, etaeta, xieta), columns (x, y)
-        T = np.stack([xu * xu, yu * yu, 2.0 * xu * yu,
-                      xv * xv, yv * yv, 2.0 * xv * yv,
-                      xu * xv, yu * yv, xu * yv + xv * yu], axis=-1).reshape(-1, 3, 3)
         rhs = d2R - dRdx @ hess.transpose(0, 2, 1)
-        d2Rdx2 = np.linalg.solve(T, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        # rhs is J^T H J for the physical Hessian H, so H = J^-T rhs J^-1:
+        # R_xx = a^2 rhs_xixi + 2ab rhs_xieta + b^2 rhs_etaeta with
+        # (a, b) = (dxi/dx, deta/dx), and alike for R_yy and R_xy
+        (a, c), (b, d) = inv[:, 0].T, inv[:, 1].T
+        Tinv = np.stack([a * a, c * c, a * c,
+                         b * b, d * d, b * d,
+                         2.0 * a * b, 2.0 * c * d, a * d + b * c], axis=-1).reshape(-1, 3, 3)
+        d2Rdx2 = rhs @ Tinv
     return BasisLocal(active, R, dRdx, d2Rdx2, det, x)
 
 
@@ -304,14 +311,8 @@ def make_disk_patch(radius: float, degree: int, n_elements: int) -> Patch:
     homog = ControlNet(pts, wts).homogeneous()
 
     # elevate the single Bezier segment direction by direction
-    times = degree - 2
-    if times:
-        nu, nv = homog.shape[:2]
-        rows = [elevate_bezier(homog[:, j, :], times) for j in range(nv)]
-        homog = np.stack(rows, axis=1)
-        nu = homog.shape[0]
-        cols = [elevate_bezier(homog[i, :, :], times) for i in range(nu)]
-        homog = np.stack(cols, axis=0)
+    homog = elevate_bezier(homog, degree - 2)
+    homog = elevate_bezier(homog.swapaxes(0, 1), degree - 2).swapaxes(0, 1)
 
     ku = KnotVector(np.concatenate([np.zeros(degree + 1), np.ones(degree + 1)]), degree)
     kv = KnotVector(np.concatenate([np.zeros(degree + 1), np.ones(degree + 1)]), degree)
@@ -357,25 +358,11 @@ def h_refine(patch: Patch, new_knots_u, new_knots_v) -> Patch:
     ku, kv = patch.knot_u, patch.knot_v
 
     for xi in new_knots_u:
-        nv = homog.shape[1]
-        ku_new = None
-        rows = []
-        for j in range(nv):
-            ku_new, row = insert_knot(ku, homog[:, j, :], xi)
-            rows.append(row)
-        ku = ku_new
-        homog = np.stack(rows, axis=1)
-
+        ku, homog = insert_knot(ku, homog, xi)
+    homog = homog.swapaxes(0, 1)
     for eta in new_knots_v:
-        nu = homog.shape[0]
-        kv_new = None
-        rows = []
-        for i in range(nu):
-            kv_new, row = insert_knot(kv, homog[i], eta)
-            rows.append(row)
-        kv = kv_new
-        homog = np.stack(rows, axis=0)
-
+        kv, homog = insert_knot(kv, homog, eta)
+    homog = homog.swapaxes(0, 1)
     return _patch_from_homogeneous(ku, kv, homog)
 
 

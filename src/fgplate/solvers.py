@@ -2,7 +2,9 @@
 generalized eigenproblems (free vibration, linearized buckling).
 
 Problem sizes stay in the low thousands of DOFs, so dense symmetric
-factorizations are the right tool; all routines are single-threaded and
+factorizations are the right tool. They run in scipy's LAPACK on its bundled
+OpenBLAS, which is multi-threaded: it uses up to one thread per core unless
+OPENBLAS_NUM_THREADS caps it. For a fixed thread count the results are
 deterministic.
 """
 from __future__ import annotations

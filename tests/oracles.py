@@ -34,6 +34,20 @@ def naive_bspline(values: np.ndarray, i: int, p: int, xi: float) -> float:
     return left + right
 
 
+def naive_bspline_deriv(values: np.ndarray, i: int, p: int, xi: float, k: int) -> float:
+    """k-th derivative of N_{i,p} by the recursion of The NURBS Book (2.9),
+    a term with a zero knot difference dropped."""
+    if k == 0:
+        return naive_bspline(values, i, p, xi)
+    v = values
+    out = 0.0
+    if v[i + p] > v[i]:
+        out += p / (v[i + p] - v[i]) * naive_bspline_deriv(v, i, p - 1, xi, k - 1)
+    if v[i + p + 1] > v[i + 1]:
+        out -= p / (v[i + p + 1] - v[i + 1]) * naive_bspline_deriv(v, i + 1, p - 1, xi, k - 1)
+    return out
+
+
 def central_diff(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 

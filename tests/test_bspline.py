@@ -1,6 +1,7 @@
 """Knot vector and 1D basis tests: span lookup, Cox-de Boor values and
-derivatives against a naive recursion and finite differences, insertion
-and elevation geometry preservation."""
+derivatives against naive recursions and finite differences, array calls
+against point calls, insertion and elevation geometry preservation and
+whole-net insertion and elevation against row-by-row calls."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +17,7 @@ from fgplate.bspline import (
 )
 from fgplate.errors import DomainError, RefinementError
 
-from oracles import central_diff, naive_bspline
+from oracles import central_diff, naive_bspline, naive_bspline_deriv
 
 
 def kv(values, p):
@@ -76,6 +77,8 @@ def test_find_span_rejects_outside():
         find_span(k, -0.1)
     with pytest.raises(DomainError):
         find_span(k, 1.1)
+    with pytest.raises(DomainError):
+        find_span(k, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,9 @@ def test_values_match_naive_recursion(values, p):
         for j in range(p + 1):
             expected = naive_bspline(k.values, span - p + j, p, float(xi))
             assert abs(ders[0, j] - expected) < 1e-13
+            for d in (1, 2):
+                expected = naive_bspline_deriv(k.values, span - p + j, p, float(xi), d)
+                assert abs(ders[d, j] - expected) < 1e-13 * max(1.0, abs(expected))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
@@ -149,6 +155,26 @@ def test_degenerate_spans_never_fault():
         _, ders = basis_derivs(k, xi)
         assert np.isfinite(ders).all()
         assert abs(ders[0].sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "values,p",
+    [
+        ([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2),
+        ([0, 0, 0, 0, 0.2, 0.2, 0.7, 1, 1, 1, 1], 3),
+        ([0, 0, 0, 0, 0, 0.3, 0.6, 0.6, 0.6, 1, 1, 1, 1, 1], 4),
+    ],
+)
+def test_array_calls_equal_point_calls(values, p):
+    # repeated interior knots, the end points and every knot value
+    k = kv(values, p)
+    xs = np.concatenate([np.random.default_rng(5).random(40), k.values])
+    assert np.array_equal(find_span(k, xs), [find_span(k, float(x)) for x in xs])
+    for max_deriv in (0, 1, 2):
+        spans, ders = basis_derivs(k, xs, max_deriv)
+        points = [basis_derivs(k, float(x), max_deriv) for x in xs]
+        assert np.array_equal(spans, [span for span, _ in points])
+        assert np.array_equal(ders, np.stack([d for _, d in points]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +214,19 @@ def test_bezier_elevation_preserves_curve():
     k4 = kv([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], 4)
     for xi in np.linspace(0, 1, 33):
         assert_allclose(_curve_eval(k4, elevated, float(xi)), _curve_eval(k2, ctrl, float(xi)), atol=1e-14)
+
+
+def test_net_operations_equal_stacked_rows():
+    k = kv([0, 0, 0, 0, 0.5, 1, 1, 1, 1], 3)
+    net = np.random.default_rng(11).random((k.n_basis, 4, 3))
+    k2, refined = insert_knot(k, net, 0.3)
+    rows = [insert_knot(k, net[:, j], 0.3) for j in range(net.shape[1])]
+    assert np.array_equal(k2.values, rows[0][0].values)
+    assert np.array_equal(refined, np.stack([row for _, row in rows], axis=1))
+    bezier = net[:3]
+    elevated = elevate_bezier(bezier, 2)
+    assert np.array_equal(elevated, np.stack([elevate_bezier(bezier[:, j], 2)
+                                              for j in range(net.shape[1])], axis=1))
 
 
 def test_greville_reproduces_identity():

@@ -103,6 +103,14 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert "valid JSON" in capsys.readouterr().err
 
 
+def test_non_finite_number_is_config_error(tmp_path, capsys):
+    # an infinite load used to solve and write w_bar = nan with exit code 0
+    cfg = write_config(tmp_path, small_static(load={"type": "uniform", "q0": float("inf")}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "load.q0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     # fully free plate: singular stiffness, no static solution
     doc = small_static(edge_bcs="FFFF")

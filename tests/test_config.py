@@ -71,6 +71,25 @@ def test_custom_phase_object():
         (lambda d: d.update(sweep={"axis": "bogus", "values": [1]}), "sweep.axis"),
         (lambda d: d.update(sweep={"axis": "n", "values": []}), "sweep.values"),
         (lambda d: d.update(station=[0.1]), "station"),
+        # a value that is not a finite number names its key
+        pytest.param(lambda d: d.update(thickness_ratio=float("nan")), "thickness_ratio",
+                     id="nan-thickness_ratio"),
+        pytest.param(lambda d: d.update(thickness_ratio="nan"), "thickness_ratio",
+                     id="nan-string-thickness_ratio"),
+        pytest.param(lambda d: d["material"].update(power_index=float("nan")),
+                     "material.power_index", id="nan-power_index"),
+        pytest.param(lambda d: d["material"].update(ceramic={"E": float("nan"), "nu": 0.3}),
+                     "material.ceramic.E", id="nan-phase-E"),
+        pytest.param(lambda d: d["geometry"].update(a=float("inf")), "geometry.a",
+                     id="inf-geometry.a"),
+        pytest.param(lambda d: d["geometry"].update(a="abc"), "geometry.a",
+                     id="text-geometry.a"),
+        pytest.param(lambda d: d["load"].update(q0=float("inf")), "load.q0", id="inf-q0"),
+        pytest.param(lambda d: d["load"].update(q0=None), "load.q0", id="null-q0"),
+        pytest.param(lambda d: d.update(station=[float("nan"), 0.5]), "station",
+                     id="nan-station"),
+        pytest.param(lambda d: d.update(degree="x"), "degree", id="text-degree"),
+        pytest.param(lambda d: d.update(elements=4.5), "elements", id="fractional-elements"),
     ],
 )
 def test_invalid_configs_rejected(mutate, match):

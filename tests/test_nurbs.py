@@ -2,7 +2,7 @@
 reproduction, physical derivatives against finite differences, the grid basis
 against one-point calls, the exact circular boundary of the disk patch,
 refinement invariance, C1 continuity, and the inverse map at random stations
-on both disk nets."""
+on both disk nets and at a NaN station."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -278,6 +278,12 @@ def test_locate_point_round_trip(square, disk):
             u, v = locate_point(patch, x, y)
             x2, y2 = evaluate_point(patch, u, v)
             assert np.hypot(x2 - x, y2 - y) < 1e-11
+
+
+def test_locate_point_rejects_nan_station(disk):
+    # a NaN parameter used to pass the span range check and index out of range
+    with pytest.raises(fg.FGPlateError):
+        locate_point(disk, np.nan, 0.0)
 
 
 @pytest.mark.parametrize("make", [fg.make_disk_patch, fg.make_mapped_disk_patch])

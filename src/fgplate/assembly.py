@@ -19,6 +19,9 @@ factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 2015):
   six-function basis, or the inertia rows of M;
 - Ke[(a, i), (b, j)] = sum over (c, d) of S_e[(a, b), (c, d)] C[(c, d), (i, j)].
 
+Stress recovery (postprocess) reads a station's strains through the same
+bending and shear rows of L, so K and the stresses share one kinematics.
+
 Assembly walks the patch one row of elements (one u span, every v span) at a
 time, with one grid_basis call per row from 1-D bases tabulated once per
 span and Gauss point (nurbs.tabulate); no array spans the whole patch. Every

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import PlateModel, apply_boundary_conditions, assemble
-from .errors import ConfigurationError
+from .assembly import BC, PlateModel, apply_boundary_conditions, assemble
+from .errors import ConfigurationError, MassMatrixError
 from .config import _SWEEP_FIELDS, CaseConfig
 from .nurbs import BasisLocal
 from .postprocess import (
@@ -50,21 +50,11 @@ class SweepResult:
 
     def relative_changes(self) -> tuple[Optional[float], ...]:
         """Per-row change of the leading report scalar against the previous row."""
-        leads = [_lead_value(r) for r in self.reports]
+        leads = [r.values[0] for r in self.reports]
         out: list[Optional[float]] = [None]
         for prev, cur in zip(leads, leads[1:]):
             out.append(abs(cur - prev) / abs(prev) if prev else None)
         return tuple(out)
-
-
-def _lead_value(report: NondimReport) -> float:
-    if report.w_bar is not None:
-        return report.w_bar
-    if report.omega_bar:
-        return report.omega_bar[0]
-    if report.p_cr_bar:
-        return report.p_cr_bar[0]
-    raise ValueError("report carries no scalar")
 
 
 def run_case(config: CaseConfig) -> CaseResult:
@@ -75,16 +65,17 @@ def run_case(config: CaseConfig) -> CaseResult:
         return _static_case(config, model)[0]
 
     if config.analysis == "vibrate":
+        if all(bc is BC.FREE for bc in model.edge_bcs):
+            raise MassMatrixError("mass matrix is singular on a plate free on every edge: the "
+                                  "mode wb = -ws = const has neither inertia nor strain energy")
         system = apply_boundary_conditions(assemble(model, want=("K", "M")), model)
         eigen = solve_vibration(system, config.modes)
         report = nondimensionalize(config.report, model, span=config.span,
                                    omegas=eigen.frequencies())
-        return CaseResult(config=config, report=report, model=model, eigen=eigen)
-
-    system = apply_boundary_conditions(assemble(model, want=("K", "Kg")), model)
-    eigen = solve_buckling(system, config.modes)
-    report = nondimensionalize(config.report, model, span=config.span,
-                               p_crs=eigen.values)
+    else:
+        system = apply_boundary_conditions(assemble(model, want=("K", "Kg")), model)
+        eigen = solve_buckling(system, config.modes)
+        report = nondimensionalize(config.report, model, span=config.span, p_crs=eigen.values)
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .cases import profile_case, run_case, sweep_case
 from .config import PRESETS, CaseConfig, load_config, preset_config
 from .errors import ConfigurationError, FGPlateError
-from .postprocess import NondimReport, ReportFamily
+from .postprocess import NondimReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,18 +28,8 @@ def _fmt(value: float) -> str:
 
 
 def _report_columns(report: NondimReport) -> tuple[list[str], list[list[str]]]:
-    family = report.family
-    if family is ReportFamily.BENDING_EC:
-        return ["w_bar", "sigma_x_bar"], [[_fmt(report.w_bar), _fmt(report.sigma_x_bar)]]
-    if family in (ReportFamily.BENDING_DM, ReportFamily.BENDING_CPT):
-        return ["w_bar"], [[_fmt(report.w_bar)]]
-    if family is ReportFamily.FREQUENCY:
-        return ["mode", "omega_bar"], [
-            [str(i + 1), _fmt(w)] for i, w in enumerate(report.omega_bar)
-        ]
-    return ["mode", "p_cr_bar"], [
-        [str(i + 1), _fmt(p)] for i, p in enumerate(report.p_cr_bar)
-    ]
+    header, rows = report.table()
+    return header, [[str(v) if isinstance(v, int) else _fmt(v) for v in row] for row in rows]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -98,8 +88,7 @@ def _cmd_sweep(config: CaseConfig, out: Path) -> None:
     if config.sweep_axis is None:
         raise ConfigurationError("sweep command needs a sweep section in the config")
     sweep = sweep_case(config)
-    first_header, _ = _report_columns(sweep.reports[0])
-    header = [sweep.axis] + first_header
+    header = [sweep.axis] + sweep.reports[0].table()[0]
     changes = sweep.relative_changes()
     if sweep.axis == "mesh":
         header.append("rel_change")

@@ -36,17 +36,6 @@ _SWEEP_FIELDS = {"n": "power_index", "aspect": "thickness_ratio", "mesh": "eleme
                  "model": "shear_model"}
 _SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
-_REPORT_FOR_ANALYSIS = {
-    "static": {ReportFamily.BENDING_EC, ReportFamily.BENDING_DM, ReportFamily.BENDING_CPT},
-    "vibrate": {ReportFamily.FREQUENCY},
-    "buckle": {ReportFamily.BUCKLING_DM},
-}
-_DEFAULT_REPORT = {
-    "static": ReportFamily.BENDING_EC,
-    "vibrate": ReportFamily.FREQUENCY,
-    "buckle": ReportFamily.BUCKLING_DM,
-}
-
 
 @dataclass(frozen=True)
 class CaseConfig:
@@ -279,6 +268,8 @@ def parse_config(doc: dict) -> CaseConfig:
             raise ConfigurationError('load must be {"type": "sinusoidal"|"uniform", "q0": ...}')
         load_type = load_doc["type"]
         q0 = _number(load_doc.get("q0", 1.0), "load.q0")
+        if q0 == 0.0:
+            raise ConfigurationError("load.q0 must be nonzero: the reports scale by 1/q0")
         if load_type == "sinusoidal" and gtype == "disk":
             raise ConfigurationError("sinusoidal load is defined for square geometry only")
     if analysis == "static" and load_type is None:
@@ -298,7 +289,7 @@ def parse_config(doc: dict) -> CaseConfig:
 
     report_value = doc.get("report")
     if report_value is None:
-        report = _DEFAULT_REPORT[analysis]
+        report = next(f for f in ReportFamily if f.analysis == analysis)
     else:
         try:
             report = ReportFamily(report_value)
@@ -306,7 +297,7 @@ def parse_config(doc: dict) -> CaseConfig:
             raise ConfigurationError(
                 f"unknown report family {report_value!r}; options: {[f.value for f in ReportFamily]}"
             ) from exc
-    if report not in _REPORT_FOR_ANALYSIS[analysis]:
+    if report.analysis != analysis:
         raise ConfigurationError(
             f"report family {report.value!r} does not apply to {analysis} analysis"
         )

@@ -25,6 +25,7 @@ __all__ = [
     "MATERIALS",
     "volume_fraction",
     "effective_props",
+    "plane_stress_moduli",
     "shear_fn",
     "section_constants",
 ]
@@ -133,6 +134,13 @@ def effective_props(z: float, h: float, spec: FGMSpec):
     return E, nu, rho
 
 
+def plane_stress_moduli(E, nu):
+    """Plane-stress moduli (q11, q12, q66) of an isotropic point, elementwise
+    over arrays of E and nu (the effective_props of a set of heights z)."""
+    q11 = E / (1.0 - nu * nu)
+    return q11, nu * q11, E / (2.0 * (1.0 + nu))
+
+
 def shear_fn(model: ShearModel, z, h: float):
     """f, f', g = f - z and g' = f' - 1 for the chosen shape function."""
     z = np.asarray(z, dtype=float)
@@ -229,14 +237,8 @@ def _thickness_rule(spec: FGMSpec, h: float, n_gauss: int):
 def _section_integrals(spec: FGMSpec, model: ShearModel, h: float, n_gauss: int):
     z, wz = _thickness_rule(spec, h, n_gauss)
     E, nu, rho = effective_props(z, h, spec)
-    E = np.asarray(E, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    q11, q12, q66 = plane_stress_moduli(E, nu)
     f, fp, g, _ = shear_fn(model, z, h)
-
-    q11 = E / (1.0 - nu * nu)
-    q12 = nu * q11
-    q66 = E / (2.0 * (1.0 + nu))
 
     weights = {"A": 1.0, "B": z, "D": z * z, "E": g, "F": z * g, "H": g * g}
     blocks = {}

@@ -366,7 +366,10 @@ def h_refine(patch: Patch, new_knots_u, new_knots_v) -> Patch:
     return _patch_from_homogeneous(ku, kv, homog)
 
 
-def locate_point(patch: Patch, x: float, y: float, max_iter: int = 50) -> tuple[float, float]:
+_NEWTON_STEPS = 50
+
+
+def locate_point(patch: Patch, x: float, y: float) -> tuple[float, float]:
     """Invert the geometry map by Newton iteration with backtracking.
 
     The start is the nearest of a 9 x 9 grid of parametric cell centres,
@@ -377,6 +380,8 @@ def locate_point(patch: Patch, x: float, y: float, max_iter: int = 50) -> tuple[
     (a point off the patch, say) fails at once.
     """
     target = np.array([x, y])
+    if not np.all(np.isfinite(target)):
+        raise GeometryError(f"station ({x}, {y}) is not a finite point")
     points = patch.net.points.reshape(-1, 2, order="F")
     scale = max(np.abs(points).max(), 1e-30)
     grid = (np.arange(9) + 0.5) / 9.0
@@ -390,7 +395,7 @@ def locate_point(patch: Patch, x: float, y: float, max_iter: int = 50) -> tuple[
 
     uv = np.array([grid[a], grid[b]])
     res, jac = residual(uv)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if np.linalg.norm(res) <= 1e-13 * scale:
             return float(uv[0]), float(uv[1])
         try:

@@ -2,7 +2,9 @@
 
 Solutions live on control points; evaluation at a physical station first
 inverts the geometry map, then combines the basis with the coefficient
-vector. Stress recovery uses the pointwise graded moduli, so the transverse
+vector. Stress recovery reads the strains through assembly's kinematic
+tables, the same rows that define K, and the stresses through the shared
+plane-stress moduli of materials, for all z samples at once. The transverse
 shear profile vanishes at the outer surfaces by construction.
 """
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import PlateModel, strain_operators
+from .assembly import _BENDING_ROWS, _SHEAR_ROWS, PlateModel
 from .errors import ConfigurationError
-from .materials import effective_props, shear_fn
+from .materials import effective_props, plane_stress_moduli, shear_fn
 from .nurbs import BasisLocal, locate_point, physical_derivs
 
 __all__ = [
@@ -42,7 +44,9 @@ class StressProfile:
 
 
 class ReportFamily(str, enum.Enum):
-    """Nondimensionalization recipe applied to raw results.
+    """Nondimensionalization recipe applied to raw results, and the analysis
+    it reports on; the first family of an analysis is its default: BENDING_EC
+    for static, FREQUENCY for vibrate and BUCKLING_DM for buckle.
 
     BENDING_EC:  w_bar = 10 Ec h^3 w / (q0 a^4), stress scaled by h/(a q0).
     BENDING_DM:  w_bar = 100 Em h^3 w / (12 (1-nu_m^2) q0 a^4).
@@ -51,11 +55,17 @@ class ReportFamily(str, enum.Enum):
     BUCKLING_DM: p_bar = p R^2 / Dm with Dm = Em h^3 / (12 (1-nu_m^2)).
     """
 
-    BENDING_EC = "bending_ec"
-    BENDING_DM = "bending_dm"
-    BENDING_CPT = "bending_cpt"
-    FREQUENCY = "frequency"
-    BUCKLING_DM = "buckling_dm"
+    def __new__(cls, value: str, analysis: str):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.analysis = analysis
+        return member
+
+    BENDING_EC = "bending_ec", "static"
+    BENDING_DM = "bending_dm", "static"
+    BENDING_CPT = "bending_cpt", "static"
+    FREQUENCY = "frequency", "vibrate"
+    BUCKLING_DM = "buckling_dm", "buckle"
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,20 @@ class NondimReport:
     sigma_x_bar: Optional[float] = None
     omega_bar: tuple[float, ...] = field(default_factory=tuple)
     p_cr_bar: tuple[float, ...] = field(default_factory=tuple)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The scalars that are set, or one value per mode; the first leads."""
+        return self.omega_bar or self.p_cr_bar or tuple(
+            v for v in (self.w_bar, self.sigma_x_bar) if v is not None)
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Column names and rows: the set scalars, or (mode, value) per mode."""
+        names = [n for n in ("w_bar", "sigma_x_bar", "omega_bar", "p_cr_bar")
+                 if getattr(self, n) not in (None, ())]
+        if self.omega_bar or self.p_cr_bar:
+            return ["mode"] + names, [[i + 1, v] for i, v in enumerate(self.values)]
+        return names, [list(self.values)]
 
 
 def _station_basis(model: PlateModel, x: float, y: float) -> BasisLocal:
@@ -76,11 +100,7 @@ def _station_basis(model: PlateModel, x: float, y: float) -> BasisLocal:
 
 
 def _field(q: np.ndarray, basis: BasisLocal):
-    dofs = 4 * basis.active_indices
-    u0 = float(basis.R @ q[dofs])
-    v0 = float(basis.R @ q[dofs + 1])
-    wb = float(basis.R @ q[dofs + 2])
-    ws = float(basis.R @ q[dofs + 3])
+    u0, v0, wb, ws = (basis.R @ q.reshape(-1, 4)[basis.active_indices]).tolist()
     return u0, v0, wb, ws, wb + ws
 
 
@@ -91,28 +111,21 @@ def field_at(q: np.ndarray, model: PlateModel, x: float, y: float):
 
 def _profile(q: np.ndarray, model: PlateModel, basis: BasisLocal, station: tuple[float, float],
              z_samples: Sequence[float]) -> StressProfile:
-    Bm, Bb1, Bb2, Bs, _ = strain_operators(basis)
-    qe = q[(4 * basis.active_indices[:, None] + np.arange(4)).ravel()]
-    eps0, kb, ks, es = Bm @ qe, Bb1 @ qe, Bb2 @ qe, Bs @ qe
+    # six basis channels of the four DOF components, channel outer, as in L
+    phi = np.column_stack([basis.R, basis.dRdx, basis.d2Rdx2])
+    channels = (phi.T @ q.reshape(-1, 4)[basis.active_indices]).ravel()
+    eps0, kb, ks = (_BENDING_ROWS @ channels).reshape(3, 3)
+    es = _SHEAR_ROWS @ channels
     h = model.section.h
     z = np.asarray(z_samples, dtype=float)
-    sx = np.empty_like(z)
-    sy = np.empty_like(z)
-    txy = np.empty_like(z)
-    txz = np.empty_like(z)
-    tyz = np.empty_like(z)
-    for i, zi in enumerate(z):
-        E, nu, _ = effective_props(zi, h, model.spec)
-        _, fp, g, _ = shear_fn(model.shear, zi, h)
-        eps = eps0 + zi * kb + g * ks
-        c = E / (1.0 - nu * nu)
-        sx[i] = c * (eps[0] + nu * eps[1])
-        sy[i] = c * (nu * eps[0] + eps[1])
-        txy[i] = E / (2.0 * (1.0 + nu)) * eps[2]
-        gshear = E / (2.0 * (1.0 + nu)) * fp
-        txz[i] = gshear * es[0]
-        tyz[i] = gshear * es[1]
-    return StressProfile(station, z, sx, sy, txy, txz, tyz)
+    E, nu, _ = effective_props(z, h, model.spec)
+    q11, q12, q66 = plane_stress_moduli(E, nu)
+    _, fp, g, _ = shear_fn(model.shear, z, h)
+    eps = eps0 + z[:, None] * kb + g[:, None] * ks
+    shear = q66 * fp
+    return StressProfile(station, z, q11 * eps[:, 0] + q12 * eps[:, 1],
+                         q12 * eps[:, 0] + q11 * eps[:, 1], q66 * eps[:, 2],
+                         shear * es[0], shear * es[1])
 
 
 def stress_profile(
@@ -140,6 +153,7 @@ def nondimensionalize(
     """
     cer, met = model.spec.ceramic, model.spec.metal
     h = model.section.h
+    dm = met.E * h**3 / (12.0 * (1.0 - met.nu**2))
 
     if family is ReportFamily.FREQUENCY:
         if omegas is None:
@@ -150,19 +164,14 @@ def nondimensionalize(
     if family is ReportFamily.BUCKLING_DM:
         if p_crs is None:
             raise ConfigurationError("buckling report needs critical loads")
-        dm = met.E * h**3 / (12.0 * (1.0 - met.nu**2))
         return NondimReport(family, p_cr_bar=tuple(float(p) * span**2 / dm for p in p_crs))
 
     if w_center is None or q0 is None:
         raise ConfigurationError("bending reports need the center deflection and q0")
     if family is ReportFamily.BENDING_EC:
-        w_bar = 10.0 * cer.E * h**3 * w_center / (q0 * span**4)
-        s_bar = None if sigma_x is None else h * sigma_x / (span * q0)
-        return NondimReport(family, w_bar=float(w_bar), sigma_x_bar=s_bar if s_bar is None else float(s_bar))
-    if family is ReportFamily.BENDING_DM:
-        w_bar = 100.0 * met.E * h**3 * w_center / (12.0 * (1.0 - met.nu**2) * q0 * span**4)
-        return NondimReport(family, w_bar=float(w_bar))
-    if family is ReportFamily.BENDING_CPT:
-        d = met.E * h**3 / (12.0 * (1.0 - met.nu**2))
-        return NondimReport(family, w_bar=float(w_center * d / (q0 * span**4)))
-    raise ConfigurationError(f"unknown report family {family}")
+        s_bar = None if sigma_x is None else float(h * sigma_x / (span * q0))
+        return NondimReport(family, w_bar=float(10.0 * cer.E * h**3 * w_center / (q0 * span**4)),
+                            sigma_x_bar=s_bar)
+    # BENDING_DM and BENDING_CPT scale by the metal rigidity Dm
+    scale = 100.0 if family is ReportFamily.BENDING_DM else 1.0
+    return NondimReport(family, w_bar=float(scale * dm * w_center / (q0 * span**4)))

@@ -110,7 +110,9 @@ def _reduced_or_error_vector(system: GlobalSystem) -> np.ndarray:
 
 
 def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
-    """k smallest vibration eigenpairs of (K - omega^2 M) q = 0."""
+    """k smallest vibration eigenpairs of (K - omega^2 M) q = 0. Rigid-body
+    modes, within 1e-12 max(diag K / diag M) of zero, return exactly 0; an
+    eigenvalue below that bound on the negative side raises SolverError."""
     K = _reduced_or_error(system, "K")
     M = _reduced_or_error(system, "M")
     k = min(k, K.shape[0])
@@ -120,6 +122,11 @@ def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
         values, vectors = sla.eigh(K, M, subset_by_index=(0, k - 1), check_finite=False)
     except sla.LinAlgError as exc:
         raise MassMatrixError("mass matrix is not positive definite on the free DOFs") from exc
+    floor = 1e-12 * np.max(np.diag(K) / np.diag(M))
+    if values[0] < -floor:
+        raise SolverError(f"vibration eigenvalue lambda = {values[0]:.3e} is negative "
+                          f"beyond roundoff (-{floor:.3e})")
+    values[values <= floor] = 0.0
     return EigenResult(values=values, vectors=vectors)
 
 

@@ -1,7 +1,11 @@
-"""CLI behavior: output schemas, determinism, config echo round-trip,
-exit codes for configuration and solver failures."""
+"""CLI behavior: output schemas per report family, determinism, config echo
+round-trip, exit codes for configuration and solver failures, and free-plate
+vibration (rigid modes written as 0, a fully free plate a mass error)."""
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 from fgplate.cli import main
 
@@ -59,6 +63,55 @@ def test_run_vibrate_schema_sorted(tmp_path):
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(values) == 10
     assert values == sorted(values)
+
+
+def small_disk_buckle():
+    doc = small_static(geometry={"type": "disk", "radius": 0.5}, thickness_ratio=0.1,
+                       edge_bcs="CCCC", prestress=[[-1.0, 0.0], [0.0, -1.0]],
+                       analysis={"type": "buckle", "modes": 2}, report="buckling_dm")
+    doc.pop("load")
+    return doc
+
+
+@pytest.mark.parametrize("doc,header,n_rows", [
+    pytest.param(small_static(report="bending_cpt"), "w_bar", 1, id="bending_cpt"),
+    pytest.param(small_disk_buckle(), "mode,p_cr_bar", 2, id="buckling_dm"),
+])
+def test_run_report_header(tmp_path, doc, header, n_rows):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = read_lines(out / "results.csv")
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    assert all(len(line.split(",")) == header.count(",") + 1 for line in lines[1:])
+
+
+def free_vibration(edge_bcs, **material):
+    doc = small_static(elements=3, edge_bcs=edge_bcs, analysis={"type": "vibrate", "modes": 4},
+                       report="frequency")
+    doc.pop("load")
+    doc["material"].update(material)
+    return doc
+
+
+def test_partly_free_vibration_reports_rigid_modes_as_zero(tmp_path):
+    # the two rigid-body modes of SFFF came out at -roundoff and wrote nan
+    cfg = write_config(tmp_path, free_vibration("SFFF", ceramic="ZrO2-1", scheme="mori_tanaka"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    values = [float(line.split(",")[1]) for line in read_lines(out / "results.csv")[1:]]
+    assert values[:2] == [0.0, 0.0]
+    assert all(math.isfinite(v) for v in values) and values[2] > 0.0
+
+
+def test_fully_free_vibration_is_mass_error(tmp_path, capsys):
+    # the mode wb = -ws = const has no inertia: M is singular, and the pencil
+    # wrote nan or raised depending on the sign of a roundoff pivot
+    cfg = write_config(tmp_path, free_vibration("FFFF"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "mass" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_run_deterministic_bytes(tmp_path):

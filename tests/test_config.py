@@ -90,6 +90,8 @@ def test_custom_phase_object():
                      id="nan-station"),
         pytest.param(lambda d: d.update(degree="x"), "degree", id="text-degree"),
         pytest.param(lambda d: d.update(elements=4.5), "elements", id="fractional-elements"),
+        # the reports divide by q0
+        pytest.param(lambda d: d["load"].update(q0=0), "load.q0", id="zero-q0"),
     ],
 )
 def test_invalid_configs_rejected(mutate, match):
@@ -97,6 +99,46 @@ def test_invalid_configs_rejected(mutate, match):
     mutate(doc)
     with pytest.raises(ConfigurationError, match=match):
         parse_config(doc)
+
+
+def analysis_doc(analysis, **overrides):
+    """A minimal valid document for each analysis type."""
+    if analysis == "static":
+        return minimal_static(**overrides)
+    doc = minimal_static(analysis={"type": analysis, "modes": 2}, **overrides)
+    doc.pop("load")
+    if analysis == "buckle":
+        doc["prestress"] = [[-1.0, 0.0], [0.0, -1.0]]
+    return doc
+
+
+REPORTS_FOR_ANALYSIS = {
+    "static": {"bending_ec", "bending_dm", "bending_cpt"},
+    "vibrate": {"frequency"},
+    "buckle": {"buckling_dm"},
+}
+
+
+@pytest.mark.parametrize("family", [f.value for f in ReportFamily])
+@pytest.mark.parametrize("analysis", sorted(REPORTS_FOR_ANALYSIS))
+def test_report_family_applies_to_its_analysis(analysis, family):
+    doc = analysis_doc(analysis, report=family)
+    if family in REPORTS_FOR_ANALYSIS[analysis]:
+        assert parse_config(doc).report is ReportFamily(family)
+    else:
+        with pytest.raises(ConfigurationError, match="does not apply"):
+            parse_config(doc)
+
+
+@pytest.mark.parametrize("analysis,default", [
+    ("static", ReportFamily.BENDING_EC),
+    ("vibrate", ReportFamily.FREQUENCY),
+    ("buckle", ReportFamily.BUCKLING_DM),
+])
+def test_default_report_family(analysis, default):
+    doc = analysis_doc(analysis)
+    doc.pop("report")
+    assert parse_config(doc).report is default
 
 
 def test_static_requires_load():

@@ -281,9 +281,11 @@ def test_locate_point_round_trip(square, disk):
 
 
 def test_locate_point_rejects_nan_station(disk):
-    # a NaN parameter used to pass the span range check and index out of range
-    with pytest.raises(fg.FGPlateError):
-        locate_point(disk, np.nan, 0.0)
+    # a NaN station used to reach the span check and be reported as a
+    # parameter outside the knot range; inf as a failed Newton iteration
+    for bad in (np.nan, np.inf):
+        with pytest.raises(fg.GeometryError, match=rf"station \({bad}, 0.0\)"):
+            locate_point(disk, bad, 0.0)
 
 
 @pytest.mark.parametrize("make", [fg.make_disk_patch, fg.make_mapped_disk_patch])

@@ -1,6 +1,8 @@
 """Field recovery and nondimensionalization tests: deflection splitting,
-traction-free shear recovery, stress antisymmetry, one point location per
-static case, scaling linearity and the report formulas."""
+traction-free shear recovery, stress antisymmetry, the vectorized profile
+against a per-z strain_operators reference on a square and a rational disk,
+one point location per static case, scaling linearity and the report
+formulas."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -98,6 +100,55 @@ def test_stress_profile_continuous_in_z(case):
     jump_coarse = np.abs(np.diff(coarse.sigma_x)).max()
     jump_fine = np.abs(np.diff(fine.sigma_x)).max()
     assert jump_fine < 0.5 * jump_coarse
+
+
+def profile_reference(q, model, x, y, z):
+    """Stresses point by point in z from strain_operators and the pointwise
+    moduli, as the recovery was first written."""
+    xi, eta = fg.nurbs.locate_point(model.patch, x, y)
+    basis = fg.physical_derivs(model.patch, xi, eta)
+    Bm, Bb1, Bb2, Bs, _ = fg.strain_operators(basis)
+    qe = q[(4 * basis.active_indices[:, None] + np.arange(4)).ravel()]
+    eps0, kb, ks, es = Bm @ qe, Bb1 @ qe, Bb2 @ qe, Bs @ qe
+    h = model.section.h
+    rows = []
+    for zi in z:
+        E, nu, _ = fg.effective_props(zi, h, model.spec)
+        _, fp, g, _ = fg.shear_fn(model.shear, zi, h)
+        eps = eps0 + zi * kb + g * ks
+        c = E / (1.0 - nu * nu)
+        G = E / (2.0 * (1.0 + nu))
+        rows.append([c * (eps[0] + nu * eps[1]), c * (nu * eps[0] + eps[1]), G * eps[2],
+                     G * fp * es[0], G * fp * es[1]])
+    return np.array(rows).T
+
+
+def solve_uniform_case(patch, edge_bcs):
+    # uniform load, graded section, no symmetry between x and y on the square
+    h = 0.1
+    spec = fg.FGMSpec(ceramic=AL2O3, metal=AL, n=2.0)
+    sec = fg.section_constants(spec, fg.ShearModel.ATAN_SIN, h)
+    model = fg.PlateModel(patch=patch, section=sec, spec=spec, shear=fg.ShearModel.ATAN_SIN,
+                          edge_bcs=edge_bcs, load=fg.UniformLoad(1.0))
+    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K", "F")), model)
+    return model, fg.solve_static(system)
+
+
+@pytest.mark.parametrize("geometry,station", [("square", (0.3, 0.7)), ("disk", (0.21, -0.13))])
+def test_stress_profile_matches_pointwise_reference(geometry, station):
+    # the vectorized recovery through the kinematic tables against a per-z
+    # loop over strain_operators, on a graded square and a rational disk
+    if geometry == "square":
+        edges = (BC.CLAMPED, BC.SIMPLY_SUPPORTED, BC.SIMPLY_SUPPORTED, BC.FREE)
+        model, q = solve_uniform_case(fg.make_square_patch(1.0, 1.0, 3, 5), edges)
+    else:
+        model, q = solve_uniform_case(fg.make_disk_patch(0.5, 3, 5), (BC.CLAMPED,) * 4)
+    h = model.section.h
+    z = np.linspace(-h / 2, h / 2, 21)
+    prof = fg.stress_profile(q, model, *station, z)
+    got = np.array([prof.sigma_x, prof.sigma_y, prof.tau_xy, prof.tau_xz, prof.tau_yz])
+    expected = profile_reference(q, model, *station, z)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_static_case_locates_its_station_once(monkeypatch):

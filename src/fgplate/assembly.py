@@ -22,10 +22,22 @@ factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 2015):
 Stress recovery (postprocess) reads a station's strains through the same
 bending and shear rows of L, so K and the stresses share one kinematics.
 
-Assembly walks the patch one row of elements (one u span, every v span) at a
-time, with one grid_basis call per row from 1-D bases tabulated once per
-span and Gauss point (nurbs.tabulate); no array spans the whole patch. Every
-BLAS product stays at element size: the Gram is one (6 nb x n_q) @
+Assembly is a geometry pass and a per-case part. The geometry pass walks
+the patch one row of elements (one u span, every v span) at a time, with one
+grid_basis call per row from 1-D bases tabulated once per span and Gauss
+point (nurbs.tabulate). Per row it gives the table Phi of the six channels
+at each element's Gauss points, the Gauss weights times det J and the
+element DOF indices (_matrix_rows). The per-case part forms each S_e from
+Phi, contracts it with C, symmetrizes Ke and scatters it. A single case
+streams the rows, so no array spans the whole patch. The cases of a sweep
+over n, a/h or the shear model share the patch, and sweep_case keeps its
+rows for all of them (PatchTables), with the load vector, which depends on
+the patch and the load alone. It keeps Phi rather than S_e: on an 11 x 11
+cubic patch Phi takes 1.5 MB and the 121 S_e (96 x 96 each) 8.9 MB. With
+S_e kept instead, the table-11 benchmark (seed 3, 2-vCPU VM) peaked at
+96.1 MB RSS against 87.8 MB, and ran no faster.
+
+Every BLAS product stays at element size: the Gram is one (6 nb x n_q) @
 (n_q x 6 nb) product per element and the contraction a stacked
 (elements, nb^2, 36) @ (36, 16). One (elements nb^2, 36) @ (36, 16) product
 per row of 11 cubic elements exceeds OpenBLAS's threading threshold
@@ -49,13 +61,14 @@ order 1e-14.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .materials import FGMSpec, SectionConstants, ShearModel
+from .materials import FGMSpec, SectionConstants, ShearModel, _gauss_legendre
 from .nurbs import BasisLocal, Patch, grid_basis, tabulate
 
 __all__ = [
@@ -66,6 +79,7 @@ __all__ = [
     "GlobalSystem",
     "strain_operators",
     "assemble",
+    "PatchTables",
     "apply_boundary_conditions",
 ]
 
@@ -239,12 +253,15 @@ def _kinematic_tables():
 _BENDING_ROWS, _SHEAR_ROWS, _PRESTRESS_ROWS, _INERTIA_ROWS = _kinematic_tables()
 
 
-def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
+def assemble(model: PlateModel, want=("K", "F"), *,
+             tables: Optional["PatchTables"] = None) -> GlobalSystem:
     """Build the requested global matrices and load vector.
 
     K, M and Kg come from one sweep with a (p+1) x (q+1) Gauss rule per
     element; F from a separate pass with a (p+3) x (q+3) rule (see the module
     docstring). The matrix sweep is skipped when no matrix is requested.
+    Without tables the geometry pass streams one row of elements at a time;
+    with the tables of the model's patch it is read from them.
     """
     want = set(want)
     unknown = want - {"K", "M", "Kg", "F"}
@@ -254,12 +271,40 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
         raise ConfigurationError("geometric stiffness requested without a prestress state")
     if "F" in want and model.load is None:
         raise ConfigurationError("load vector requested without a load description")
+    if tables is not None and tables.patch is not model.patch:
+        raise ConfigurationError("assembly tables belong to another patch than the model's")
 
     K = M = Kg = None
     if want & {"K", "M", "Kg"}:
-        K, M, Kg = _assemble_matrices(model, want)
-    F = _assemble_load(model) if "F" in want else None
+        rows = _matrix_rows(model.patch) if tables is None else tables.matrix_rows
+        K, M, Kg = _assemble_matrices(model, want, rows)
+    F = None
+    if "F" in want:
+        F = (_assemble_load(model.patch, model.load) if tables is None
+             else tables.load_vector(model.load))
     return GlobalSystem(n_dofs=model.n_dofs, K=K, M=M, Kg=Kg, F=F)
+
+
+class PatchTables:
+    """The material-free part of assembly on one patch, kept for a run of
+    cases that share the patch and the load (a sweep over n, a/h or the
+    shear model): the geometry pass of K, M and Kg and the load vector of
+    each load, each built on first use. The geometry pass of an 11 x 11
+    cubic patch takes about 1.5 MB (see the module docstring).
+    """
+
+    def __init__(self, patch: Patch):
+        self.patch = patch
+        self._loads = {}
+
+    @functools.cached_property
+    def matrix_rows(self) -> list:
+        return list(_matrix_rows(self.patch))
+
+    def load_vector(self, load) -> np.ndarray:
+        if load not in self._loads:
+            self._loads[load] = _assemble_load(self.patch, load)
+        return self._loads[load].copy()
 
 
 def _element_rows(patch: Patch, extra_points: int, order: int):
@@ -273,7 +318,7 @@ def _element_rows(patch: Patch, extra_points: int, order: int):
     """
     rules = []
     for knots in (patch.knot_u, patch.knot_v):
-        gx, gw = np.polynomial.legendre.leggauss(knots.degree + extra_points)
+        gx, gw = _gauss_legendre(knots.degree + extra_points)
         lo, hi = np.array([span[1:] for span in knots.spans()]).T
         half = 0.5 * (hi - lo)
         rules.append(((0.5 * (lo + hi))[:, None] + half[:, None] * gx, half[:, None] * gw))
@@ -300,9 +345,22 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
     return C.transpose(0, 2, 1, 3).reshape(_CHANNELS**2, 16)
 
 
-def _assemble_matrices(model: PlateModel, want: set):
+def _matrix_rows(patch: Patch):
+    """The geometry pass of K, M and Kg, per row of elements: the table phi
+    of the six basis channels at each element's Gauss points, shape
+    (element, point, 6 nb) with the channel outer, the Gauss weights times
+    det J (element, point), and the element DOF indices (element, nb, 4)."""
+    for basis, wq in _element_rows(patch, 1, 2):
+        n_el, n_q, nb = basis.R.shape
+        phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
+                              basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(n_el, n_q, -1)
+        yield phi, wq, 4 * basis.active_indices[:, 0, :, None] + np.arange(4)
+
+
+def _assemble_matrices(model: PlateModel, want: set, rows):
     """K, M and Kg (None where not wanted) from the basis Gram of each
-    element, contracted with one coefficient table per matrix."""
+    element, contracted with one coefficient table per matrix; rows is the
+    geometry pass of the model's patch (_matrix_rows)."""
     section = model.section
     tables = {}
     if "K" in want:
@@ -315,17 +373,14 @@ def _assemble_matrices(model: PlateModel, want: set):
     n = model.n_dofs
     out = {name: np.zeros(n * n) for name in tables}
 
-    for basis, wq in _element_rows(model.patch, 1, 2):
-        n_el, n_q, nb = basis.R.shape
-        phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
-                              basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(n_el, n_q, -1)
+    for phi, wq, dof in rows:
+        n_el, nb = dof.shape[:2]
         # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)]
         gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
         gram = gram.reshape(n_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
         gram = gram.reshape(n_el, nb * nb, _CHANNELS**2)
         # flat index of the global entry of element DOFs (a, i) and (b, j), laid
         # out like Ke: (element, a, b, i, j)
-        dof = 4 * basis.active_indices[:, 0, :, None] + np.arange(4)
         flat = dof[:, :, None, :, None] * n + dof[:, None, :, None, :]
         for name, C in tables.items():
             Ke = (gram @ C).reshape(flat.shape)
@@ -336,12 +391,12 @@ def _assemble_matrices(model: PlateModel, want: set):
     return tuple(out[name].reshape(n, n) if name in out else None for name in ("K", "M", "Kg"))
 
 
-def _assemble_load(model: PlateModel) -> np.ndarray:
+def _assemble_load(patch: Patch, load) -> np.ndarray:
     """Consistent load vector with a (p+3) x (q+3) Gauss rule per element."""
-    F = np.zeros(model.n_dofs)
-    for basis, wq in _element_rows(model.patch, 3, 1):
+    F = np.zeros(4 * patch.n_points)
+    for basis, wq in _element_rows(patch, 3, 1):
         x = basis.point
-        wq = wq * model.load.value(x[..., 0], x[..., 1])
+        wq = wq * load.value(x[..., 0], x[..., 1])
         for active, we, R in zip(basis.active_indices[:, 0], wq, basis.R):
             Fe = we @ R
             F[4 * active + 2] += Fe

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BC, PlateModel, apply_boundary_conditions, assemble
+from .assembly import BC, PatchTables, PlateModel, apply_boundary_conditions, assemble
 from .errors import ConfigurationError, MassMatrixError
 from .config import _SWEEP_FIELDS, CaseConfig
 from .nurbs import BasisLocal
@@ -57,32 +57,35 @@ class SweepResult:
         return tuple(out)
 
 
-def run_case(config: CaseConfig) -> CaseResult:
-    """Assemble, constrain, solve and nondimensionalize one case."""
-    model = config.build_model()
+def run_case(config: CaseConfig, *, tables: Optional[PatchTables] = None) -> CaseResult:
+    """Assemble, constrain, solve and nondimensionalize one case. Given the
+    tables that the cases of a sweep share, the case is built on their patch
+    and assembled from them."""
+    model = config.build_model(None if tables is None else tables.patch)
 
     if config.analysis == "static":
-        return _static_case(config, model)[0]
+        return _static_case(config, model, tables)[0]
 
     if config.analysis == "vibrate":
         if all(bc is BC.FREE for bc in model.edge_bcs):
             raise MassMatrixError("mass matrix is singular on a plate free on every edge: the "
                                   "mode wb = -ws = const has neither inertia nor strain energy")
-        system = apply_boundary_conditions(assemble(model, want=("K", "M")), model)
+        system = apply_boundary_conditions(assemble(model, want=("K", "M"), tables=tables), model)
         eigen = solve_vibration(system, config.modes)
         report = nondimensionalize(config.report, model, span=config.span,
                                    omegas=eigen.frequencies())
     else:
-        system = apply_boundary_conditions(assemble(model, want=("K", "Kg")), model)
+        system = apply_boundary_conditions(assemble(model, want=("K", "Kg"), tables=tables), model)
         eigen = solve_buckling(system, config.modes)
         report = nondimensionalize(config.report, model, span=config.span, p_crs=eigen.values)
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
 
 
-def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, BasisLocal]:
+def _static_case(config: CaseConfig, model: PlateModel,
+                 tables: Optional[PatchTables] = None) -> tuple[CaseResult, BasisLocal]:
     """A static case and the basis at its station, which is located once for
     the deflection, the stress and a profile."""
-    system = apply_boundary_conditions(assemble(model, want=("K", "F")), model)
+    system = apply_boundary_conditions(assemble(model, want=("K", "F"), tables=tables), model)
     q = solve_static(system)
     x, y = config.center()
     basis = _station_basis(model, x, y)
@@ -99,12 +102,20 @@ def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, Bas
 
 
 def sweep_case(config: CaseConfig) -> SweepResult:
-    """One case per sweep value, in deterministic input order."""
+    """One case per sweep value, in deterministic input order.
+
+    A sweep over n, the thickness ratio or the shear model changes only the
+    section constants, so its cases share one patch, one geometry pass of
+    assembly (the basis tables of every element) and one load vector, all
+    dropped when the sweep returns. A mesh sweep builds each case anew.
+    """
     if config.sweep_axis is None:
         raise ConfigurationError("configuration has no sweep section")
+    key = _SWEEP_FIELDS[config.sweep_axis]
+    tables = None if key == "elements" else PatchTables(config.build_patch())
     reports = []
     for value in config.sweep_values:
-        result = run_case(config.replace(**{_SWEEP_FIELDS[config.sweep_axis]: value}))
+        result = run_case(config.replace(**{key: value}), tables=tables)
         reports.append(result.report)
     return SweepResult(config=config, axis=config.sweep_axis,
                        values=config.sweep_values, reports=tuple(reports))

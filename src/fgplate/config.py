@@ -94,7 +94,9 @@ class CaseConfig:
             return make_mapped_disk_patch(self.a, self.degree, self.elements)
         return make_disk_patch(self.a, self.degree, self.elements)
 
-    def build_model(self) -> PlateModel:
+    def build_model(self, patch: Optional[Patch] = None) -> PlateModel:
+        """The case's plate model, on the given patch (which must be this
+        configuration's build_patch()) or on a newly built one."""
         spec = FGMSpec(ceramic=self.ceramic, metal=self.metal, n=self.power_index,
                        scheme=self.scheme, profile=self.profile)
         section = section_constants(spec, self.shear_model, self.thickness)
@@ -104,7 +106,8 @@ class CaseConfig:
         elif self.load_type == "sinusoidal":
             load = SinusoidalLoad(self.q0, self.a, self.b)
         prestress = None if self.prestress is None else np.asarray(self.prestress, dtype=float)
-        return PlateModel(patch=self.build_patch(), section=section, spec=spec,
+        return PlateModel(patch=self.build_patch() if patch is None else patch,
+                          section=section, spec=spec,
                           shear=self.shear_model, edge_bcs=self.edge_bcs,
                           load=load, prestress=prestress)
 
@@ -308,6 +311,16 @@ def parse_config(doc: dict) -> CaseConfig:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigurationError("station must be an [x, y] pair")
         station = (_number(pair[0], "station"), _number(pair[1], "station"))
+        x, y = station
+        tol = 1e-12 * max(a, b)  # points on the boundary, up to roundoff, lie on the plate
+        if gtype == "square":
+            outside = not (-tol <= x <= a + tol and -tol <= y <= b + tol)
+            where = f"the square [0, {a:g}] x [0, {b:g}]"
+        else:
+            outside = math.hypot(x, y) > a + tol
+            where = f"the disk r <= {a:g}"
+        if outside:
+            raise ConfigurationError(f"station ({x:g}, {y:g}) lies outside {where}")
 
     profile_samples = _number(doc.get("profile_samples", 101), "profile_samples", int)
     if profile_samples < 2:

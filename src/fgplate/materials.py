@@ -9,6 +9,7 @@ volume fraction.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +209,17 @@ class SectionConstants:
         )
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only, since every caller shares them. A run uses a
+    handful of orders: p+1 and p+3 in assembly, 30 * 2^k in the section."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _thickness_rule(spec: FGMSpec, h: float, n_gauss: int):
     """Quadrature nodes/weights over [-h/2, h/2] for the graded integrands.
 
@@ -216,7 +228,7 @@ def _thickness_rule(spec: FGMSpec, h: float, n_gauss: int):
     pure-metal surface; a dyadic composite rule graded toward that surface
     restores geometric convergence there.
     """
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    x, w = _gauss_legendre(n_gauss)
     if float(spec.n).is_integer():
         return 0.5 * h * x, 0.5 * h * w
     levels = 60

@@ -118,11 +118,18 @@ def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
     k = min(k, K.shape[0])
     if k < 1:
         raise SolverError("need at least one requested mode")
-    try:
-        values, vectors = sla.eigh(K, M, subset_by_index=(0, k - 1), check_finite=False)
-    except sla.LinAlgError as exc:
-        raise MassMatrixError("mass matrix is not positive definite on the free DOFs") from exc
+    not_definite = "mass matrix is not positive definite on the free DOFs"
+    if not np.all(np.diag(M) > 0.0):
+        raise MassMatrixError(not_definite)
     floor = 1e-12 * np.max(np.diag(K) / np.diag(M))
+    # the reduced matrices are fresh copies and bitwise symmetric, so their
+    # transposes are the same matrices in Fortran order, which LAPACK then
+    # overwrites in place instead of copying them once more
+    try:
+        values, vectors = sla.eigh(K.T, M.T, subset_by_index=(0, k - 1), overwrite_a=True,
+                                   overwrite_b=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise MassMatrixError(not_definite) from exc
     if values[0] < -floor:
         raise SolverError(f"vibration eigenvalue lambda = {values[0]:.3e} is negative "
                           f"beyond roundoff (-{floor:.3e})")
@@ -141,12 +148,16 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     operator of the eigenproblem directly. Only positive factors return.
     """
     K = _reduced_or_error(system, "K")
-    Kg = _reduced_or_error(system, "Kg")
+    G = -_reduced_or_error(system, "Kg")
     if k < 1:
         raise SolverError("need at least one requested mode")
-    for G in (-Kg, Kg):
+    # G is a fresh reduced copy in each pass and bitwise symmetric, so LAPACK
+    # overwrites its transpose in place; K is read twice and kept
+    for raw_sign in (False, True):
+        if raw_sign:
+            G = system.reduce(system.Kg)
         try:
-            theta, vectors = sla.eigh(G, K, check_finite=False)
+            theta, vectors = sla.eigh(G.T, K.T, overwrite_a=True, check_finite=False)
         except sla.LinAlgError as exc:
             raise SolverError("stiffness matrix is not positive definite on the free DOFs") from exc
         scale = np.abs(theta).max() if len(theta) else 0.0

@@ -144,6 +144,24 @@ def test_missing_prestress_is_config_error(tmp_path, capsys):
     assert "missing prestress" in capsys.readouterr().err
 
 
+def test_zero_prestress_is_solver_error(tmp_path, capsys):
+    doc = small_static(analysis={"type": "buckle", "modes": 2}, report="buckling_dm",
+                       prestress=[[0.0, 0.0], [0.0, 0.0]])
+    doc.pop("load")
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "buckling factor" in capsys.readouterr().err
+
+
+def test_station_off_disk_is_config_error(tmp_path, capsys):
+    doc = small_static(geometry={"type": "disk", "radius": 0.5}, thickness_ratio=0.1,
+                       load={"type": "uniform", "q0": 1.0}, report="bending_dm",
+                       station=[0.6, 0.0])
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "station" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err

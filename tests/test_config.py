@@ -92,6 +92,10 @@ def test_custom_phase_object():
         pytest.param(lambda d: d.update(elements=4.5), "elements", id="fractional-elements"),
         # the reports divide by q0
         pytest.param(lambda d: d["load"].update(q0=0), "load.q0", id="zero-q0"),
+        # a station off the plate is a configuration error, not a failed inverse map
+        pytest.param(lambda d: d.update(station=[1.5, 0.5]), "station", id="station-off-square"),
+        pytest.param(lambda d: d.update(geometry={"type": "disk", "radius": 0.5},
+                                        station=[0.6, 0.0]), "station", id="station-off-disk"),
     ],
 )
 def test_invalid_configs_rejected(mutate, match):
@@ -139,6 +143,18 @@ def test_default_report_family(analysis, default):
     doc = analysis_doc(analysis)
     doc.pop("report")
     assert parse_config(doc).report is default
+
+
+@pytest.mark.parametrize("overrides", [
+    {"station": [1.0, 1.0]},
+    {"station": [0.0, 0.0]},
+    {"station": [0.5, 0.0], "geometry": {"type": "disk", "radius": 0.5}, "thickness_ratio": 0.1},
+], ids=["square-corner", "square-origin", "disk-rim"])
+def test_station_on_boundary_runs(overrides):
+    config = parse_config(minimal_static(elements=3, **overrides))
+    assert config.station == tuple(overrides["station"])
+    # every edge is simply supported, so the deflection vanishes there
+    assert abs(fg.run_case(config).w_center) < 1e-12
 
 
 def test_static_requires_load():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fgplate import materials
 from fgplate.errors import DomainError, IntegrationError
 from fgplate.materials import (
     MATERIALS,
@@ -278,3 +279,15 @@ def test_quadrature_stability_under_doubling():
 def test_unreachable_tolerance_raises():
     with pytest.raises(IntegrationError):
         section_constants(spec_mt(0.5), ShearModel.ATAN, 0.2, rtol=0.0)
+
+
+def test_gauss_rules_cached_read_only():
+    x, w = materials._gauss_legendre(30)
+    assert materials._gauss_legendre(30)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    gx, gw = np.polynomial.legendre.leggauss(30)
+    assert x.tobytes() == gx.tobytes() and w.tobytes() == gw.tobytes()
+    z, wz = materials._thickness_rule(spec_rom(1.0), 0.2, 30)
+    assert z.tobytes() == (0.1 * gx).tobytes() and wz.tobytes() == (0.1 * gw).tobytes()

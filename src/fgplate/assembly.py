@@ -9,54 +9,64 @@ mid-surface. Element integration therefore splits exactly into a
 geometry-only part and a small per-case contraction, in the spirit of sum
 factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 2015):
 
-- S_e = Phi^T diag(w det J) Phi is the Gram of the element's six basis
+- S_e = Phi^T diag(w det J) Phi is the Gram of an element's six basis
   channels (R, R_x, R_y, R_xx, R_yy, R_xy) over its Gauss points, a
   (6 nb) x (6 nb) matrix for nb basis functions (96 x 96 for a cubic
-  element), kept as S_e[(a, b), (c, d)] of shape (nb^2, 36);
+  element);
+- G[(A, B), (c, d)] is the sum of the S_e over the elements, one row per
+  coupled control-point pair A <= B (the supports of A and B overlap) and
+  one column per channel pair (c, d): the global Gram of the patch;
 - C = L^T D L is a 36 x 16 table C[(c, d), (i, j)] per matrix and case, with
   D the section's bending and shear blocks (K), its inertia block (M) or N0
   (Kg), and L the kinematic table: strain_operators evaluated on a unit
   six-function basis, or the inertia rows of M;
-- Ke[(a, i), (b, j)] = sum over (c, d) of S_e[(a, b), (c, d)] C[(c, d), (i, j)].
+- the block of DOFs (A, i), (B, j) is sum over (c, d) of
+  G[(A, B), (c, d)] C[(c, d), (i, j)].
 
 Stress recovery (postprocess) reads a station's strains through the same
 bending and shear rows of L, so K and the stresses share one kinematics.
 
-Assembly is a geometry pass and a per-case part. The geometry pass walks
-the patch one row of elements (one u span, every v span) at a time, with one
-grid_basis call per row from 1-D bases tabulated once per span and Gauss
-point (nurbs.tabulate). Per row it gives the table Phi of the six channels
-at each element's Gauss points, the Gauss weights times det J and the
-element DOF indices (_matrix_rows). The per-case part forms each S_e from
-Phi, contracts it with C, symmetrizes Ke and scatters it. A single case
-streams the rows, so no array spans the whole patch. The cases of a sweep
-over n, a/h or the shear model share the patch, and sweep_case keeps its
-rows for all of them (PatchTables), with the load vector, which depends on
-the patch and the load alone. It keeps Phi rather than S_e: on an 11 x 11
-cubic patch Phi takes 1.5 MB and the 121 S_e (96 x 96 each) 8.9 MB. With
-S_e kept instead, the table-11 benchmark (seed 3, 2-vCPU VM) peaked at
-96.1 MB RSS against 87.8 MB, and ran no faster.
+Assembly is a geometry pass, which builds G, and a per-case part. The
+geometry pass walks the patch one row of elements (one u span, every v
+span) at a time, with one grid_basis call per row from 1-D bases tabulated
+once per span and Gauss point (nurbs.tabulate). It forms each S_e and adds
+its a <= b pair rows into G, serially in element order. The per-case part
+is one product V = G @ C per matrix; it makes the 4 x 4 blocks of the
+pairs A = B exactly symmetric and writes each pair block and its transpose
+once into the dense matrix, so nothing is accumulated per case. A single
+case builds G and uses it once. The cases of a sweep over n, a/h or the
+shear model share the patch, and sweep_case keeps G for all of them
+(PatchTables), with the load vector, which depends on the patch and the load
+alone.
 
-Every BLAS product stays at element size: the Gram is one (6 nb x n_q) @
-(n_q x 6 nb) product per element and the contraction a stacked
-(elements, nb^2, 36) @ (36, 16). One (elements nb^2, 36) @ (36, 16) product
-per row of 11 cubic elements exceeds OpenBLAS's threading threshold
-(m n k > 262,144). numpy and scipy each load their own OpenBLAS, and a
-worker woken in numpy's spins for about 0.1 s after the product; the dense
-scipy eigh that follows in the same case then shares two CPUs with it and
-went from 0.030 s to 0.058 s, and n-sweeps over the 11x11 cubic presets got
-slower end to end.
+Sizes on an 11 x 11 cubic patch (14 x 14 control points): 86 coupled 1-D
+pairs per direction give 86^2 = 7,396 nonzero 4 x 4 blocks of K, of which
+3,796 have A <= B, so G takes 3,796 x 36 doubles, 1.1 MB. The per-element
+Grams S_e would take 8.9 MB: kept for a sweep, they peaked the table-11
+benchmark at 96.1 MB RSS against 87.8 MB (seed 3, 2-vCPU VM) and ran no
+faster. Building G takes about 20 ms there; a K + M pair from it about 3 ms,
+against 26-29 ms for contracting and scattering the 121 element Grams.
+
+Every BLAS product stays below OpenBLAS's threading threshold
+(m n k > 262,144): the Grams are one (6 nb x n_q) @ (n_q x 6 nb) product per
+element, and V is formed 256 rows of G at a time. numpy and scipy each load
+their own OpenBLAS, and a worker woken in numpy's spins for about 0.1 s
+after a threaded product; the dense scipy eigh that follows in the same case
+then shares two CPUs with it. Measured on a 2-vCPU VM: one unblocked
+(3,796 x 36) @ (36 x 16) product per matrix more than doubled the solver
+time of a three-case vibration sweep (median 245 ms against 105-110 ms), and
+a stacked (elements nb^2, 36) @ (36, 16) contraction per row of 11 cubic
+elements took a case's eigh from 0.030 s to 0.058 s.
 
 K, M and Kg use a (p+1) x (q+1) Gauss rule per element: on an affine square
 their integrands are polynomials of degree at most 2p per direction, which
 that rule integrates exactly, and on the disks more points move buckling
-loads by less than 1e-6. Each element matrix is made exactly symmetric and
-scattered serially, one element at a time, so results are deterministic and
-the global matrices bitwise symmetric. The load vector F gets its own
-(p+3) x (q+3) rule, because its integrand q(x, y) R det J is not a
-polynomial for the half-sine load, nor on the rational disk: the (p+1) rule
-leaves a relative error of order 1e-8 in F there, the (p+3) rule one of
-order 1e-14.
+loads by less than 1e-6. G is summed in a fixed order and every block is
+written from one product row, so results are deterministic and the global
+matrices bitwise symmetric. The load vector F gets its own (p+3) x (q+3)
+rule, because its integrand q(x, y) R det J is not a polynomial for the
+half-sine load, nor on the rational disk: the (p+1) rule leaves a relative
+error of order 1e-8 in F there, the (p+3) rule one of order 1e-14.
 """
 from __future__ import annotations
 
@@ -69,7 +79,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .materials import FGMSpec, SectionConstants, ShearModel, _gauss_legendre
-from .nurbs import BasisLocal, Patch, grid_basis, tabulate
+from .nurbs import BasisLocal, Patch, _active_points, grid_basis, tabulate
 
 __all__ = [
     "BC",
@@ -260,8 +270,8 @@ def assemble(model: PlateModel, want=("K", "F"), *,
     K, M and Kg come from one sweep with a (p+1) x (q+1) Gauss rule per
     element; F from a separate pass with a (p+3) x (q+3) rule (see the module
     docstring). The matrix sweep is skipped when no matrix is requested.
-    Without tables the geometry pass streams one row of elements at a time;
-    with the tables of the model's patch it is read from them.
+    Without tables the global Gram of the patch is built for this call; with
+    the tables of the model's patch it is read from them.
     """
     want = set(want)
     unknown = want - {"K", "M", "Kg", "F"}
@@ -276,8 +286,8 @@ def assemble(model: PlateModel, want=("K", "F"), *,
 
     K = M = Kg = None
     if want & {"K", "M", "Kg"}:
-        rows = _matrix_rows(model.patch) if tables is None else tables.matrix_rows
-        K, M, Kg = _assemble_matrices(model, want, rows)
+        gram = _GlobalGram(model.patch) if tables is None else tables.gram
+        K, M, Kg = _assemble_matrices(model, want, gram)
     F = None
     if "F" in want:
         F = (_assemble_load(model.patch, model.load) if tables is None
@@ -288,9 +298,9 @@ def assemble(model: PlateModel, want=("K", "F"), *,
 class PatchTables:
     """The material-free part of assembly on one patch, kept for a run of
     cases that share the patch and the load (a sweep over n, a/h or the
-    shear model): the geometry pass of K, M and Kg and the load vector of
-    each load, each built on first use. The geometry pass of an 11 x 11
-    cubic patch takes about 1.5 MB (see the module docstring).
+    shear model): the global Gram of K, M and Kg and the load vector of each
+    load, each built on first use. The Gram of an 11 x 11 cubic patch takes
+    1.1 MB (see the module docstring).
     """
 
     def __init__(self, patch: Patch):
@@ -298,8 +308,8 @@ class PatchTables:
         self._loads = {}
 
     @functools.cached_property
-    def matrix_rows(self) -> list:
-        return list(_matrix_rows(self.patch))
+    def gram(self) -> "_GlobalGram":
+        return _GlobalGram(self.patch)
 
     def load_vector(self, load) -> np.ndarray:
         if load not in self._loads:
@@ -338,6 +348,41 @@ def _element_rows(patch: Patch, extra_points: int, order: int):
         yield BasisLocal(*grouped), by_element(wq)
 
 
+class _GlobalGram:
+    """G[(A, B), (c, d)]: the integral over the patch of w det J times channel
+    c of basis function A times channel d of basis function B, one row per
+    coupled control-point pair A <= B (rows sorted by A, then B), summed from
+    the element Grams in element order. first and second hold A and B of each
+    row, diagonal the rows with A = B."""
+
+    def __init__(self, patch: Patch):
+        # the first control point of each element along u and v: the points of
+        # the elements, in the order of _element_rows and of the basis columns
+        first_u, first_v = (np.array([span for span, _, _ in knots.spans()]) - knots.degree
+                            for knots in (patch.knot_u, patch.knot_v))
+        points = _active_points(patch, first_u, first_v)
+        n_el, nb = points.shape
+        ia, ib = np.triu_indices(nb)
+        keys = (points[:, ia] * patch.n_points + points[:, ib]).ravel()
+        keys, slots = np.unique(keys, return_inverse=True)
+        slots = slots.reshape(n_el, ia.size)
+        self.first, self.second = np.divmod(keys, patch.n_points)
+        self.diagonal = np.flatnonzero(self.first == self.second)
+        self.values = np.zeros((keys.size, _CHANNELS**2))
+        start = 0
+        for basis, wq in _element_rows(patch, 1, 2):
+            row_el, n_q = wq.shape
+            phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
+                                  basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(row_el, n_q, -1)
+            # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)] over a <= b
+            gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
+            gram = gram.reshape(row_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
+            gram = gram[:, ia, ib].reshape(row_el, ia.size, _CHANNELS**2)
+            for rows, ge in zip(slots[start:start + row_el], gram):
+                self.values[rows] += ge
+            start += row_el
+
+
 def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
     """C = L^T D L for a kinematic table L, regrouped as C[(c, d), (i, j)]
     with channels c, d and DOF components i, j: shape (36, 16)."""
@@ -345,22 +390,15 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
     return C.transpose(0, 2, 1, 3).reshape(_CHANNELS**2, 16)
 
 
-def _matrix_rows(patch: Patch):
-    """The geometry pass of K, M and Kg, per row of elements: the table phi
-    of the six basis channels at each element's Gauss points, shape
-    (element, point, 6 nb) with the channel outer, the Gauss weights times
-    det J (element, point), and the element DOF indices (element, nb, 4)."""
-    for basis, wq in _element_rows(patch, 1, 2):
-        n_el, n_q, nb = basis.R.shape
-        phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
-                              basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(n_el, n_q, -1)
-        yield phi, wq, 4 * basis.active_indices[:, 0, :, None] + np.arange(4)
+# rows of G per product: a (256, 36) @ (36, 16) product stays below
+# OpenBLAS's threading threshold (see the module docstring)
+_PRODUCT_ROWS = 256
 
 
-def _assemble_matrices(model: PlateModel, want: set, rows):
-    """K, M and Kg (None where not wanted) from the basis Gram of each
-    element, contracted with one coefficient table per matrix; rows is the
-    geometry pass of the model's patch (_matrix_rows)."""
+def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram):
+    """K, M and Kg (None where not wanted) from the global Gram of the
+    model's patch: one blocked product with a coefficient table per matrix,
+    then each pair block and its transpose written once."""
     section = model.section
     tables = {}
     if "K" in want:
@@ -370,25 +408,21 @@ def _assemble_matrices(model: PlateModel, want: set, rows):
         tables["M"] = _coefficient_table(_INERTIA_ROWS, np.kron(np.eye(3), section.inertia_block()))
     if "Kg" in want:
         tables["Kg"] = _coefficient_table(_PRESTRESS_ROWS, model.prestress)
-    n = model.n_dofs
-    out = {name: np.zeros(n * n) for name in tables}
-
-    for phi, wq, dof in rows:
-        n_el, nb = dof.shape[:2]
-        # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)]
-        gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
-        gram = gram.reshape(n_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
-        gram = gram.reshape(n_el, nb * nb, _CHANNELS**2)
-        # flat index of the global entry of element DOFs (a, i) and (b, j), laid
-        # out like Ke: (element, a, b, i, j)
-        flat = dof[:, :, None, :, None] * n + dof[:, None, :, None, :]
-        for name, C in tables.items():
-            Ke = (gram @ C).reshape(flat.shape)
-            Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1, 4, 3))
-            A = out[name]
-            for f, ke in zip(flat, Ke):
-                A[f] += ke
-    return tuple(out[name].reshape(n, n) if name in out else None for name in ("K", "M", "Kg"))
+    n = model.patch.n_points
+    G, d = gram.values, gram.diagonal
+    out = {}
+    for name, C in tables.items():
+        # V[(A, B), (i, j)]: the block of DOFs (A, i), (B, j)
+        V = np.empty((len(G), 16))
+        for lo in range(0, len(G), _PRODUCT_ROWS):
+            np.matmul(G[lo:lo + _PRODUCT_ROWS], C, out=V[lo:lo + _PRODUCT_ROWS])
+        V = V.reshape(-1, 4, 4)
+        V[d] = 0.5 * (V[d] + V[d].swapaxes(1, 2))
+        A = np.zeros((n, 4, n, 4))
+        A[gram.first, :, gram.second, :] = V
+        A[gram.second, :, gram.first, :] = V.swapaxes(1, 2)
+        out[name] = A.reshape(4 * n, 4 * n)
+    return tuple(out.get(name) for name in ("K", "M", "Kg"))
 
 
 def _assemble_load(patch: Patch, load) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import BC, PatchTables, PlateModel, apply_boundary_conditions, assemble
-from .errors import ConfigurationError, MassMatrixError
+from .errors import ConfigurationError, MassMatrixError, SpectrumError
 from .config import _SWEEP_FIELDS, CaseConfig
 from .nurbs import BasisLocal
 from .postprocess import (
@@ -76,6 +76,9 @@ def run_case(config: CaseConfig, *, tables: Optional[PatchTables] = None) -> Cas
                                    omegas=eigen.frequencies())
     else:
         system = apply_boundary_conditions(assemble(model, want=("K", "Kg"), tables=tables), model)
+        if not np.any(system.free_dofs % 4 >= 2):
+            raise SpectrumError("no buckling mode: no free deflection DOF (wb, ws) remains "
+                                "after the edge constraints")
         eigen = solve_buckling(system, config.modes)
         report = nondimensionalize(config.report, model, span=config.span, p_crs=eigen.values)
     return CaseResult(config=config, report=report, model=model, eigen=eigen)

@@ -156,6 +156,17 @@ def _tables(patch: Patch, xis, etas, order: int):
 _DERIV_PAIRS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
 
+def _active_points(patch: Patch, first_u, first_v) -> np.ndarray:
+    """Control point indices of the nonzero basis functions on the tensor
+    grid of the first 1-D indices first_u x first_v (u outer), shape
+    (len(first_u) len(first_v), nb) with the v index outer in each row."""
+    p, q = patch.degrees
+    iu = first_u[:, None] + np.arange(p + 1)
+    iv = first_v[:, None] + np.arange(q + 1)
+    active = iv[None, :, :, None] * patch.net.shape[0] + iu[:, None, None, :]
+    return active.reshape(len(first_u) * len(first_v), -1)
+
+
 def _rational(patch: Patch, tab_u, tab_v):
     """Rational basis and its parametric derivatives on the tensor grid of two
     tables, up to their common order.
@@ -168,9 +179,7 @@ def _rational(patch: Patch, tab_u, tab_v):
     (_, first_u, ders_u), (_, first_v, ders_v) = tab_u, tab_v
     order = ders_u.shape[1] - 1
     n = len(first_u) * len(first_v)
-    iu = first_u[:, None] + np.arange(ders_u.shape[2])
-    iv = first_v[:, None] + np.arange(ders_v.shape[2])
-    active = (iv[None, :, :, None] * patch.net.shape[0] + iu[:, None, None, :]).reshape(n, -1)
+    active = _active_points(patch, first_u, first_v)
     wts = patch.net.weights.ravel(order="F")[active]
     # derivative axis first, so that every sum runs over a contiguous axis
     # in the order of a 1-D sum

@@ -251,15 +251,22 @@ def pointwise_matrices(model):
     return K, M, Kg
 
 
-@pytest.mark.parametrize("geometry", ["square", "disk"])
-def test_matrices_match_pointwise_reference(geometry):
+@pytest.mark.parametrize("geometry,p", [
+    pytest.param("square", 3, id="square"),
+    pytest.param("square", 2, id="square-p2"),
+    pytest.param("square", 4, id="square-p4"),
+    pytest.param("disk", 3, id="disk"),
+    pytest.param("mapped disk", 3, id="mapped-disk"),
+])
+def test_matrices_match_pointwise_reference(geometry, p):
     prestress = np.array([[-1.3, 0.4], [0.4, -0.7]])
     if geometry == "square":
-        model = square_model(n=1.5, p=3, nel=3, prestress=prestress)
+        model = square_model(n=1.5, p=p, nel=3, prestress=prestress)
     else:
+        make = fg.make_disk_patch if geometry == "disk" else fg.make_mapped_disk_patch
         spec = fg.FGMSpec(ceramic=AL2O3, metal=AL, n=2.0)
         shear = fg.ShearModel.ATAN
-        model = fg.PlateModel(patch=fg.make_disk_patch(1.0, 3, 3),
+        model = fg.PlateModel(patch=make(1.0, p, 3),
                               section=fg.section_constants(spec, shear, 0.1), spec=spec,
                               shear=shear, edge_bcs=(BC.CLAMPED,) * 4, prestress=prestress)
     system = fg.assemble(model, want=("K", "M", "Kg"))
@@ -269,6 +276,20 @@ def test_matrices_match_pointwise_reference(geometry):
     again = fg.assemble(model, want=("K", "M", "Kg"))
     for got, repeat in zip((system.K, system.M, system.Kg), (again.K, again.M, again.Kg)):
         assert np.array_equal(got, repeat)
+
+
+@pytest.mark.parametrize("p,nel", [(3, 11), (2, 5), (4, 3)])
+def test_stiffness_blocks_are_exactly_the_coupled_pairs(p, nel):
+    # control points i, j couple when |i - j| <= p along each direction: n
+    # pairs with i = j and n - k ordered pairs each way at distance k
+    model = square_model(p=p, nel=nel)
+    n = nel + p
+    K = fg.assemble(model, want=("K",)).K
+    blocks = np.any(K.reshape(n * n, 4, n * n, 4) != 0, axis=(1, 3))
+    assert blocks.sum() == (n + 2 * sum(n - k for k in range(1, p + 1))) ** 2
+    index = np.arange(n)
+    near = np.abs(index[:, None] - index[None, :]) <= p
+    assert np.array_equal(blocks, np.kron(near, near))
 
 
 # ---------------------------------------------------------------------------

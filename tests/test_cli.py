@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fgplate import PRESETS
 from fgplate.cli import main
 
 
@@ -151,6 +152,15 @@ def test_zero_prestress_is_solver_error(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "buckling factor" in capsys.readouterr().err
+
+
+def test_buckling_without_free_deflection_names_it(tmp_path, capsys):
+    # one clamped element fixes the edge and its inner ring, which leaves only
+    # in-plane DOFs free: the failure is the missing deflection, not the prestress
+    doc = dict(PRESETS["buck-disk-atan-n0-hr0.1"], elements=1)
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "deflection" in capsys.readouterr().err
 
 
 def test_station_off_disk_is_config_error(tmp_path, capsys):

@@ -11,8 +11,8 @@ from .assembly import (
     PlateModel,
     SinusoidalLoad,
     UniformLoad,
-    apply_boundary_conditions,
     assemble,
+    edge_constraints,
     strain_operators,
 )
 from .errors import (

@@ -33,7 +33,11 @@ once per span and Gauss point (nurbs.tabulate). It forms each S_e and adds
 its a <= b pair rows into G, serially in element order. The per-case part
 is one product V = G @ C per matrix; it makes the 4 x 4 blocks of the
 pairs A = B exactly symmetric and writes each pair block and its transpose
-once into the dense matrix, so nothing is accumulated per case. A single
+once into the dense matrix, so nothing is accumulated per case. The matrix
+is numbered by the free DOFs of the model's edge conditions: a map from
+global DOF to free position, built per case, drops the entries of the fixed
+DOFs at that write, so no full-size matrix and no reduced copy is made. A
+model free on every edge fixes nothing and gets the full matrices. A single
 case builds G and uses it once. The cases of a sweep over n, a/h or the
 shear model share the patch, and sweep_case keeps G for all of them
 (PatchTables), with the load vector, which depends on the patch and the load
@@ -45,7 +49,8 @@ pairs per direction give 86^2 = 7,396 nonzero 4 x 4 blocks of K, of which
 Grams S_e would take 8.9 MB: kept for a sweep, they peaked the table-11
 benchmark at 96.1 MB RSS against 87.8 MB (seed 3, 2-vCPU VM) and ran no
 faster. Building G takes about 20 ms there; a K + M pair from it about 3 ms,
-against 26-29 ms for contracting and scattering the 121 element Grams.
+against 26-29 ms for contracting and scattering the 121 element Grams. On
+the 624 free DOFs of SSSS a matrix takes 3.1 MB, against 4.9 MB full-size.
 
 Every BLAS product stays below OpenBLAS's threading threshold
 (m n k > 262,144): the Grams are one (6 nb x n_q) @ (n_q x 6 nb) product per
@@ -90,7 +95,7 @@ __all__ = [
     "strain_operators",
     "assemble",
     "PatchTables",
-    "apply_boundary_conditions",
+    "edge_constraints",
 ]
 
 
@@ -155,9 +160,14 @@ class PlateModel:
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled matrices plus constrained-DOF bookkeeping.
+    """Assembled matrices on the free DOFs, plus constrained-DOF bookkeeping.
 
-    Matrices stay full-size; solvers eliminate the fixed rows/columns.
+    K, M and Kg are numbered by the free DOFs: row and column i belong to
+    global DOF free_dofs[i]. F is the load vector over all n_dofs DOFs, which
+    solve_static reads on the free ones. mechanism names a rigid motion that
+    the constraints leave and that a static or buckling solve cannot carry;
+    vibration reports it as a zero frequency. Solvers never write into these
+    arrays.
     """
 
     n_dofs: int
@@ -166,6 +176,7 @@ class GlobalSystem:
     Kg: Optional[np.ndarray] = None
     F: Optional[np.ndarray] = None
     fixed_dofs: np.ndarray = None
+    mechanism: Optional[str] = None
     free_dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -174,7 +185,10 @@ class GlobalSystem:
         object.__setattr__(self, "free_dofs", np.setdiff1d(np.arange(self.n_dofs), fixed))
 
     def reduce(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix[np.ix_(self.free_dofs, self.free_dofs)]
+        """The free-DOF block of a system matrix, which is the matrix itself:
+        assemble numbers K, M and Kg by the free DOFs. perfbench/tracer.py
+        still reads the matrices through this call."""
+        return matrix
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Embed a free-DOF vector (or mode block) into the full DOF space."""
@@ -265,7 +279,8 @@ _BENDING_ROWS, _SHEAR_ROWS, _PRESTRESS_ROWS, _INERTIA_ROWS = _kinematic_tables()
 
 def assemble(model: PlateModel, want=("K", "F"), *,
              tables: Optional["PatchTables"] = None) -> GlobalSystem:
-    """Build the requested global matrices and load vector.
+    """Build the requested global matrices, on the free DOFs of the model's
+    edge conditions (see edge_constraints), and the load vector.
 
     K, M and Kg come from one sweep with a (p+1) x (q+1) Gauss rule per
     element; F from a separate pass with a (p+3) x (q+3) rule (see the module
@@ -284,15 +299,17 @@ def assemble(model: PlateModel, want=("K", "F"), *,
     if tables is not None and tables.patch is not model.patch:
         raise ConfigurationError("assembly tables belong to another patch than the model's")
 
+    fixed, mechanism = edge_constraints(model, inertia="M" in want)
+    system = GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism)
     K = M = Kg = None
     if want & {"K", "M", "Kg"}:
         gram = _GlobalGram(model.patch) if tables is None else tables.gram
-        K, M, Kg = _assemble_matrices(model, want, gram)
+        K, M, Kg = _assemble_matrices(model, want, gram, system.free_dofs)
     F = None
     if "F" in want:
         F = (_assemble_load(model.patch, model.load) if tables is None
              else tables.load_vector(model.load))
-    return GlobalSystem(n_dofs=model.n_dofs, K=K, M=M, Kg=Kg, F=F)
+    return replace(system, K=K, M=M, Kg=Kg, F=F)
 
 
 class PatchTables:
@@ -395,10 +412,11 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
 _PRODUCT_ROWS = 256
 
 
-def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram):
-    """K, M and Kg (None where not wanted) from the global Gram of the
-    model's patch: one blocked product with a coefficient table per matrix,
-    then each pair block and its transpose written once."""
+def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram, free: np.ndarray):
+    """K, M and Kg (None where not wanted) on the given free DOFs, from the
+    global Gram of the model's patch: one blocked product with a coefficient
+    table per matrix, then the free entries of each pair block and of its
+    transpose written once."""
     section = model.section
     tables = {}
     if "K" in want:
@@ -408,7 +426,17 @@ def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram):
         tables["M"] = _coefficient_table(_INERTIA_ROWS, np.kron(np.eye(3), section.inertia_block()))
     if "Kg" in want:
         tables["Kg"] = _coefficient_table(_PRESTRESS_ROWS, model.prestress)
-    n = model.patch.n_points
+    # flat index of entry (A i, B j) of each pair block, and of its transpose,
+    # in an nf x nf matrix followed by one spare slot: a fixed DOF's position
+    # is nf^2, so every entry of its row or column lands in the spare slot
+    nf = free.size
+    spare = nf * nf
+    position = np.full(model.n_dofs, spare)
+    position[free] = np.arange(nf)
+    rows = np.repeat(position[4 * gram.first[:, None] + np.arange(4)], 4, axis=1).ravel()
+    cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
+    upper = np.minimum(rows * nf + cols, spare)
+    lower = np.minimum(cols * nf + rows, spare)
     G, d = gram.values, gram.diagonal
     out = {}
     for name, C in tables.items():
@@ -418,10 +446,10 @@ def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram):
             np.matmul(G[lo:lo + _PRODUCT_ROWS], C, out=V[lo:lo + _PRODUCT_ROWS])
         V = V.reshape(-1, 4, 4)
         V[d] = 0.5 * (V[d] + V[d].swapaxes(1, 2))
-        A = np.zeros((n, 4, n, 4))
-        A[gram.first, :, gram.second, :] = V
-        A[gram.second, :, gram.first, :] = V.swapaxes(1, 2)
-        out[name] = A.reshape(4 * n, 4 * n)
+        A = np.zeros(spare + 1)
+        A[upper] = V.ravel()
+        A[lower] = V.ravel()
+        out[name] = A[:spare].reshape(nf, nf)
     return tuple(out.get(name) for name in ("K", "M", "Kg"))
 
 
@@ -452,8 +480,11 @@ def _edge_point_indices(shape: tuple[int, int], edge: int, offset: int) -> np.nd
     return i + (nv - 1 - offset) * nu
 
 
-def apply_boundary_conditions(system: GlobalSystem, model: PlateModel) -> GlobalSystem:
-    """Mark constrained DOFs for the model's edge conditions.
+def edge_constraints(model: PlateModel, *,
+                     inertia: bool = False) -> tuple[np.ndarray, Optional[str]]:
+    """The fixed DOFs of the model's edge conditions, sorted, and the rigid
+    motion that they leave to a loaded or prestressed plate, if any. inertia
+    says whether the constrained system carries a mass matrix.
 
     Simple support on a u=const edge fixes (v0, wb, ws); on a v=const edge it
     fixes (u0, wb, ws). A clamped edge fixes all four DOFs on the edge and
@@ -461,12 +492,26 @@ def apply_boundary_conditions(system: GlobalSystem, model: PlateModel) -> Global
     a zero normal slope of both deflection parts.
 
     Supports on the u edges alone leave the in-plane translation u0 free (and
-    on the v edges alone v0), which makes the reduced stiffness singular. Such
-    a component is pinned at the middle control point of a free edge along
-    it: a rigid translation carries no strain and no load, so w and the
-    stresses do not change. A fully free plate is left as it is.
+    on the v edges alone v0), which makes the stiffness singular. Such a
+    component is pinned at the middle control point of a free edge along it:
+    a rigid translation carries no strain and no load, so w and the stresses
+    do not change. A fully free plate is left as it is.
+
+    On straight edges (the square's) the in-plane rotation about a point
+    (x_c, y_c), u0 = -t (y - y_c) and v0 = t (x - x_c), vanishes where a
+    simple support on the u edge x = x_c fixes v0 and one on the v edge
+    y = y_c fixes u0. Simple supports on two adjacent straight edges and no
+    clamp therefore leave the rotation about their common corner free.
+    Without inertia it is pinned through v0 at the middle control point of
+    the opposite u edge: the rotation enters neither K, Kg nor F, so static
+    and buckling answers do not change. With inertia it is a rigid mode of
+    zero frequency, which a pin would turn into a constrained in-plane mode
+    (omega_bar 0.085 for SFSF at a/h = 5 on 2 cubic elements). A single
+    simply supported straight edge and no clamp also leave w free to rotate
+    about that edge: a mechanism. Along the arcs of the disks neither
+    rotation vanishes, so nothing more is pinned there.
     """
-    fixed: set[int] = set(int(d) for d in system.fixed_dofs)
+    fixed: set[int] = set()
     shape = model.patch.net.shape
     floating = {0, 1}
     for edge, bc in enumerate(model.edge_bcs):
@@ -479,9 +524,25 @@ def apply_boundary_conditions(system: GlobalSystem, model: PlateModel) -> Global
             comps = (1, 2, 3) if edge in (0, 1) else (0, 2, 3)
         fixed.update(4 * int(a) + c for a in _edge_point_indices(shape, edge, 0) for c in comps)
         floating -= set(comps)
-    if any(bc is not BC.FREE for bc in model.edge_bcs):
+    supported = [edge for edge, bc in enumerate(model.edge_bcs) if bc is not BC.FREE]
+    if supported:
         for c in floating:
             # u0 floats only when both v edges are free, v0 when both u edges are
             line = _edge_point_indices(shape, 2 if c == 0 else 0, 0)
             fixed.add(4 * int(line[len(line) // 2]) + c)
-    return replace(system, fixed_dofs=np.array(sorted(fixed), dtype=int))
+    mechanism = None
+    if BC.CLAMPED not in model.edge_bcs:
+        # each supported edge's normal coordinate: x on the u edges, y on the v edges
+        points = model.patch.net.points.reshape(-1, 2, order="F")
+        normal = {edge: points[_edge_point_indices(shape, edge, 0), edge // 2]
+                  for edge in supported}
+        straight = all(np.ptp(x) <= 1e-12 * np.abs(points).max() for x in normal.values())
+        adjacent = len(supported) == 2 and supported[0] < 2 <= supported[1]
+        if straight and adjacent and not inertia:
+            line = _edge_point_indices(shape, 1 - supported[0], 0)
+            fixed.add(4 * int(line[len(line) // 2]) + 1)
+        elif straight and len(supported) == 1:
+            edge = supported[0]
+            mechanism = (f"mechanism: w can rotate rigidly about the simply supported edge "
+                         f"{'xy'[edge // 2]} = {normal[edge][0]:g}, the only supported edge")
+    return np.array(sorted(fixed), dtype=int), mechanism

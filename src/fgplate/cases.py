@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BC, PatchTables, PlateModel, apply_boundary_conditions, assemble
+from .assembly import BC, PatchTables, PlateModel, assemble
 from .errors import ConfigurationError, MassMatrixError, SpectrumError
 from .config import _SWEEP_FIELDS, CaseConfig
 from .nurbs import BasisLocal
@@ -22,8 +22,10 @@ from .postprocess import (
     _station_basis,
     nondimensionalize,
 )
-# run_case recovers the station through one located basis, not through these
-# public queries; perfbench's tracer still wraps them in this namespace
+# perfbench's tracer still wraps these names in this namespace, but run_case
+# calls none of them: it recovers the station through one located basis, and
+# assemble applies the edge conditions itself
+from .assembly import edge_constraints as apply_boundary_conditions  # noqa: F401
 from .postprocess import field_at, stress_profile  # noqa: F401
 from .solvers import EigenResult, solve_buckling, solve_static, solve_vibration
 
@@ -58,7 +60,7 @@ class SweepResult:
 
 
 def run_case(config: CaseConfig, *, tables: Optional[PatchTables] = None) -> CaseResult:
-    """Assemble, constrain, solve and nondimensionalize one case. Given the
+    """Assemble on the free DOFs, solve and nondimensionalize one case. Given the
     tables that the cases of a sweep share, the case is built on their patch
     and assembled from them."""
     model = config.build_model(None if tables is None else tables.patch)
@@ -70,12 +72,12 @@ def run_case(config: CaseConfig, *, tables: Optional[PatchTables] = None) -> Cas
         if all(bc is BC.FREE for bc in model.edge_bcs):
             raise MassMatrixError("mass matrix is singular on a plate free on every edge: the "
                                   "mode wb = -ws = const has neither inertia nor strain energy")
-        system = apply_boundary_conditions(assemble(model, want=("K", "M"), tables=tables), model)
+        system = assemble(model, want=("K", "M"), tables=tables)
         eigen = solve_vibration(system, config.modes)
         report = nondimensionalize(config.report, model, span=config.span,
                                    omegas=eigen.frequencies())
     else:
-        system = apply_boundary_conditions(assemble(model, want=("K", "Kg"), tables=tables), model)
+        system = assemble(model, want=("K", "Kg"), tables=tables)
         if not np.any(system.free_dofs % 4 >= 2):
             raise SpectrumError("no buckling mode: no free deflection DOF (wb, ws) remains "
                                 "after the edge constraints")
@@ -88,7 +90,7 @@ def _static_case(config: CaseConfig, model: PlateModel,
                  tables: Optional[PatchTables] = None) -> tuple[CaseResult, BasisLocal]:
     """A static case and the basis at its station, which is located once for
     the deflection, the stress and a profile."""
-    system = apply_boundary_conditions(assemble(model, want=("K", "F"), tables=tables), model)
+    system = assemble(model, want=("K", "F"), tables=tables)
     q = solve_static(system)
     x, y = config.center()
     basis = _station_basis(model, x, y)

@@ -1,8 +1,9 @@
 """Assembly tests: strain-operator sparsity, matrix symmetry, the rigid-body
 nullspace of the unconstrained stiffness, K, M and Kg against a point-by-point
 reference, load-column sums, the disk load resultant, quadrature consistency
-of the load vector, constrained-DOF bookkeeping, and the solvability of every
-SSFF preset."""
+of the load vector, constrained-DOF bookkeeping, the solvability of every
+SSFF preset, assembly on the free DOFs against the full matrices, and the
+pinned in-plane rotation and the mechanism of partly supported squares."""
 from dataclasses import replace
 
 import numpy as np
@@ -81,8 +82,8 @@ def test_matrices_symmetric(free_homogeneous):
 
 def test_mass_positive_definite_on_constrained_model():
     model = square_model(bcs=(BC.SIMPLY_SUPPORTED,) * 4, nel=3)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("M",)), model)
-    vals = np.linalg.eigvalsh(system.reduce(system.M))
+    system = fg.assemble(model, want=("M",))
+    vals = np.linalg.eigvalsh(system.M)
     assert vals.min() > 0
 
 
@@ -270,7 +271,9 @@ def test_matrices_match_pointwise_reference(geometry, p):
                               section=fg.section_constants(spec, shear, 0.1), spec=spec,
                               shear=shear, edge_bcs=(BC.CLAMPED,) * 4, prestress=prestress)
     system = fg.assemble(model, want=("K", "M", "Kg"))
+    free = np.ix_(system.free_dofs, system.free_dofs)
     for got, ref in zip((system.K, system.M, system.Kg), pointwise_matrices(model)):
+        ref = ref[free]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(got, got.T)
     again = fg.assemble(model, want=("K", "M", "Kg"))
@@ -298,7 +301,7 @@ def test_stiffness_blocks_are_exactly_the_coupled_pairs(p, nel):
 
 def test_free_edges_fix_nothing():
     model = square_model(bcs=(BC.FREE,) * 4)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K",)), model)
+    system = fg.assemble(model, want=("K",))
     assert system.fixed_dofs.size == 0
 
 
@@ -306,14 +309,14 @@ def test_ssss_fixed_count_on_cubic_mesh():
     # 11x11 cubic net is 14x14 control points: 3 DOFs per edge point,
     # with two of the six corner constraints shared between edge pairs
     model = square_model(bcs=(BC.SIMPLY_SUPPORTED,) * 4, p=3, nel=11)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K",)), model)
+    system = fg.assemble(model, want=("K",))
     assert model.patch.net.shape == (14, 14)
     assert system.fixed_dofs.size == 2 * 14 * 3 + 2 * 14 * 3 - 4 * 2
 
 
 def test_cccc_fixes_boundary_and_adjacent_ring():
     model = square_model(bcs=(BC.CLAMPED,) * 4, p=3, nel=11)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K",)), model)
+    system = fg.assemble(model, want=("K",))
     boundary_pts = 4 * 14 - 4
     ring_pts = 4 * 12 - 4
     assert system.fixed_dofs.size == boundary_pts * 4 + ring_pts * 2
@@ -329,7 +332,7 @@ def test_cccc_fixes_boundary_and_adjacent_ring():
 def test_mixed_edges_follow_spec_pattern():
     # S on a u-edge pins v0 (tangential), not u0
     model = square_model(bcs=(BC.SIMPLY_SUPPORTED, BC.FREE, BC.FREE, BC.FREE), nel=3)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K",)), model)
+    system = fg.assemble(model, want=("K",))
     nu, nv = model.patch.net.shape
     fixed = set(system.fixed_dofs.tolist())
     for j in range(nv):
@@ -343,11 +346,11 @@ def test_ssff_pins_one_in_plane_translation():
     # a free edge, and the reduced stiffness is positive definite
     bcs = (BC.SIMPLY_SUPPORTED, BC.SIMPLY_SUPPORTED, BC.FREE, BC.FREE)
     model = square_model(bcs=bcs, nel=3)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K",)), model)
+    system = fg.assemble(model, want=("K",))
     nu = model.patch.net.shape[0]
     pinned = system.fixed_dofs[system.fixed_dofs % 4 == 0] // 4
     assert pinned.size == 1 and 0 < pinned[0] < nu - 1
-    K = system.reduce(system.K)
+    K = system.K
     d = 1.0 / np.sqrt(np.diag(K))
     assert np.linalg.eigvalsh(K * d[:, None] * d[None, :]).min() > 1e-8
 
@@ -381,3 +384,113 @@ def test_ssff_deflection_grows_from_ceramic_to_metal(ssff_deflections, shear):
     labels = ["ceramic", "n0.5", "n1", "n2", "n4", "n8", "metal"]
     w = [ssff_deflections[f"bend-uni-sfsf-{label}-{shear}"] for label in labels]
     assert all(b > a for a, b in zip(w, w[1:])), w
+
+
+# ---------------------------------------------------------------------------
+# assembly on the free DOFs
+# ---------------------------------------------------------------------------
+
+def _disk_model(make, bcs=(BC.CLAMPED,) * 4):
+    spec = fg.FGMSpec(ceramic=AL2O3, metal=AL, n=2.0)
+    shear = fg.ShearModel.ATAN
+    return fg.PlateModel(patch=make(1.0, 3, 3), section=fg.section_constants(spec, shear, 0.1),
+                         spec=spec, shear=shear, edge_bcs=bcs, load=UniformLoad(1.0),
+                         prestress=np.array([[-1.3, 0.4], [0.4, -0.7]]))
+
+
+S, C, F = BC.SIMPLY_SUPPORTED, BC.CLAMPED, BC.FREE
+
+
+@pytest.mark.parametrize("geometry,bcs", [
+    pytest.param("square", (S, S, S, S), id="square-SSSS"),
+    pytest.param("square", (C, C, C, C), id="square-CCCC"),
+    pytest.param("square", (F, S, S, F), id="square-FSSF"),
+    pytest.param("disk", (C, C, C, C), id="disk-CCCC"),
+    pytest.param("mapped disk", (C, C, C, C), id="mapped-disk-CCCC"),
+])
+@pytest.mark.parametrize("want", [("K", "Kg", "F"), ("K", "M", "Kg", "F")])
+def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, bcs, want):
+    if geometry == "square":
+        model = square_model(n=1.5, nel=3, bcs=bcs, load=UniformLoad(1.0),
+                             prestress=np.array([[-1.3, 0.4], [0.4, -0.7]]))
+    else:
+        model = _disk_model(fg.make_disk_patch if geometry == "disk"
+                            else fg.make_mapped_disk_patch, bcs)
+    system = fg.assemble(model, want=want)
+    full = fg.assemble(replace(model, edge_bcs=(F,) * 4), want=want)
+    assert full.fixed_dofs.size == 0 and system.fixed_dofs.size > 0
+    free = np.ix_(system.free_dofs, system.free_dofs)
+    for name in set(want) - {"F"}:
+        got, ref = getattr(system, name), getattr(full, name)[free]
+        assert got.shape == (system.free_dofs.size,) * 2
+        assert np.array_equal(got, ref), name
+    assert np.array_equal(system.F, full.F)
+
+
+ADJACENT_SUPPORTS = ["FSSF", "FSFS", "SFFS", "SFSF"]
+
+
+def _far_pin(model, component):
+    """The middle control point of the edge opposite the supported u edge
+    (component 1) or v edge (component 0), as a DOF."""
+    supported = [edge for edge, bc in enumerate(model.edge_bcs) if bc is not F]
+    edge = 1 - supported[0] if component == 1 else 5 - supported[1]
+    nu, nv = model.patch.net.shape
+    i, j = {0: (0, nv // 2), 1: (nu - 1, nv // 2), 2: (nu // 2, 0), 3: (nu // 2, nv - 1)}[edge]
+    return 4 * (i + j * nu) + component
+
+
+@pytest.mark.parametrize("code", ADJACENT_SUPPORTS)
+def test_adjacent_supports_pin_the_in_plane_rotation_without_inertia(code):
+    # the rotation about the shared corner is pinned through one v0 on the
+    # opposite u edge for K, Kg and F, and left free, a rigid mode, with M
+    model = square_model(nel=3, bcs=tuple(BC(c) for c in code))
+    unpinned = set(fg.edge_constraints(model, inertia=True)[0].tolist())
+    system = fg.assemble(model, want=("K",))
+    assert set(system.fixed_dofs.tolist()) - unpinned == {_far_pin(model, 1)}
+    assert set(fg.assemble(model, want=("K", "M")).fixed_dofs.tolist()) == unpinned
+    K = system.K
+    d = 1.0 / np.sqrt(np.diag(K))
+    assert np.linalg.eigvalsh(K * d[:, None] * d[None, :]).min() > 1e-8
+    # the arcs of the disks hold the rotation, so nothing more is pinned there
+    for make in (fg.make_disk_patch, fg.make_mapped_disk_patch):
+        disk = _disk_model(make, model.edge_bcs)
+        assert np.array_equal(fg.edge_constraints(disk)[0],
+                              fg.edge_constraints(disk, inertia=True)[0])
+
+
+def _pinned_elsewhere(model, want):
+    """The system of the model with the rotation pinned through u0 on the
+    edge opposite the supported v edge instead."""
+    fixed = np.union1d(fg.edge_constraints(model, inertia=True)[0], [_far_pin(model, 0)])
+    full = fg.assemble(replace(model, edge_bcs=(F,) * 4), want=want)
+    free = np.setdiff1d(np.arange(model.n_dofs), fixed)
+    return fg.GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, F=full.F,
+                           **{name: getattr(full, name)[np.ix_(free, free)]
+                              for name in set(want) - {"F"}})
+
+
+@pytest.mark.parametrize("code", ADJACENT_SUPPORTS)
+def test_pinned_rotation_moves_neither_deflection_nor_buckling_load(code):
+    # pinning the free rotation through another DOF gives the same w and the
+    # same buckling loads: the rotation carries no strain, load or prestress
+    model = square_model(nel=3, bcs=tuple(BC(c) for c in code), load=UniformLoad(1.0),
+                         prestress=-np.eye(2))
+    q = fg.solve_static(fg.assemble(model, want=("K", "F")))
+    q_other = fg.solve_static(_pinned_elsewhere(model, ("K", "F")))
+    w, w_other = q[2::4] + q[3::4], q_other[2::4] + q_other[3::4]
+    assert np.abs(w - w_other).max() <= 1e-9 * np.abs(w).max()
+    loads = fg.solve_buckling(fg.assemble(model, want=("K", "Kg")), 4).values
+    loads_other = fg.solve_buckling(_pinned_elsewhere(model, ("K", "Kg")), 4).values
+    assert_allclose(loads, loads_other, rtol=1e-9)
+
+
+def test_single_straight_support_is_a_mechanism_only_on_the_square():
+    for code in ("SFFF", "FSFF", "FFSF", "FFFS"):
+        bcs = tuple(BC(c) for c in code)
+        mechanism = fg.edge_constraints(square_model(nel=2, bcs=bcs))[1]
+        assert mechanism is not None and "mechanism" in mechanism
+        # an arc of the disk holds w against the rotation about a line
+        for make in (fg.make_disk_patch, fg.make_mapped_disk_patch):
+            assert fg.edge_constraints(_disk_model(make, bcs))[1] is None
+    assert fg.edge_constraints(square_model(nel=2, bcs=(S, S, F, F)))[1] is None

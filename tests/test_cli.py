@@ -1,13 +1,14 @@
 """CLI behavior: output schemas per report family, determinism, config echo
-round-trip, exit codes for configuration and solver failures, and free-plate
-vibration (rigid modes written as 0, a fully free plate a mass error)."""
+round-trip, exit codes for configuration and solver failures, free-plate
+vibration (rigid modes written as 0, a fully free plate a mass error), and
+partly supported squares (two adjacent supports solve, one is a mechanism)."""
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from fgplate import PRESETS
+from fgplate import PRESETS, parse_config, run_case
 from fgplate.cli import main
 
 
@@ -113,6 +114,54 @@ def test_fully_free_vibration_is_mass_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "mass" in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def edge_case(edge_bcs, elements, kind):
+    """A graded a/h = 5 square under a uniform or sinusoidal load, or a
+    biaxial compression, on the given edge conditions."""
+    doc = small_static(elements=elements, edge_bcs=edge_bcs)
+    doc["material"].update(ceramic="ZrO2-1", scheme="mori_tanaka")
+    if kind == "uniform":
+        doc.update(load={"type": "uniform", "q0": 1.0}, report="bending_dm")
+    elif kind == "buckle":
+        doc.pop("load")
+        doc.update(prestress=[[-1.0, 0.0], [0.0, -1.0]], analysis={"type": "buckle", "modes": 2},
+                   report="buckling_dm")
+    return doc
+
+
+# w_bar under the uniform load and the two p_bar at 3 elements, from before
+# the in-plane rotation was pinned, when these stiffnesses still factorized
+ADJACENT_SUPPORTS_BEFORE = {"uniform": [3.5619963938972], "buckle": [3.26011957065433,
+                                                                     13.7751817828466]}
+
+
+@pytest.mark.parametrize("edge_bcs", ["FSSF", "FSFS", "SFFS", "SFSF"])
+def test_two_adjacent_simple_supports_solve(tmp_path, edge_bcs):
+    # the in-plane rotation about the shared corner is pinned: every static
+    # and buckling case exits 0, where one in three raised depending on roundoff
+    for elements in range(2, 7):
+        for kind in ("uniform", "sinusoidal", "buckle"):
+            name = f"{elements}-{kind}"
+            cfg = write_config(tmp_path, edge_case(edge_bcs, elements, kind), f"{name}.json")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0, name
+            rows = read_lines(tmp_path / name / "results.csv")[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    for kind, expected in ADJACENT_SUPPORTS_BEFORE.items():
+        report = run_case(parse_config(edge_case(edge_bcs, 3, kind))).report
+        assert report.values == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("edge_bcs", ["SFFF", "FSFF", "FFSF", "FFFS"])
+def test_single_simple_support_is_a_mechanism(tmp_path, capsys, edge_bcs):
+    # w rotates rigidly about the one supported edge: static and buckling say
+    # so before any factorization instead of reporting a roundoff answer
+    for elements in range(2, 9):
+        for kind in ("uniform", "buckle"):
+            name = f"{elements}-{kind}"
+            cfg = write_config(tmp_path, edge_case(edge_bcs, elements, kind), f"{name}.json")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 3, name
+            assert "mechanism" in capsys.readouterr().err
 
 
 def test_run_deterministic_bytes(tmp_path):

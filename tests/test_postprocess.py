@@ -26,7 +26,7 @@ def solve_sin_case(n=1.0, r=4.0, q0=1.0, shear=fg.ShearModel.ATAN, nel=9):
     model = fg.PlateModel(patch=patch, section=sec, spec=spec, shear=shear,
                           edge_bcs=(BC.SIMPLY_SUPPORTED,) * 4,
                           load=SinusoidalLoad(q0, a, a))
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K", "F")), model)
+    system = fg.assemble(model, want=("K", "F"))
     return model, fg.solve_static(system)
 
 
@@ -130,7 +130,7 @@ def solve_uniform_case(patch, edge_bcs):
     sec = fg.section_constants(spec, fg.ShearModel.ATAN_SIN, h)
     model = fg.PlateModel(patch=patch, section=sec, spec=spec, shear=fg.ShearModel.ATAN_SIN,
                           edge_bcs=edge_bcs, load=fg.UniformLoad(1.0))
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K", "F")), model)
+    system = fg.assemble(model, want=("K", "F"))
     return model, fg.solve_static(system)
 
 

@@ -1,8 +1,10 @@
 """Solver tests: trivial systems, residual bounds, degenerate-pair handling,
 cross-checks of the discretization against independent trigonometric-series
-solutions, and spectral monotonicity properties."""
+solutions, spectral monotonicity properties, systems left unchanged by a
+solve, and top-k buckling against the full spectrum."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 import fgplate as fg
@@ -35,7 +37,7 @@ def build_case(spec, shear, bcs, load=None, prestress=None, a=1.0, r=5.0, p=3, n
     sec = fg.section_constants(spec, shear, h)
     model = fg.PlateModel(patch=patch, section=sec, spec=spec, shear=shear,
                           edge_bcs=bcs, load=load, prestress=prestress)
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=want), model)
+    system = fg.assemble(model, want=want)
     return model, system
 
 
@@ -102,7 +104,7 @@ def test_static_residual_and_fixed_zeros(static_case):
     model, system = static_case
     q = fg.solve_static(system)
     free = system.free_dofs
-    resid = np.linalg.norm(system.K[np.ix_(free, free)] @ q[free] - system.F[free])
+    resid = np.linalg.norm(system.K @ q[free] - system.F[free])
     assert resid <= 1e-10 * np.linalg.norm(system.F[free])
     assert np.all(q[system.fixed_dofs] == 0.0)
 
@@ -133,7 +135,7 @@ def vibration_case():
 def test_vibration_matches_series_and_rayleigh(vibration_case):
     model, system = vibration_case
     res = fg.solve_vibration(system, 8)
-    K, M = system.reduce(system.K), system.reduce(system.M)
+    K, M = system.K, system.M
     for lam, v in zip(res.values, res.vectors.T):
         rayleigh = (v @ K @ v) / (v @ M @ v)
         assert rayleigh == pytest.approx(lam, rel=1e-9)
@@ -181,7 +183,7 @@ def test_mesh_objectivity_of_static_solution():
         model = fg.PlateModel(patch=patch, section=section, spec=spec, shear=shear,
                               edge_bcs=(BC.SIMPLY_SUPPORTED,) * 4,
                               load=SinusoidalLoad(1.0, 1.0, 1.0))
-        system = fg.apply_boundary_conditions(fg.assemble(model, want=("K", "F")), model)
+        system = fg.assemble(model, want=("K", "F"))
         q = fg.solve_static(system)
         results.append(fg.field_at(q, model, 0.5, 0.5)[4])
     assert abs(results[1] - results[0]) / abs(results[0]) < 1e-3
@@ -193,8 +195,7 @@ def test_constraining_an_edge_raises_fundamental(vibration_case):
     stiffer_model = fg.PlateModel(
         patch=model.patch, section=model.section, spec=model.spec, shear=model.shear,
         edge_bcs=(BC.CLAMPED, BC.SIMPLY_SUPPORTED, BC.SIMPLY_SUPPORTED, BC.SIMPLY_SUPPORTED))
-    stiffer = fg.apply_boundary_conditions(
-        fg.assemble(stiffer_model, want=("K", "M")), stiffer_model)
+    stiffer = fg.assemble(stiffer_model, want=("K", "M"))
     harder = fg.solve_vibration(stiffer, 1).frequencies()[0]
     assert harder > base
 
@@ -212,7 +213,7 @@ def disk_buckling(hr, nel=9, mapped=False, k=4):
     sec = fg.section_constants(spec, fg.ShearModel.ATAN, h)
     model = fg.PlateModel(patch=patch, section=sec, spec=spec, shear=fg.ShearModel.ATAN,
                           edge_bcs=(BC.CLAMPED,) * 4, prestress=-np.eye(2))
-    system = fg.apply_boundary_conditions(fg.assemble(model, want=("K", "Kg")), model)
+    system = fg.assemble(model, want=("K", "Kg"))
     res = fg.solve_buckling(system, k)
     dm = AL.E * h**3 / (12 * (1 - AL.nu**2))
     return res, system, [v * R**2 / dm for v in res.values]
@@ -221,8 +222,8 @@ def disk_buckling(hr, nel=9, mapped=False, k=4):
 def test_buckling_values_ascending_and_residuals():
     res, system, pbars = disk_buckling(0.2)
     assert np.all(np.diff(res.values) >= 0)
-    K = system.reduce(system.K)
-    G = -system.reduce(system.Kg)
+    K = system.K
+    G = -system.Kg
     knorm = np.linalg.norm(K, 2)
     for lam, v in zip(res.values, res.vectors.T):
         resid = np.linalg.norm(K @ v - lam * (G @ v))
@@ -233,3 +234,70 @@ def test_buckling_decreases_with_thickness():
     _, _, thick = disk_buckling(0.25)
     _, _, thin = disk_buckling(0.1)
     assert thin[0] > thick[0]
+
+
+# ---------------------------------------------------------------------------
+# solves read the system and leave it as it is; buckling computes k pairs
+# ---------------------------------------------------------------------------
+
+SOLVES = {
+    "static": (("K", "F"), fg.solve_static),
+    "vibration": (("K", "M"), lambda system: fg.solve_vibration(system, 4)),
+    "buckling": (("K", "Kg"), lambda system: fg.solve_buckling(system, 4)),
+}
+
+
+@pytest.mark.parametrize("analysis", SOLVES)
+def test_solve_leaves_the_system_unchanged_and_repeats_bitwise(analysis):
+    want, solve = SOLVES[analysis]
+    spec = fg.FGMSpec(ceramic=AL2O3, metal=AL, n=1.0)
+    _, system = build_case(spec, fg.ShearModel.ATAN, (BC.SIMPLY_SUPPORTED,) * 4, nel=4,
+                           load=SinusoidalLoad(1.0, 1.0, 1.0), prestress=-np.eye(2), want=want)
+    before = {name: getattr(system, name).copy() for name in want}
+    first = solve(system)
+    for name, array in before.items():
+        assert np.array_equal(getattr(system, name), array), name
+    second = solve(system)
+    if analysis == "static":
+        assert np.array_equal(first, second)
+    else:
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.vectors, second.vectors)
+
+
+PRESTRESSES = {
+    "compressive": [[-1.0, 0.0], [0.0, -1.0]],
+    "tensile": [[1.0, 0.0], [0.0, 0.5]],
+    "mixed": [[-1.0, 0.0], [0.0, 0.5]],
+    "shear": [[0.0, 1.0], [1.0, 0.0]],
+}
+
+
+def _buckling_system(geometry, prestress):
+    spec = fg.FGMSpec(ceramic=ZRO2, metal=AL, n=2.0)
+    shear = fg.ShearModel.ATAN
+    if geometry == "mapped-disk-CCCC":
+        patch, h = fg.make_mapped_disk_patch(0.5, 3, 4), 0.1
+    else:
+        patch, h = fg.make_square_patch(1.0, 1.0, 3, 4), 0.1
+    bc = BC.SIMPLY_SUPPORTED if geometry == "square-SSSS" else BC.CLAMPED
+    model = fg.PlateModel(patch=patch, section=fg.section_constants(spec, shear, h), spec=spec,
+                          shear=shear, edge_bcs=(bc,) * 4, prestress=np.array(prestress))
+    return fg.assemble(model, want=("K", "Kg"))
+
+
+@pytest.mark.parametrize("prestress", PRESTRESSES)
+@pytest.mark.parametrize("geometry", ["square-SSSS", "square-CCCC", "mapped-disk-CCCC"])
+def test_buckling_top_k_matches_the_full_spectrum(geometry, prestress):
+    # the k largest theta of the subset driver against every theta of a full
+    # solve, flipped pencil first and the raw sign (tension) as the fallback
+    system = _buckling_system(geometry, PRESTRESSES[prestress])
+    got = fg.solve_buckling(system, 4).values
+    for G in (-system.Kg, system.Kg):
+        theta = sla.eigh(G, system.K, eigvals_only=True)
+        positive = theta[theta > 1e-12 * np.abs(theta).max()]
+        if positive.size:
+            break
+    expected = 1.0 / np.sort(positive)[::-1][:4]
+    assert got.size == expected.size
+    assert_allclose(got, expected, rtol=1e-12)

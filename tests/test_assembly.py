@@ -398,18 +398,20 @@ def _disk_model(make, bcs=(BC.CLAMPED,) * 4):
                          prestress=np.array([[-1.3, 0.4], [0.4, -0.7]]))
 
 
-S, C, F = BC.SIMPLY_SUPPORTED, BC.CLAMPED, BC.FREE
+def _bcs(code):
+    return tuple(BC(c) for c in code)
 
 
-@pytest.mark.parametrize("geometry,bcs", [
-    pytest.param("square", (S, S, S, S), id="square-SSSS"),
-    pytest.param("square", (C, C, C, C), id="square-CCCC"),
-    pytest.param("square", (F, S, S, F), id="square-FSSF"),
-    pytest.param("disk", (C, C, C, C), id="disk-CCCC"),
-    pytest.param("mapped disk", (C, C, C, C), id="mapped-disk-CCCC"),
+@pytest.mark.parametrize("geometry,code", [
+    pytest.param("square", "SSSS", id="square-SSSS"),
+    pytest.param("square", "CCCC", id="square-CCCC"),
+    pytest.param("square", "FSSF", id="square-FSSF"),
+    pytest.param("disk", "CCCC", id="disk-CCCC"),
+    pytest.param("mapped disk", "CCCC", id="mapped-disk-CCCC"),
 ])
 @pytest.mark.parametrize("want", [("K", "Kg", "F"), ("K", "M", "Kg", "F")])
-def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, bcs, want):
+def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, code, want):
+    bcs = _bcs(code)
     if geometry == "square":
         model = square_model(n=1.5, nel=3, bcs=bcs, load=UniformLoad(1.0),
                              prestress=np.array([[-1.3, 0.4], [0.4, -0.7]]))
@@ -417,7 +419,7 @@ def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, bcs, w
         model = _disk_model(fg.make_disk_patch if geometry == "disk"
                             else fg.make_mapped_disk_patch, bcs)
     system = fg.assemble(model, want=want)
-    full = fg.assemble(replace(model, edge_bcs=(F,) * 4), want=want)
+    full = fg.assemble(replace(model, edge_bcs=(BC.FREE,) * 4), want=want)
     assert full.fixed_dofs.size == 0 and system.fixed_dofs.size > 0
     free = np.ix_(system.free_dofs, system.free_dofs)
     for name in set(want) - {"F"}:
@@ -433,7 +435,7 @@ ADJACENT_SUPPORTS = ["FSSF", "FSFS", "SFFS", "SFSF"]
 def _far_pin(model, component):
     """The middle control point of the edge opposite the supported u edge
     (component 1) or v edge (component 0), as a DOF."""
-    supported = [edge for edge, bc in enumerate(model.edge_bcs) if bc is not F]
+    supported = [edge for edge, bc in enumerate(model.edge_bcs) if bc is not BC.FREE]
     edge = 1 - supported[0] if component == 1 else 5 - supported[1]
     nu, nv = model.patch.net.shape
     i, j = {0: (0, nv // 2), 1: (nu - 1, nv // 2), 2: (nu // 2, 0), 3: (nu // 2, nv - 1)}[edge]
@@ -444,7 +446,7 @@ def _far_pin(model, component):
 def test_adjacent_supports_pin_the_in_plane_rotation_without_inertia(code):
     # the rotation about the shared corner is pinned through one v0 on the
     # opposite u edge for K, Kg and F, and left free, a rigid mode, with M
-    model = square_model(nel=3, bcs=tuple(BC(c) for c in code))
+    model = square_model(nel=3, bcs=_bcs(code))
     unpinned = set(fg.edge_constraints(model, inertia=True)[0].tolist())
     system = fg.assemble(model, want=("K",))
     assert set(system.fixed_dofs.tolist()) - unpinned == {_far_pin(model, 1)}
@@ -463,7 +465,7 @@ def _pinned_elsewhere(model, want):
     """The system of the model with the rotation pinned through u0 on the
     edge opposite the supported v edge instead."""
     fixed = np.union1d(fg.edge_constraints(model, inertia=True)[0], [_far_pin(model, 0)])
-    full = fg.assemble(replace(model, edge_bcs=(F,) * 4), want=want)
+    full = fg.assemble(replace(model, edge_bcs=(BC.FREE,) * 4), want=want)
     free = np.setdiff1d(np.arange(model.n_dofs), fixed)
     return fg.GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, F=full.F,
                            **{name: getattr(full, name)[np.ix_(free, free)]
@@ -474,7 +476,7 @@ def _pinned_elsewhere(model, want):
 def test_pinned_rotation_moves_neither_deflection_nor_buckling_load(code):
     # pinning the free rotation through another DOF gives the same w and the
     # same buckling loads: the rotation carries no strain, load or prestress
-    model = square_model(nel=3, bcs=tuple(BC(c) for c in code), load=UniformLoad(1.0),
+    model = square_model(nel=3, bcs=_bcs(code), load=UniformLoad(1.0),
                          prestress=-np.eye(2))
     q = fg.solve_static(fg.assemble(model, want=("K", "F")))
     q_other = fg.solve_static(_pinned_elsewhere(model, ("K", "F")))
@@ -487,10 +489,10 @@ def test_pinned_rotation_moves_neither_deflection_nor_buckling_load(code):
 
 def test_single_straight_support_is_a_mechanism_only_on_the_square():
     for code in ("SFFF", "FSFF", "FFSF", "FFFS"):
-        bcs = tuple(BC(c) for c in code)
+        bcs = _bcs(code)
         mechanism = fg.edge_constraints(square_model(nel=2, bcs=bcs))[1]
         assert mechanism is not None and "mechanism" in mechanism
         # an arc of the disk holds w against the rotation about a line
         for make in (fg.make_disk_patch, fg.make_mapped_disk_patch):
             assert fg.edge_constraints(_disk_model(make, bcs))[1] is None
-    assert fg.edge_constraints(square_model(nel=2, bcs=(S, S, F, F)))[1] is None
+    assert fg.edge_constraints(square_model(nel=2, bcs=_bcs("SSFF")))[1] is None

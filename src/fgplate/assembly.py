@@ -187,7 +187,11 @@ class GlobalSystem:
     def reduce(self, matrix: np.ndarray) -> np.ndarray:
         """The free-DOF block of a system matrix, which is the matrix itself:
         assemble numbers K, M and Kg by the free DOFs. perfbench/tracer.py
-        still reads the matrices through this call."""
+        still reads the matrices through this call. A matrix of any other
+        size is not one of this system's and raises."""
+        if matrix.shape != (self.free_dofs.size,) * 2:
+            raise ConfigurationError(f"a {matrix.shape} matrix is not on the "
+                                     f"{self.free_dofs.size} free DOFs of this system")
         return matrix
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
@@ -506,10 +510,11 @@ def edge_constraints(model: PlateModel, *,
     the opposite u edge: the rotation enters neither K, Kg nor F, so static
     and buckling answers do not change. With inertia it is a rigid mode of
     zero frequency, which a pin would turn into a constrained in-plane mode
-    (omega_bar 0.085 for SFSF at a/h = 5 on 2 cubic elements). A single
-    simply supported straight edge and no clamp also leave w free to rotate
-    about that edge: a mechanism. Along the arcs of the disks neither
-    rotation vanishes, so nothing more is pinned there.
+    (omega_bar 0.085 for SFSF at a/h = 5 on 2 cubic elements), so it is left
+    free and named as the mechanism, on which a static or buckling solve of
+    that system raises. A single simply supported straight edge and no clamp
+    also leave w free to rotate about that edge: a mechanism. Along the arcs
+    of the disks neither rotation vanishes, so nothing more is pinned there.
     """
     fixed: set[int] = set()
     shape = model.patch.net.shape
@@ -538,7 +543,11 @@ def edge_constraints(model: PlateModel, *,
                   for edge in supported}
         straight = all(np.ptp(x) <= 1e-12 * np.abs(points).max() for x in normal.values())
         adjacent = len(supported) == 2 and supported[0] < 2 <= supported[1]
-        if straight and adjacent and not inertia:
+        if straight and adjacent and inertia:
+            mechanism = ("the in-plane rotation about the corner of the two simply supported "
+                         "edges is left free as a rigid mode of the mass matrix: assemble "
+                         "without M for a static or buckling solve")
+        elif straight and adjacent:
             line = _edge_point_indices(shape, 1 - supported[0], 0)
             fixed.add(4 * int(line[len(line) // 2]) + 1)
         elif straight and len(supported) == 1:

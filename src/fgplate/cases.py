@@ -24,7 +24,8 @@ from .postprocess import (
 )
 # perfbench's tracer still wraps these names in this namespace, but run_case
 # calls none of them: it recovers the station through one located basis, and
-# assemble applies the edge conditions itself
+# assemble applies the edge conditions itself. apply_boundary_conditions is
+# only that name: it is edge_constraints, not the old step on a system
 from .assembly import edge_constraints as apply_boundary_conditions  # noqa: F401
 from .postprocess import field_at, stress_profile  # noqa: F401
 from .solvers import EigenResult, solve_buckling, solve_static, solve_vibration

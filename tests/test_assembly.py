@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import fgplate as fg
 from fgplate.assembly import BC, SinusoidalLoad, UniformLoad
-from fgplate.errors import ConfigurationError
+from fgplate.errors import ConfigurationError, SolverError
 
 AL = fg.MATERIALS["Al"]
 AL2O3 = fg.MATERIALS["Al2O3"]
@@ -270,12 +270,16 @@ def test_matrices_match_pointwise_reference(geometry, p):
         model = fg.PlateModel(patch=make(1.0, p, 3),
                               section=fg.section_constants(spec, shear, 0.1), spec=spec,
                               shear=shear, edge_bcs=(BC.CLAMPED,) * 4, prestress=prestress)
+    # the full matrices, every boundary entry included, and on the disks the
+    # free block that the clamp leaves
+    full = fg.assemble(replace(model, edge_bcs=(BC.FREE,) * 4), want=("K", "M", "Kg"))
     system = fg.assemble(model, want=("K", "M", "Kg"))
     free = np.ix_(system.free_dofs, system.free_dofs)
-    for got, ref in zip((system.K, system.M, system.Kg), pointwise_matrices(model)):
-        ref = ref[free]
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(got, got.T)
+    for name, ref in zip(("K", "M", "Kg"), pointwise_matrices(model)):
+        for got, expected in ((getattr(full, name), ref), (getattr(system, name), ref[free])):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.array_equal(got, got.T)
     again = fg.assemble(model, want=("K", "M", "Kg"))
     for got, repeat in zip((system.K, system.M, system.Kg), (again.K, again.M, again.Kg)):
         assert np.array_equal(got, repeat)
@@ -429,6 +433,15 @@ def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, code, 
     assert np.array_equal(system.F, full.F)
 
 
+def test_reduce_passes_only_free_size_matrices():
+    # reduce is the identity on the free-DOF matrices and refuses a full-size one
+    model = square_model(nel=2, bcs=_bcs("SSSS"))
+    system = fg.assemble(model, want=("K",))
+    assert system.reduce(system.K) is system.K
+    full = fg.assemble(replace(model, edge_bcs=(BC.FREE,) * 4), want=("K",))
+    with pytest.raises(ConfigurationError, match="free DOFs"):
+        system.reduce(full.K)
+
 ADJACENT_SUPPORTS = ["FSSF", "FSFS", "SFFS", "SFSF"]
 
 
@@ -485,6 +498,23 @@ def test_pinned_rotation_moves_neither_deflection_nor_buckling_load(code):
     loads = fg.solve_buckling(fg.assemble(model, want=("K", "Kg")), 4).values
     loads_other = fg.solve_buckling(_pinned_elsewhere(model, ("K", "Kg")), 4).values
     assert_allclose(loads, loads_other, rtol=1e-9)
+
+
+@pytest.mark.parametrize("code", ADJACENT_SUPPORTS)
+def test_free_rotation_with_a_mass_matrix_stops_static_and_buckling(code):
+    # with M the rotation is left free, a rigid mode: vibration reports it as
+    # a zero frequency, and a static or buckling solve of the same system
+    # raises before any factorization instead of solving a singular K
+    model = square_model(nel=3, bcs=_bcs(code), load=UniformLoad(1.0),
+                         prestress=-np.eye(2))
+    assert fg.assemble(model, want=("K", "Kg", "F")).mechanism is None
+    with_mass = fg.assemble(model, want=("K", "M", "Kg", "F"))
+    assert "assemble without M" in with_mass.mechanism
+    with pytest.raises(SolverError, match="assemble without M"):
+        fg.solve_buckling(with_mass, 2)
+    with pytest.raises(SolverError, match="assemble without M"):
+        fg.solve_static(with_mass)
+    assert fg.solve_vibration(with_mass, 1).values[0] == 0.0
 
 
 def test_single_straight_support_is_a_mechanism_only_on_the_square():

@@ -496,10 +496,13 @@ def edge_constraints(model: PlateModel, *,
     a zero normal slope of both deflection parts.
 
     Supports on the u edges alone leave the in-plane translation u0 free (and
-    on the v edges alone v0), which makes the stiffness singular. Such a
-    component is pinned at the middle control point of a free edge along it:
-    a rigid translation carries no strain and no load, so w and the stresses
-    do not change. A fully free plate is left as it is.
+    on the v edges alone v0), which makes the stiffness singular. Without
+    inertia such a component is pinned at the middle control point of a free
+    edge along it: a rigid translation carries no strain and no load, so w and
+    the stresses do not change. With inertia it is a rigid mode of zero
+    frequency, which a pin would turn into a spurious in-plane mode (3,622.6
+    rad/s on SSFF at a/h = 5 on 4 cubic elements), so it is left free and
+    named as a mechanism. A fully free plate is left as it is.
 
     On straight edges (the square's) the in-plane rotation about a point
     (x_c, y_c), u0 = -t (y - y_c) and v0 = t (x - x_c), vanishes where a
@@ -515,6 +518,7 @@ def edge_constraints(model: PlateModel, *,
     that system raises. A single simply supported straight edge and no clamp
     also leave w free to rotate about that edge: a mechanism. Along the arcs
     of the disks neither rotation vanishes, so nothing more is pinned there.
+    Several mechanisms are named together, separated by "; ".
     """
     fixed: set[int] = set()
     shape = model.patch.net.shape
@@ -530,12 +534,17 @@ def edge_constraints(model: PlateModel, *,
         fixed.update(4 * int(a) + c for a in _edge_point_indices(shape, edge, 0) for c in comps)
         floating -= set(comps)
     supported = [edge for edge, bc in enumerate(model.edge_bcs) if bc is not BC.FREE]
+    rigid = ("is left free as a rigid mode of the mass matrix: assemble without M for a "
+             "static or buckling solve")
+    mechanisms = []
     if supported:
         for c in floating:
             # u0 floats only when both v edges are free, v0 when both u edges are
-            line = _edge_point_indices(shape, 2 if c == 0 else 0, 0)
-            fixed.add(4 * int(line[len(line) // 2]) + c)
-    mechanism = None
+            if inertia:
+                mechanisms.append(f"the in-plane translation {'uv'[c]}0 {rigid}")
+            else:
+                line = _edge_point_indices(shape, 2 if c == 0 else 0, 0)
+                fixed.add(4 * int(line[len(line) // 2]) + c)
     if BC.CLAMPED not in model.edge_bcs:
         # each supported edge's normal coordinate: x on the u edges, y on the v edges
         points = model.patch.net.points.reshape(-1, 2, order="F")
@@ -544,14 +553,13 @@ def edge_constraints(model: PlateModel, *,
         straight = all(np.ptp(x) <= 1e-12 * np.abs(points).max() for x in normal.values())
         adjacent = len(supported) == 2 and supported[0] < 2 <= supported[1]
         if straight and adjacent and inertia:
-            mechanism = ("the in-plane rotation about the corner of the two simply supported "
-                         "edges is left free as a rigid mode of the mass matrix: assemble "
-                         "without M for a static or buckling solve")
+            mechanisms.append(f"the in-plane rotation about the corner of the two simply "
+                              f"supported edges {rigid}")
         elif straight and adjacent:
             line = _edge_point_indices(shape, 1 - supported[0], 0)
             fixed.add(4 * int(line[len(line) // 2]) + 1)
         elif straight and len(supported) == 1:
             edge = supported[0]
-            mechanism = (f"mechanism: w can rotate rigidly about the simply supported edge "
-                         f"{'xy'[edge // 2]} = {normal[edge][0]:g}, the only supported edge")
-    return np.array(sorted(fixed), dtype=int), mechanism
+            mechanisms.append(f"mechanism: w can rotate rigidly about the simply supported edge "
+                              f"{'xy'[edge // 2]} = {normal[edge][0]:g}, the only supported edge")
+    return np.array(sorted(fixed), dtype=int), "; ".join(mechanisms) or None

@@ -6,16 +6,23 @@ Problem sizes stay in the low thousands of DOFs, so dense symmetric
 factorizations are the right tool. At 784 DOFs (624 free, K 23% nonzero) the
 10 lowest vibration modes take 31-32 ms with the dense subset eigh, against
 50-52 ms for a sparse shift-invert eigsh (splu) and 61-88 ms for eigsh on a
-dense Cholesky (vib10-atan-n1-r10, 2-vCPU VM). The eigensolves compute only
-the pairs they report: the k lowest for vibration, the k largest 1/lambda
-for buckling, through LAPACK's subset driver xSYGVX. They run in scipy's
-LAPACK on its bundled OpenBLAS, which is multi-threaded: it uses up to one
-thread per core unless OPENBLAS_NUM_THREADS caps it. For a fixed thread count
-the results are deterministic.
+dense Cholesky (vib10-atan-n1-r10, 2-vCPU VM).
+
+Both eigenproblems are one flipped pencil, B v = mu (K + sigma B) v, of which
+only the k largest mu are computed, by LAPACK's subset driver xSYGVX. The
+factorized operator is the stiffness: vibration takes B = M and a small
+shift sigma (lambda = 1/mu - sigma), buckling takes B = -Kg and sigma = 0
+(lambda = 1/mu). M is never factorized, because it is nearly singular on
+thin plates. The matrices are not equilibrated: on every case measured the
+flip and the shift alone give the equilibrated form's eigenvalues, and the
+scaling copies cost 5-7 ms of a 25-32 ms vibration solve at 624 free DOFs.
+The solves run in scipy's LAPACK on its bundled OpenBLAS, which is
+multi-threaded: it uses up to one thread per core unless OPENBLAS_NUM_THREADS
+caps it. For a fixed thread count the results are deterministic.
 
 A solve reads the system's arrays and never writes into them, so a system
 can be solved again with the same result. LAPACK works in place only on
-arrays that the solver makes itself (G = -Kg); it copies K and M.
+arrays that the solver makes itself (B, and K + sigma M); it copies K.
 """
 from __future__ import annotations
 
@@ -115,30 +122,67 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     return system.expand(best_y * d)
 
 
-def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
-    """k smallest vibration eigenpairs of (K - omega^2 M) q = 0. Rigid-body
-    modes, within 1e-12 max(diag K / diag M) of zero, return exactly 0; an
-    eigenvalue below that bound on the negative side raises SolverError."""
-    K = _matrix(system, "K")
-    M = _matrix(system, "M")
-    k = min(k, K.shape[0])
+def _largest_pairs(B: np.ndarray, K: np.ndarray, sigma: float, k: int, factored: str) -> tuple:
+    """The k largest mu of B v = mu (K + sigma B) v, descending, with their
+    vectors, which are normalized to v^T (K + sigma B) v = 1.
+
+    One call of LAPACK's subset driver xSYGVX factorizes K + sigma B. B must
+    be a fresh bitwise symmetric array, which LAPACK overwrites; K is never
+    written (it is copied when sigma is 0). factored names K + sigma B in the
+    SolverError raised when it is not positive definite.
+    """
+    n = K.shape[0]
+    k = min(k, n)
     if k < 1:
         raise SolverError("need at least one requested mode")
-    not_definite = "mass matrix is not positive definite on the free DOFs"
-    if not np.all(np.diag(M) > 0.0):
-        raise MassMatrixError(not_definite)
-    floor = 1e-12 * np.max(np.diag(K) / np.diag(M))
-    # K and M are bitwise symmetric, so their transposes are the same matrices
-    # in Fortran order, which LAPACK copies once each and leaves untouched
+    A = K + sigma * B if sigma else K
+    # the transposes of bitwise symmetric C-order arrays are the same
+    # matrices in Fortran order: LAPACK overwrites B and K + sigma B in
+    # place and copies K
     try:
-        values, vectors = sla.eigh(K.T, M.T, subset_by_index=(0, k - 1), check_finite=False)
+        mu, vectors = sla.eigh(B.T, A.T, subset_by_index=(n - k, n - 1), overwrite_a=True,
+                               overwrite_b=A is not K, check_finite=False)
     except sla.LinAlgError as exc:
-        raise MassMatrixError(not_definite) from exc
+        raise SolverError(f"{factored} is not positive definite on the free DOFs") from exc
+    return mu[::-1], vectors[:, ::-1]
+
+
+def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
+    """k smallest vibration eigenpairs of (K - omega^2 M) q = 0.
+
+    M is never factorized: the translational inertia I1 acts on wb + ws and
+    only rotary terms of order h^2 separate wb from ws, so M is nearly
+    singular on thin plates, and eigh(K, M) gave negative or spurious
+    eigenvalues there (lambda = -3.7e4 on SSSS at a/h = 1e6). The k largest
+    mu of M v = mu (K + sigma M) v are computed instead, with sigma =
+    1e-9 median(diag K / diag M), which makes K + sigma M positive definite
+    on a plate with rigid modes. Then lambda = 1/mu - sigma, and the vectors
+    are divided by sqrt(mu) so that v^T M v = 1. The flip and the shift alone
+    give the equilibrated form's eigenvalues on every case measured, so the
+    matrices are not scaled.
+
+    Rigid-body modes, within 1e-16 max(diag K / diag M) of zero, return
+    exactly 0; an eigenvalue below that bound on the negative side raises
+    SolverError. The floor lies inside the measured window between the two:
+    rigid modes reach |lambda| <= 6.6e-7 (SFFF, FSSF, FSFS; a/h 5 to 1e6; 4 to
+    16 elements) and flexible modes start at 2.86e-5 (FSSF at a/h = 1e6),
+    while the floor runs from 1.9e-6 to 1.4e-5, at least 2x from either side.
+    """
+    K, M = _matrix(system, "K"), _matrix(system, "M")
+    if not np.all(np.diag(M) > 0.0):
+        raise MassMatrixError("mass matrix is not positive definite on the free DOFs")
+    ratio = np.diag(K) / np.diag(M)
+    sigma = 1e-9 * np.median(ratio)
+    mu, vectors = _largest_pairs(M.copy(), K, sigma, k, f"K + sigma M (sigma = {sigma:.3e})")
+    if mu[-1] <= 0.0:
+        raise MassMatrixError(f"mass matrix has fewer than {mu.size} positive modes")
+    values = 1.0 / mu - sigma
+    floor = 1e-16 * np.max(ratio)
     if values[0] < -floor:
         raise SolverError(f"vibration eigenvalue lambda = {values[0]:.3e} is negative "
                           f"beyond roundoff (-{floor:.3e})")
     values[values <= floor] = 0.0
-    return EigenResult(values=values, vectors=vectors)
+    return EigenResult(values=values, vectors=vectors / np.sqrt(mu))
 
 
 def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
@@ -147,9 +191,9 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     Kg assembled with a tensile-positive compressive prestress is negative
     semidefinite, so the pencil is flipped to the positive-curvature operator
     G = -Kg and solved as G v = (1/lambda) K v, which keeps the factorized
-    operator positive definite. Only the k largest theta = 1/lambda are
-    computed (LAPACK's subset driver xSYGVX). Those above 1e-12 times the
-    larger of max |diag G / diag K| and max |theta| count as positive: the
+    operator positive definite: the vibration pencil with B = G and sigma = 0.
+    Only the k largest theta = 1/lambda are computed. Those above 1e-12 times
+    the larger of max |diag G / diag K| and max |theta| count as positive: the
     diagonal sets the scale when the k largest theta are roundoff (a tensile
     prestress), the computed theta when the diagonal vanishes (pure shear,
     where R_x R_y integrates to zero). If the flipped pencil has no positive
@@ -158,24 +202,12 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
-    K = _matrix(system, "K")
-    Kg = _matrix(system, "Kg")
-    n = K.shape[0]
-    k = min(k, n)
-    if k < 1:
-        raise SolverError("need at least one requested mode")
+    K, Kg = _matrix(system, "K"), _matrix(system, "Kg")
     diag_g = np.abs(np.diag(Kg))
     for sign in (-1.0, 1.0):
-        # G is a fresh bitwise symmetric array, so LAPACK overwrites its
-        # transpose in place; K is copied and kept
-        G = sign * Kg
-        try:
-            theta, vectors = sla.eigh(G.T, K.T, subset_by_index=(n - k, n - 1),
-                                      overwrite_a=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise SolverError("stiffness matrix is not positive definite on the free DOFs") from exc
+        theta, vectors = _largest_pairs(sign * Kg, K, 0.0, k, "stiffness matrix")
         scale = max(np.max(diag_g / np.diag(K)), np.abs(theta).max())
-        take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)[::-1]
+        take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)
         if take.size:
             return EigenResult(values=1.0 / theta[take], vectors=vectors[:, take])
     raise SpectrumError("no positive buckling factor found for this prestress state")

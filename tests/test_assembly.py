@@ -517,6 +517,22 @@ def test_free_rotation_with_a_mass_matrix_stops_static_and_buckling(code):
     assert fg.solve_vibration(with_mass, 1).values[0] == 0.0
 
 
+def test_free_translation_with_a_mass_matrix_stops_static_and_buckling():
+    # SSFF leaves u0 free: pinned for K, Kg and F, left free with M, where a
+    # pin made a spurious in-plane mode (3,622.6 rad/s at a/h = 5)
+    model = square_model(r=5.0, bcs=_bcs("SSFF"), load=UniformLoad(1.0), prestress=-np.eye(2))
+    assert fg.assemble(model, want=("K", "Kg", "F")).mechanism is None
+    with_mass = fg.assemble(model, want=("K", "M", "Kg", "F"))
+    assert "translation u0" in with_mass.mechanism
+    with pytest.raises(SolverError, match="translation u0"):
+        fg.solve_static(with_mass)
+    with pytest.raises(SolverError, match="translation u0"):
+        fg.solve_buckling(with_mass, 2)
+    omegas = fg.solve_vibration(with_mass, 3).frequencies()
+    assert omegas[0] == 0.0
+    assert_allclose(omegas[1:], [4200.3, 6821.0], rtol=2e-5)
+
+
 def test_single_straight_support_is_a_mechanism_only_on_the_square():
     for code in ("SFFF", "FSFF", "FFSF", "FFFS"):
         bcs = _bcs(code)

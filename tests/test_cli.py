@@ -98,13 +98,17 @@ def free_vibration(edge_bcs, **material):
 
 
 def test_partly_free_vibration_reports_rigid_modes_as_zero(tmp_path):
-    # the two rigid-body modes of SFFF came out at -roundoff and wrote nan
-    cfg = write_config(tmp_path, free_vibration("SFFF", ceramic="ZrO2-1", scheme="mori_tanaka"))
-    out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    values = [float(line.split(",")[1]) for line in read_lines(out / "results.csv")[1:]]
-    assert values[:2] == [0.0, 0.0]
-    assert all(math.isfinite(v) for v in values) and values[2] > 0.0
+    # the rigid-body modes of SFFF came out at -roundoff and wrote nan, and
+    # eigh(K, M) made them nonzero or negative at a/h = 1e4 and 1e6; the
+    # third, the in-plane translation u0, is left free with a mass matrix
+    for ratio in (5.0, 1e4, 1e6):
+        doc = free_vibration("SFFF", ceramic="ZrO2-1", scheme="mori_tanaka")
+        doc["thickness_ratio"] = ratio
+        out = tmp_path / f"out-{ratio:g}"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        values = [float(line.split(",")[1]) for line in read_lines(out / "results.csv")[1:]]
+        assert values[:3] == [0.0, 0.0, 0.0]
+        assert all(math.isfinite(v) for v in values) and values[3] > 0.0
 
 
 def test_fully_free_vibration_is_mass_error(tmp_path, capsys):

@@ -72,6 +72,13 @@ def test_vibration_rejects_singular_mass():
         fg.solve_vibration(tiny_system(np.eye(2), M=np.diag([1.0, 0.0])), 2)
 
 
+def test_vibration_rejects_indefinite_mass():
+    # a positive diagonal does not make M positive definite: the pencil's
+    # negative mu is an eigenvalue with no positive mass
+    with pytest.raises(MassMatrixError, match="positive modes"):
+        fg.solve_vibration(tiny_system(np.eye(2), M=[[1.0, 2.0], [2.0, 1.0]]), 2)
+
+
 def test_buckling_single_dof_pattern_operator():
     # already-flipped positive operator form
     res = fg.solve_buckling(tiny_system([[6.0]], Kg=[[2.0]]), 1)
@@ -198,6 +205,60 @@ def test_constraining_an_edge_raises_fundamental(vibration_case):
     stiffer = fg.assemble(stiffer_model, want=("K", "M"))
     harder = fg.solve_vibration(stiffer, 1).frequencies()[0]
     assert harder > base
+
+
+# ---------------------------------------------------------------------------
+# thin limits: M couples wb and ws only through terms of order h^2, so the
+# pencil factorizes K + sigma M, never M
+# ---------------------------------------------------------------------------
+
+ZRO2_MT = fg.FGMSpec(ceramic=ZRO2, metal=AL, n=1.0, scheme=fg.Scheme.MORI_TANAKA)
+
+
+def thin_vibration(code, r, nel, k=4):
+    bcs = tuple(BC(c) for c in code)
+    model, system = build_case(ZRO2_MT, fg.ShearModel.ATAN, bcs, r=r, nel=nel, want=("K", "M"))
+    return model, system, fg.solve_vibration(system, k)
+
+
+def test_thin_simply_supported_vibration_matches_series():
+    # eigh(K, M) gave lambda = -3.7e4 here and the 4x4 series oracle 2,349.9
+    model, system, res = thin_vibration("SSSS", 1e6, 7)
+    blocks, ds, inertias = section_blocks_bruteforce(model.spec, model.shear, model.section.h)
+    expected = series_frequencies(1.0, model.section.h, blocks, ds, inertias)[:4]
+    assert expected[0] ** 2 == pytest.approx(9.8108e-4, rel=1e-4)
+    assert_allclose(res.frequencies(), expected, rtol=1e-3)
+    K, M = system.K, system.M
+    for lam, v in zip(res.values, res.vectors.T):
+        assert v @ M @ v == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(K @ v - lam * (M @ v)) <= 1e-8 * lam * np.linalg.norm(M @ v)
+
+
+def test_thin_degenerate_pair_is_equal_to_roundoff():
+    # eigh(K, M) split the (1, 2)/(2, 1) pair by 3.5% at a/h = 1e4 on 7
+    # elements and put lambda_1 4% low
+    _, _, res = thin_vibration("SSSS", 1e4, 7, k=3)
+    assert res.values[2] == pytest.approx(res.values[1], rel=1e-12)
+    assert res.values[0] * 1e8 == pytest.approx(9.8112e8, rel=1e-4)
+
+
+def test_thin_cantilever_eigenvalues_scale_as_h_squared():
+    # lambda ~ D / (rho h) ~ h^2 once shear is negligible; eigh(K, M) gave
+    # 0.2979 at a/h = 1e4 on 5 elements (0.7406, a double mode, on 11) and a
+    # negative lambda at a/h = 1e6
+    scaled = [thin_vibration("CFFF", r, 5)[2].values * r**2 for r in (1e4, 1e6)]
+    assert scaled[0][0] == pytest.approx(3.0418e7, rel=1e-4)
+    assert_allclose(scaled[1], scaled[0], rtol=1e-6)
+
+
+def test_thin_flexible_mode_is_not_taken_for_a_rigid_one():
+    # the flexible lambda_2 of FSSF at a/h = 1e6 lies below the old rigid-mode
+    # floor 1e-12 max(diag K / diag M) = 1.9e-2 and above the new 1e-16 one
+    _, system, res = thin_vibration("FSSF", 1e6, 6)
+    ratio = np.diag(system.K) / np.diag(system.M)
+    assert res.values[0] == 0.0
+    assert res.values[1] == pytest.approx(2.864e-5, rel=1e-3)
+    assert 2.0 * 1e-16 * ratio.max() < res.values[1] < 1e-12 * ratio.max()
 
 
 # ---------------------------------------------------------------------------

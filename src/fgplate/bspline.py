@@ -4,12 +4,15 @@ derivatives, knot insertion and degree elevation.
 All knot vectors are open (clamped): the end knots repeat degree+1 times, so the
 curve interpolates its end control points and evaluation at the right endpoint
 falls back to the last nonempty span. Span lookup and basis evaluation take a
-scalar or an array of parameters through one vectorized path; knot insertion
-and degree elevation act along axis 0 of a control array of any shape.
+scalar or an array of parameters through one vectorized path, which
+basis_tables runs once over the parameters of several knot vectors of one
+degree; knot insertion and degree elevation act along axis 0 of a control
+array of any shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,17 +103,39 @@ def basis_derivs(knots: KnotVector, xi, max_deriv: int = 2):
     Returns (span, ders). For a scalar, span is an int and ders has shape
     (max_deriv+1, degree+1), ders[k, j] being the k-th derivative of basis
     function span-degree+j; an array xi adds a leading parameter axis to both.
+    This is basis_tables on one knot vector.
+    """
+    ((span, ders),) = basis_tables(((knots, xi),), max_deriv)
+    if np.ndim(xi) == 0:
+        return int(span[0]), ders[0]
+    return span, ders
+
+
+def basis_tables(pairs, max_deriv: int = 2) -> list:
+    """basis_derivs of several knot vectors of one degree, each at its own
+    parameters, in one recursion.
+
+    pairs holds (knots, xi) pairs, xi a scalar or an array; one (spans,
+    ders) pair per input comes back, both with a leading parameter axis.
     The degrees are built bottom-up by the Cox-de Boor recursion, vectorized
     over the basis index and the parameter; the k-th derivative follows from
-    the degree p-k functions by k differencing steps. Every knot difference
-    divided by spans the parameter's nonempty span, so none is zero.
+    the degree p-k functions by k differencing steps. The recursion reads
+    only each parameter's window of 2p knots around its span and acts row by
+    row, so it runs once over the stacked windows of all pairs, and each
+    table is bitwise equal to its own call. Every knot difference divided by
+    spans the parameter's nonempty span, so none is zero.
     """
     if max_deriv < 0 or max_deriv > 2:
         raise ValueError("max_deriv must be 0, 1 or 2")
-    span = find_span(knots, xi)
-    p = knots.degree
-    x = np.asarray(xi, dtype=float).reshape(-1, 1)
-    u = knots.values[np.reshape(span, (-1, 1)) + np.arange(1 - p, p + 1)]
+    p = pairs[0][0].degree
+    if any(knots.degree != p for knots, _ in pairs):
+        raise ValueError("stacked knot vectors must share one degree")
+    xs = [np.asarray(xi, dtype=float).reshape(-1) for _, xi in pairs]
+    spans = [find_span(knots, x) for (knots, _), x in zip(pairs, xs)]
+    x = np.concatenate(xs)[:, None]
+    window = np.arange(1 - p, p + 1)
+    u = np.concatenate([knots.values[span[:, None] + window]
+                        for (knots, _), span in zip(pairs, spans)])
     left = x - u[:, :p]     # xi - U[span+1-j] in column p-j, j = 1..p
     right = u[:, p:] - x    # U[span+j] - xi in column j-1
 
@@ -134,9 +159,8 @@ def basis_derivs(knots: KnotVector, xi, max_deriv: int = 2):
             D[:, :j] -= temp
             D *= j
         ders[:, k] = D
-    if np.ndim(xi) == 0:
-        return int(span), ders[0]
-    return span, ders
+    ends = accumulate(map(len, spans))
+    return [(span, ders[end - len(span):end]) for span, end in zip(spans, ends)]
 
 
 def insert_knot(knots: KnotVector, ctrl: np.ndarray, xi: float) -> tuple[KnotVector, np.ndarray]:

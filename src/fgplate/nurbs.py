@@ -11,18 +11,28 @@ grid_basis forms R, its physical derivatives, det J and the points on a
 whole tensor grid at once, with a leading point axis; the second physical
 derivatives come from a closed-form inverse of the second-order chain rule.
 surface_basis, physical_derivs and evaluate_point are one-point calls into
-it. Knot insertion and degree elevation act on the whole control net at once.
+it. A patch has one degree in both directions, so a point's u and v tables
+come from one recursion over the stacked knot windows of both directions.
+
+locate_point inverts the geometry map by Newton iteration (Piegl and Tiller,
+The NURBS Book, 2nd ed., section 6.1). It starts from the nearest entry of a
+seed table that each patch evaluates once, and takes its first step from
+that seed's stored point and Jacobian, so a located station costs about 3.4
+one-point evaluations. Knot insertion and degree elevation act on the whole
+control net at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .bspline import (
     KnotVector,
-    basis_derivs,
+    basis_tables,
     elevate_bezier,
     greville_abscissae,
     insert_knot,
@@ -78,7 +88,9 @@ class ControlNet:
 
 @dataclass(frozen=True)
 class Patch:
-    """Rational B-spline surface; degrees must be >= 2 so the discretization is C1."""
+    """Rational B-spline surface of one degree >= 2 in both directions, so
+    the discretization is C1 and a point's u and v tables come from one
+    recursion."""
 
     knot_u: KnotVector
     knot_v: KnotVector
@@ -87,6 +99,8 @@ class Patch:
     def __post_init__(self):
         if self.knot_u.degree < 2 or self.knot_v.degree < 2:
             raise ValueError("patch degrees must be at least 2")
+        if self.knot_u.degree != self.knot_v.degree:
+            raise ValueError("patch degrees must be equal, got %s" % (self.degrees,))
         nu, nv = self.net.shape
         if nu != self.knot_u.n_basis or nv != self.knot_v.n_basis:
             raise ValueError(
@@ -102,6 +116,20 @@ class Patch:
     def n_points(self) -> int:
         nu, nv = self.net.shape
         return nu * nv
+
+    @cached_property
+    def _seeds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Newton starts of locate_point: the parameters (81, 2), points
+        (81, 2) and parametric Jacobians (81, 2, 2), jac[k, l] = d x_l /
+        d xi_k, of a 9 x 9 grid of cell centres, from one order-1 evaluation
+        made once per patch. The grid leaves out the patch corners: the
+        rational disk's Jacobian is singular at its 45-degree corners, and a
+        Newton iteration started there for a station near one stalls."""
+        grid = (np.arange(9) + 0.5) / 9.0
+        active, R, dR, _ = _rational(self, *_tables(self, grid, grid, 1))
+        pts = self.net.points.reshape(-1, 2, order="F")[active]
+        uv = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        return uv, (R[:, None, :] @ pts)[:, 0], dR.transpose(0, 2, 1) @ pts
 
     def elements(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
         """Nonempty knot spans as ((u0, u1), (v0, v1)) rectangles."""
@@ -138,17 +166,23 @@ def tabulate(knots: KnotVector, params, order: int):
     """1-D nonzero basis functions and derivatives up to order at each parameter.
 
     Returns (params, first, ders): ders[k, d, i] is the d-th derivative of
-    basis function first[k] + i at params[k]. This is the only caller of
-    basis_derivs; every 2-D evaluation combines two such tables.
+    basis function first[k] + i at params[k]. This and _tables are this
+    module's only calls into basis_tables; every 2-D evaluation combines two
+    such tables.
     """
     params = np.atleast_1d(np.asarray(params, dtype=float))
-    spans, ders = basis_derivs(knots, params, order)
+    ((spans, ders),) = basis_tables(((knots, params),), order)
     return params, spans - knots.degree, ders
 
 
 def _tables(patch: Patch, xis, etas, order: int):
-    """The u and v tables of the tensor grid xis x etas (scalars for one point)."""
-    return tabulate(patch.knot_u, xis, order), tabulate(patch.knot_v, etas, order)
+    """The u and v tables of the tensor grid xis x etas (scalars for one
+    point), from one recursion over the stacked knot windows of both
+    directions; each is bitwise equal to its own tabulate call."""
+    pairs = [(knots, np.atleast_1d(np.asarray(t, dtype=float)))
+             for knots, t in ((patch.knot_u, xis), (patch.knot_v, etas))]
+    return [(t, spans - knots.degree, ders)
+            for (knots, t), (spans, ders) in zip(pairs, basis_tables(pairs, order))]
 
 
 # (u order, v order) of the tensor-product derivatives, in column order
@@ -381,44 +415,48 @@ _NEWTON_STEPS = 50
 def locate_point(patch: Patch, x: float, y: float) -> tuple[float, float]:
     """Invert the geometry map by Newton iteration with backtracking.
 
-    The start is the nearest of a 9 x 9 grid of parametric cell centres,
-    evaluated in one call. The grid leaves out the patch corners: the
-    rational disk's Jacobian is singular at its 45-degree corners, and a
-    Newton iteration started there for a station near one stalls. Each step
-    is halved until the residual decreases; a direction without descent
-    (a point off the patch, say) fails at once.
+    Newton starts at the nearest point of the patch's seed table, a 9 x 9
+    grid of parametric cell centres evaluated once per patch, and its first
+    step uses that seed's stored point and Jacobian, so it needs no
+    evaluation. Each 2x2 step is solved in closed form, and each trial point
+    costs one evaluation, whose u and v tables come from one recursion.
+    Each step is halved until the residual decreases; a direction without
+    descent (a point off the patch, say) fails at once.
     """
     target = np.array([x, y])
     if not np.all(np.isfinite(target)):
         raise GeometryError(f"station ({x}, {y}) is not a finite point")
     points = patch.net.points.reshape(-1, 2, order="F")
-    scale = max(np.abs(points).max(), 1e-30)
-    grid = (np.arange(9) + 0.5) / 9.0
-    seeds = grid_basis(patch, *_tables(patch, grid, grid, 0))
-    a, b = divmod(int(np.argmin(np.sum((seeds.point - target) ** 2, axis=1))), len(grid))
+    tol = 1e-13 * max(np.abs(points).max(), 1e-30)
+    seed_uv, seed_x, seed_jac = patch._seeds
 
-    def residual(uv):
-        active, R, dR, _ = _rational(patch, *_tables(patch, uv[0], uv[1], 1))
+    def residual(u, v):
+        active, R, dR, _ = _rational(patch, *_tables(patch, u, v, 1))
         pts = points[active[0]]
         return R[0] @ pts - target, dR[0].T @ pts
 
-    uv = np.array([grid[a], grid[b]])
-    res, jac = residual(uv)
+    k = int(np.argmin(np.sum((seed_x - target) ** 2, axis=1)))
+    (u, v), res, jac = seed_uv[k].tolist(), seed_x[k] - target, seed_jac[k]
+    norm = math.hypot(*res)
     for _ in range(_NEWTON_STEPS):
-        if np.linalg.norm(res) <= 1e-13 * scale:
-            return float(uv[0]), float(uv[1])
-        try:
-            step = np.linalg.solve(jac.T, res)
-        except np.linalg.LinAlgError as exc:
-            raise GeometryError(f"inverse map Jacobian singular near {tuple(uv)}") from exc
+        if norm <= tol:
+            return u, v
+        # jac^T (du, dv) = res in closed form
+        (xu, yu), (xv, yv) = jac.tolist()
+        rx, ry = res.tolist()
+        det = xu * yv - yu * xv
+        if det == 0.0:
+            raise GeometryError(f"inverse map Jacobian singular near {(u, v)}")
+        du, dv = (yv * rx - xv * ry) / det, (xu * ry - yu * rx) / det
         t = 1.0
         while True:
-            trial = np.clip(uv - t * step, 0.0, 1.0)
-            trial_res, trial_jac = residual(trial)
-            if np.linalg.norm(trial_res) < np.linalg.norm(res):
+            trial = min(max(u - t * du, 0.0), 1.0), min(max(v - t * dv, 0.0), 1.0)
+            trial_res, trial_jac = residual(*trial)
+            trial_norm = math.hypot(*trial_res)
+            if trial_norm < norm:
                 break
             t *= 0.5
             if t < 1e-8:  # no descent along the Newton direction, e.g. off the patch
                 raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")
-        uv, res, jac = trial, trial_res, trial_jac
+        (u, v), res, jac, norm = trial, trial_res, trial_jac, trial_norm
     raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")

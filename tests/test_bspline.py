@@ -1,7 +1,8 @@
 """Knot vector and 1D basis tests: span lookup, Cox-de Boor values and
 derivatives against naive recursions and finite differences, array calls
-against point calls, insertion and elevation geometry preservation and
-whole-net insertion and elevation against row-by-row calls."""
+against point calls, stacked tables of several knot vectors, insertion and
+elevation geometry preservation and whole-net insertion and elevation against
+row-by-row calls."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from fgplate.bspline import (
     KnotVector,
     basis_derivs,
+    basis_tables,
     elevate_bezier,
     find_span,
     greville_abscissae,
@@ -175,6 +177,15 @@ def test_array_calls_equal_point_calls(values, p):
         points = [basis_derivs(k, float(x), max_deriv) for x in xs]
         assert np.array_equal(spans, [span for span, _ in points])
         assert np.array_equal(ders, np.stack([d for _, d in points]))
+
+
+def test_stacked_tables_of_one_degree_only():
+    k2, k3 = open_uniform_knots(2, 3), open_uniform_knots(3, 3)
+    (span2, ders2), (span3, ders3) = basis_tables(((k2, 0.4), (k2, [0.1, 0.9])), 1)
+    assert np.array_equal(span3, basis_derivs(k2, np.array([0.1, 0.9]), 1)[0])
+    assert ders2.shape == (1, 2, 3) and ders3.shape == (2, 2, 3)
+    with pytest.raises(ValueError, match="one degree"):
+        basis_tables(((k2, 0.4), (k3, 0.4)), 1)
 
 
 # ---------------------------------------------------------------------------

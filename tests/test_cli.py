@@ -225,6 +225,15 @@ def test_station_off_disk_is_config_error(tmp_path, capsys):
     assert "station" in capsys.readouterr().err
 
 
+def test_station_outside_mapped_net_is_config_error(tmp_path, capsys):
+    doc = small_static(geometry={"type": "disk", "radius": 0.5, "net": "mapped"},
+                       thickness_ratio=0.1, elements=11, load={"type": "uniform", "q0": 1.0},
+                       report="bending_dm", station=[0.4995, 0.0])
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "mapped net" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err

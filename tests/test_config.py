@@ -1,6 +1,7 @@
 """Configuration validation, preset integrity, and the enumeration check
 that every published-benchmark acceptance case ships as a named preset."""
 import json
+import math
 
 import pytest
 
@@ -155,6 +156,34 @@ def test_station_on_boundary_runs(overrides):
     assert config.station == tuple(overrides["station"])
     # every edge is simply supported, so the deflection vanishes there
     assert abs(fg.run_case(config).w_center) < 1e-12
+
+
+# (0.4995, 0) and rim points at 0, 0.3, 2.0 and 4.0 rad: outside the mapped
+# net of 11 cubic elements, whose boundary sags up to 0.37% inside the circle
+RIM_STATIONS = [(0.4995, 0.0)] + [(0.5 * math.cos(t), 0.5 * math.sin(t))
+                                  for t in (0.0, 0.3, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("station", RIM_STATIONS)
+def test_station_outside_mapped_net_rejected(station):
+    # such a station used to pass parse_config and exit 3 as a failed inverse map
+    doc = minimal_static(geometry={"type": "disk", "radius": 0.5, "net": "mapped"},
+                         thickness_ratio=0.1, elements=11, station=list(station))
+    with pytest.raises(ConfigurationError, match=r'outside the mapped net.*"net": "rational"'):
+        parse_config(doc)
+    doc["geometry"]["net"] = "rational"
+    patch = parse_config(doc).build_patch()
+    u, v = fg.nurbs.locate_point(patch, *station)
+    assert math.dist(fg.nurbs.evaluate_point(patch, u, v), station) < 1e-13
+
+
+def test_station_inside_mapped_net_accepted():
+    # the mapped net's boundary meets the circle at the 45-degree corners
+    corner = 0.5 / math.sqrt(2.0)
+    for station in ((0.3, -0.2), (corner, corner)):
+        doc = minimal_static(geometry={"type": "disk", "radius": 0.5, "net": "mapped"},
+                             thickness_ratio=0.1, elements=11, station=list(station))
+        assert parse_config(doc).station == station
 
 
 def test_static_requires_load():

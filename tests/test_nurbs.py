@@ -1,16 +1,25 @@
 """Patch-level tests: partition of unity, B-spline reduction, geometry
 reproduction, physical derivatives against finite differences, the grid basis
 against one-point calls, the exact circular boundary of the disk patch,
-refinement invariance, C1 continuity, and the inverse map at random stations
-on both disk nets and at a NaN station."""
+refinement invariance, C1 continuity, the inverse map at random stations
+on both disk nets and at a NaN station, its round trip to roundoff near the
+rational disk's corners, its evaluation count, and the stacked u and v
+tables against separate ones."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import fgplate as fg
-from fgplate.bspline import basis_derivs
+from fgplate.bspline import basis_derivs, basis_tables, open_uniform_knots
 from fgplate.errors import RefinementError, SingularMappingError
-from fgplate.nurbs import evaluate_point, grid_basis, locate_point, surface_basis, tabulate
+from fgplate.nurbs import (
+    _tables,
+    evaluate_point,
+    grid_basis,
+    locate_point,
+    surface_basis,
+    tabulate,
+)
 
 from oracles import central_diff, central_diff2
 
@@ -300,3 +309,84 @@ def test_locate_point_round_trip_at_random_stations(make):
     for x, y in zip(r * np.cos(theta), r * np.sin(theta)):
         u, v = locate_point(patch, x, y)
         assert np.hypot(*(evaluate_point(patch, u, v) - (x, y))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# point location: seed table, stacked tables, evaluation count
+# ---------------------------------------------------------------------------
+
+def disk_stations(radius, n, seed, rim=0.98, corner_points=0):
+    """n uniform stations at r <= rim * radius and corner_points stations
+    within 1e-3 radius of each 45-degree corner of the rational disk."""
+    rng = np.random.default_rng(seed)
+    r = rim * radius * np.sqrt(rng.random(n))
+    theta = 2.0 * np.pi * rng.random(n)
+    corner = np.pi / 4.0 + np.pi / 2.0 * np.repeat(np.arange(4), corner_points)
+    r = np.concatenate([r, radius * (1.0 - rng.uniform(1e-5, 7e-4, corner.size))])
+    theta = np.concatenate([theta, corner + rng.uniform(-7e-4, 7e-4, corner.size)])
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+@pytest.mark.parametrize("net", ["square", "rational", "mapped"])
+def test_locate_point_round_trips_to_roundoff(net):
+    if net == "square":
+        patch, size = fg.make_square_patch(2.0, 1.5, 3, 11), 2.0
+        stations = np.random.default_rng(1).random((300, 2)) * (2.0, 1.5)
+    elif net == "rational":
+        patch, size = fg.make_disk_patch(0.5, 3, 11), 0.5
+        stations = disk_stations(0.5, 200, 2, rim=0.999, corner_points=25)
+    else:
+        # the mapped net's boundary sags 0.37% inside the circle at 11 elements
+        patch, size = fg.make_mapped_disk_patch(0.5, 3, 11), 0.5
+        stations = disk_stations(0.5, 300, 3, rim=0.99)
+    # locate_point stops at 1e-13 of the net's largest control coordinate,
+    # which is the size of the plate to within 0.1%
+    bound = 1e-13 * max(size, np.abs(patch.net.points).max())
+    for x, y in stations:
+        u, v = locate_point(patch, x, y)
+        assert np.hypot(*(evaluate_point(patch, u, v) - (x, y))) <= bound
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_stacked_tables_equal_separate_calls(p):
+    # different knots in u and v, so the stacked knot windows differ
+    patch = fg.h_refine(fg.make_square_patch(1.0, 1.0, p, 4), [0.1, 0.3, 0.3], [0.6])
+    rng = np.random.default_rng(p)
+    xis = np.concatenate([rng.random(7), [0.0, 0.3, 1.0]])
+    etas = np.concatenate([rng.random(4), [0.25, 1.0]])
+    for order in (0, 1, 2):
+        for xi, eta in ((xis, etas), (xis[0], etas[1]), (xis[:1], etas)):
+            stacked = _tables(patch, xi, eta, order)
+            separate = tabulate(patch.knot_u, xi, order), tabulate(patch.knot_v, eta, order)
+            for one, other in zip(stacked, separate):
+                for a, b in zip(one, other):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_locate_point_tabulates_at_most_four_times(monkeypatch):
+    # rebuilding the 9 x 9 seed grid on every call, evaluating the seed's
+    # residual again and tabulating u and v apart took 10.7 on average
+    calls = []
+
+    def counting(pairs, max_deriv=2):
+        calls.append(len(pairs))
+        return basis_tables(pairs, max_deriv)
+
+    monkeypatch.setattr(fg.nurbs, "basis_tables", counting)
+    monkeypatch.setattr(fg.bspline, "basis_tables", counting)
+    stations = disk_stations(0.5, 200, 4)
+    for make in (fg.make_disk_patch, fg.make_mapped_disk_patch):
+        patch = make(0.5, 3, 11)
+        for x, y in stations:
+            locate_point(patch, x, y)
+    # the seed tables of both patches are counted too
+    assert len(calls) / (2 * len(stations)) <= 4.0
+    assert set(calls) == {2}
+
+
+def test_patch_with_two_degrees_raises():
+    ku, kv = open_uniform_knots(2, 3), open_uniform_knots(3, 3)
+    shape = (ku.n_basis, kv.n_basis)
+    net = fg.ControlNet(np.zeros(shape + (2,)), np.ones(shape))
+    with pytest.raises(ValueError, match="degrees must be equal"):
+        fg.Patch(ku, kv, net)

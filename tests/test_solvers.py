@@ -2,6 +2,8 @@
 cross-checks of the discretization against independent trigonometric-series
 solutions, spectral monotonicity properties, systems left unchanged by a
 solve, and top-k buckling against the full spectrum."""
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -362,3 +364,15 @@ def test_buckling_top_k_matches_the_full_spectrum(geometry, prestress):
     expected = 1.0 / np.sort(positive)[::-1][:4]
     assert got.size == expected.size
     assert_allclose(got, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bend-sin-atan-n1-r4", "bend-sin-atan_sin-n1-r100"])
+def test_static_refinement_stops_when_a_sweep_stalls(name, caplog):
+    # the residual stalls at 1.3e-13 and 2.6e-11 after two sweeps; all 8 ran
+    # before the refinement stopped at the first sweep that fails to halve it
+    caplog.set_level(logging.DEBUG, logger="fgplate")
+    fg.run_case(fg.preset_config(name))
+    (record,) = [r for r in caplog.records if r.msg.startswith("static solve")]
+    sweeps, residual = record.args
+    assert sweeps <= 3
+    assert residual <= 1e-10

@@ -5,17 +5,15 @@ Each control point carries the DOFs (u0, v0, wb, ws); global DOF index is
 
 The FGM is graded through the thickness only, so the section constants
 (A..H, Ds, I1..I6) and the prestress N0 are the same at every point of the
-mid-surface. Element integration therefore splits exactly into a
-geometry-only part and a small per-case contraction, in the spirit of sum
-factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 2015):
+mid-surface. Element integration therefore splits exactly into integrals of
+the basis over the patch and a small per-case contraction, in the spirit of
+sum factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME
+2015):
 
-- S_e = Phi^T diag(w det J) Phi is the Gram of an element's six basis
-  channels (R, R_x, R_y, R_xx, R_yy, R_xy) over its Gauss points, a
-  (6 nb) x (6 nb) matrix for nb basis functions (96 x 96 for a cubic
-  element);
-- G[(A, B), (c, d)] is the sum of the S_e over the elements, one row per
-  coupled control-point pair A <= B (the supports of A and B overlap) and
-  one column per channel pair (c, d): the global Gram of the patch;
+- G[(A, B), (c, d)] is the global Gram of the patch over the coupled
+  control-point pairs A <= B and the pairs (c, d) of six basis channels,
+  which the patch builds once (Patch.gram; see nurbs), as it does the load
+  vector of each load (Patch.load_vector);
 - C = L^T D L is a 36 x 16 table C[(c, d), (i, j)] per matrix and case, with
   D the section's bending and shear blocks (K), its inertia block (M) or N0
   (Kg), and L the kinematic table: strain_operators evaluated on a unit
@@ -26,65 +24,42 @@ factorization (Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 2015):
 Stress recovery (postprocess) reads a station's strains through the same
 bending and shear rows of L, so K and the stresses share one kinematics.
 
-Assembly is a geometry pass, which builds G, and a per-case part. The
-geometry pass walks the patch one row of elements (one u span, every v
-span) at a time, with one grid_basis call per row from 1-D bases tabulated
-once per span and Gauss point (nurbs.tabulate). It forms each S_e and adds
-its a <= b pair rows into G, serially in element order. The per-case part
-is one product V = G @ C per matrix; it makes the 4 x 4 blocks of the
-pairs A = B exactly symmetric and writes each pair block and its transpose
-once into the dense matrix, so nothing is accumulated per case. The matrix
-is numbered by the free DOFs of the model's edge conditions: a map from
-global DOF to free position, built per case, drops the entries of the fixed
-DOFs at that write, so no full-size matrix and no reduced copy is made. A
-model free on every edge fixes nothing and gets the full matrices. A single
-case builds G and uses it once. The cases of a sweep over n, a/h or the
-shear model share the patch, and sweep_case keeps G for all of them
-(PatchTables), with the load vector, which depends on the patch and the load
-alone.
+A case is one product V = G @ C per matrix; it makes the 4 x 4 blocks of
+the pairs A = B exactly symmetric and writes each pair block and its
+transpose once into the dense matrix, so nothing is accumulated per case.
+The matrix is numbered by the free DOFs of the model's edge conditions: a
+map from global DOF to free position, built per case, drops the entries of
+the fixed DOFs at that write, so no full-size matrix and no reduced copy is
+made. A model free on every edge fixes nothing and gets the full matrices.
+Every block is written from one product row, so results are deterministic
+and the global matrices bitwise symmetric.
 
-Sizes on an 11 x 11 cubic patch (14 x 14 control points): 86 coupled 1-D
-pairs per direction give 86^2 = 7,396 nonzero 4 x 4 blocks of K, of which
-3,796 have A <= B, so G takes 3,796 x 36 doubles, 1.1 MB. The per-element
-Grams S_e would take 8.9 MB: kept for a sweep, they peaked the table-11
-benchmark at 96.1 MB RSS against 87.8 MB (seed 3, 2-vCPU VM) and ran no
-faster. Building G takes about 20 ms there; a K + M pair from it about 3 ms,
-against 26-29 ms for contracting and scattering the 121 element Grams. On
-the 624 free DOFs of SSSS a matrix takes 3.1 MB, against 4.9 MB full-size.
+On an 11 x 11 cubic patch a K + M pair from G takes about 3 ms, against
+26-29 ms for contracting and scattering the 121 element Grams. On the 624
+free DOFs of SSSS a matrix takes 3.1 MB, against 4.9 MB full-size.
 
 Every BLAS product stays below OpenBLAS's threading threshold
-(m n k > 262,144): the Grams are one (6 nb x n_q) @ (n_q x 6 nb) product per
-element, and V is formed 256 rows of G at a time. numpy and scipy each load
-their own OpenBLAS, and a worker woken in numpy's spins for about 0.1 s
-after a threaded product; the dense scipy eigh that follows in the same case
-then shares two CPUs with it. Measured on a 2-vCPU VM: one unblocked
+(m n k > 262,144): V is formed 256 rows of G at a time, and the element
+Grams of G are one product per element. numpy and scipy each load their own
+OpenBLAS, and a worker woken in numpy's spins for about 0.1 s after a
+threaded product; the dense scipy eigh that follows in the same case then
+shares two CPUs with it. Measured on a 2-vCPU VM: one unblocked
 (3,796 x 36) @ (36 x 16) product per matrix more than doubled the solver
 time of a three-case vibration sweep (median 245 ms against 105-110 ms), and
 a stacked (elements nb^2, 36) @ (36, 16) contraction per row of 11 cubic
 elements took a case's eigh from 0.030 s to 0.058 s.
-
-K, M and Kg use a (p+1) x (q+1) Gauss rule per element: on an affine square
-their integrands are polynomials of degree at most 2p per direction, which
-that rule integrates exactly, and on the disks more points move buckling
-loads by less than 1e-6. G is summed in a fixed order and every block is
-written from one product row, so results are deterministic and the global
-matrices bitwise symmetric. The load vector F gets its own (p+3) x (q+3)
-rule, because its integrand q(x, y) R det J is not a polynomial for the
-half-sine load, nor on the rational disk: the (p+1) rule leaves a relative
-error of order 1e-8 in F there, the (p+3) rule one of order 1e-14.
 """
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .materials import FGMSpec, SectionConstants, ShearModel, _gauss_legendre
-from .nurbs import BasisLocal, Patch, _active_points, grid_basis, tabulate
+from .materials import FGMSpec, SectionConstants, ShearModel
+from .nurbs import _CHANNELS, BasisLocal, Patch
 
 __all__ = [
     "BC",
@@ -94,7 +69,6 @@ __all__ = [
     "GlobalSystem",
     "strain_operators",
     "assemble",
-    "PatchTables",
     "edge_constraints",
 ]
 
@@ -247,10 +221,6 @@ def strain_operators(basis: BasisLocal):
     return Bm, Bb1, Bb2, Bs, Bg
 
 
-# basis channels of the element Gram, in order: R, R_x, R_y, R_xx, R_yy, R_xy
-_CHANNELS = 6
-
-
 def _kinematic_tables():
     """Coefficients of the basis channels in the rows of the bending, shear,
     prestress and inertia operators, for each DOF component: tables of shape
@@ -281,16 +251,14 @@ def _kinematic_tables():
 _BENDING_ROWS, _SHEAR_ROWS, _PRESTRESS_ROWS, _INERTIA_ROWS = _kinematic_tables()
 
 
-def assemble(model: PlateModel, want=("K", "F"), *,
-             tables: Optional["PatchTables"] = None) -> GlobalSystem:
+def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
     """Build the requested global matrices, on the free DOFs of the model's
     edge conditions (see edge_constraints), and the load vector.
 
-    K, M and Kg come from one sweep with a (p+1) x (q+1) Gauss rule per
-    element; F from a separate pass with a (p+3) x (q+3) rule (see the module
-    docstring). The matrix sweep is skipped when no matrix is requested.
-    Without tables the global Gram of the patch is built for this call; with
-    the tables of the model's patch it is read from them.
+    K, M and Kg are contractions of the patch's Gram (Patch.gram) with the
+    section, and F is the patch's load vector of the model's load
+    (Patch.load_vector). The patch builds each once, on first use, so a
+    request without a matrix or without F leaves that pass unbuilt.
     """
     want = set(want)
     unknown = want - {"K", "M", "Kg", "F"}
@@ -300,108 +268,14 @@ def assemble(model: PlateModel, want=("K", "F"), *,
         raise ConfigurationError("geometric stiffness requested without a prestress state")
     if "F" in want and model.load is None:
         raise ConfigurationError("load vector requested without a load description")
-    if tables is not None and tables.patch is not model.patch:
-        raise ConfigurationError("assembly tables belong to another patch than the model's")
 
     fixed, mechanism = edge_constraints(model, inertia="M" in want)
     system = GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism)
     K = M = Kg = None
     if want & {"K", "M", "Kg"}:
-        gram = _GlobalGram(model.patch) if tables is None else tables.gram
-        K, M, Kg = _assemble_matrices(model, want, gram, system.free_dofs)
-    F = None
-    if "F" in want:
-        F = (_assemble_load(model.patch, model.load) if tables is None
-             else tables.load_vector(model.load))
+        K, M, Kg = _assemble_matrices(model, want, system.free_dofs)
+    F = model.patch.load_vector(model.load) if "F" in want else None
     return replace(system, K=K, M=M, Kg=Kg, F=F)
-
-
-class PatchTables:
-    """The material-free part of assembly on one patch, kept for a run of
-    cases that share the patch and the load (a sweep over n, a/h or the
-    shear model): the global Gram of K, M and Kg and the load vector of each
-    load, each built on first use. The Gram of an 11 x 11 cubic patch takes
-    1.1 MB (see the module docstring).
-    """
-
-    def __init__(self, patch: Patch):
-        self.patch = patch
-        self._loads = {}
-
-    @functools.cached_property
-    def gram(self) -> "_GlobalGram":
-        return _GlobalGram(self.patch)
-
-    def load_vector(self, load) -> np.ndarray:
-        if load not in self._loads:
-            self._loads[load] = _assemble_load(self.patch, load)
-        return self._loads[load].copy()
-
-
-def _element_rows(patch: Patch, extra_points: int, order: int):
-    """Per row of elements (one u span and every v span, rows in u order):
-    the basis of the given order at each element's (p+extra) x (q+extra)
-    Gauss points, and the Gauss weights times det J.
-
-    Every array leads with (element, point), elements in v order and points
-    with u outer, so the working set is one row of elements. The 1-D bases
-    are tabulated once per span and Gauss point, the 2-D basis once per row.
-    """
-    rules = []
-    for knots in (patch.knot_u, patch.knot_v):
-        gx, gw = _gauss_legendre(knots.degree + extra_points)
-        lo, hi = np.array([span[1:] for span in knots.spans()]).T
-        half = 0.5 * (hi - lo)
-        rules.append(((0.5 * (lo + hi))[:, None] + half[:, None] * gx, half[:, None] * gw))
-    (params_u, weights_u), (params_v, weights_v) = rules
-    n_el, n_v = params_v.shape
-    n_u = params_u.shape[1]
-    tab_v = tabulate(patch.knot_v, params_v.ravel(), order)
-
-    def by_element(a):
-        a = a.reshape((n_u, n_el, n_v) + a.shape[1:]).swapaxes(0, 1)
-        return a.reshape((n_el, n_u * n_v) + a.shape[3:])
-
-    for params, weights in zip(params_u, weights_u):
-        basis = grid_basis(patch, tabulate(patch.knot_u, params, order), tab_v)
-        wq = np.outer(weights, weights_v).ravel() * basis.jacobian_det
-        grouped = (None if v is None else by_element(v) for v in vars(basis).values())
-        yield BasisLocal(*grouped), by_element(wq)
-
-
-class _GlobalGram:
-    """G[(A, B), (c, d)]: the integral over the patch of w det J times channel
-    c of basis function A times channel d of basis function B, one row per
-    coupled control-point pair A <= B (rows sorted by A, then B), summed from
-    the element Grams in element order. first and second hold A and B of each
-    row, diagonal the rows with A = B."""
-
-    def __init__(self, patch: Patch):
-        # the first control point of each element along u and v: the points of
-        # the elements, in the order of _element_rows and of the basis columns
-        first_u, first_v = (np.array([span for span, _, _ in knots.spans()]) - knots.degree
-                            for knots in (patch.knot_u, patch.knot_v))
-        points = _active_points(patch, first_u, first_v)
-        n_el, nb = points.shape
-        ia, ib = np.triu_indices(nb)
-        keys = (points[:, ia] * patch.n_points + points[:, ib]).ravel()
-        keys, slots = np.unique(keys, return_inverse=True)
-        slots = slots.reshape(n_el, ia.size)
-        self.first, self.second = np.divmod(keys, patch.n_points)
-        self.diagonal = np.flatnonzero(self.first == self.second)
-        self.values = np.zeros((keys.size, _CHANNELS**2))
-        start = 0
-        for basis, wq in _element_rows(patch, 1, 2):
-            row_el, n_q = wq.shape
-            phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
-                                  basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(row_el, n_q, -1)
-            # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)] over a <= b
-            gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
-            gram = gram.reshape(row_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
-            gram = gram[:, ia, ib].reshape(row_el, ia.size, _CHANNELS**2)
-            for rows, ge in zip(slots[start:start + row_el], gram):
-                self.values[rows] += ge
-            start += row_el
 
 
 def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -416,12 +290,12 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
 _PRODUCT_ROWS = 256
 
 
-def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram, free: np.ndarray):
+def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
     """K, M and Kg (None where not wanted) on the given free DOFs, from the
     global Gram of the model's patch: one blocked product with a coefficient
     table per matrix, then the free entries of each pair block and of its
     transpose written once."""
-    section = model.section
+    section, gram = model.section, model.patch.gram
     tables = {}
     if "K" in want:
         tables["K"] = (_coefficient_table(_BENDING_ROWS, section.bending_block())
@@ -455,19 +329,6 @@ def _assemble_matrices(model: PlateModel, want: set, gram: _GlobalGram, free: np
         A[lower] = V.ravel()
         out[name] = A[:spare].reshape(nf, nf)
     return tuple(out.get(name) for name in ("K", "M", "Kg"))
-
-
-def _assemble_load(patch: Patch, load) -> np.ndarray:
-    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element."""
-    F = np.zeros(4 * patch.n_points)
-    for basis, wq in _element_rows(patch, 3, 1):
-        x = basis.point
-        wq = wq * load.value(x[..., 0], x[..., 1])
-        for active, we, R in zip(basis.active_indices[:, 0], wq, basis.R):
-            Fe = we @ R
-            F[4 * active + 2] += Fe
-            F[4 * active + 3] += Fe
-    return F
 
 
 def _edge_point_indices(shape: tuple[int, int], edge: int, offset: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """One-dimensional B-spline primitives: knot vectors, span lookup, basis
-derivatives, knot insertion and degree elevation.
+derivatives, knot insertion and degree elevation, and the Gauss-Legendre
+rules that integrate over knot spans and through the thickness.
 
 All knot vectors are open (clamped): the end knots repeat degree+1 times, so the
 curve interpolates its end control points and evaluation at the right endpoint
@@ -11,6 +12,7 @@ array of any shape.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -161,6 +163,18 @@ def basis_tables(pairs, max_deriv: int = 2) -> list:
         ders[:, k] = D
     ends = accumulate(map(len, spans))
     return [(span, ders[end - len(span):end]) for span, end in zip(spans, ends)]
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only, since every caller shares them. A run uses a
+    handful of orders: p+1 and p+3 over the knot spans of a patch, 30 * 2^k
+    through the thickness."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def insert_knot(knots: KnotVector, ctrl: np.ndarray, xi: float) -> tuple[KnotVector, np.ndarray]:

@@ -9,10 +9,10 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BC, PatchTables, PlateModel, assemble
+from .assembly import BC, PlateModel, assemble
 from .errors import ConfigurationError, MassMatrixError, SpectrumError
 from .config import _SWEEP_FIELDS, CaseConfig
-from .nurbs import BasisLocal
+from .nurbs import BasisLocal, Patch
 from .postprocess import (
     NondimReport,
     ReportFamily,
@@ -60,25 +60,25 @@ class SweepResult:
         return tuple(out)
 
 
-def run_case(config: CaseConfig, *, tables: Optional[PatchTables] = None) -> CaseResult:
-    """Assemble on the free DOFs, solve and nondimensionalize one case. Given the
-    tables that the cases of a sweep share, the case is built on their patch
-    and assembled from them."""
-    model = config.build_model(None if tables is None else tables.patch)
+def run_case(config: CaseConfig, *, patch: Optional[Patch] = None) -> CaseResult:
+    """Assemble on the free DOFs, solve and nondimensionalize one case, on the
+    given patch (the one that the cases of a sweep share, see sweep_case) or
+    on a newly built one."""
+    model = config.build_model(patch)
 
     if config.analysis == "static":
-        return _static_case(config, model, tables)[0]
+        return _static_case(config, model)[0]
 
     if config.analysis == "vibrate":
         if all(bc is BC.FREE for bc in model.edge_bcs):
             raise MassMatrixError("mass matrix is singular on a plate free on every edge: the "
                                   "mode wb = -ws = const has neither inertia nor strain energy")
-        system = assemble(model, want=("K", "M"), tables=tables)
+        system = assemble(model, want=("K", "M"))
         eigen = solve_vibration(system, config.modes)
         report = nondimensionalize(config.report, model, span=config.span,
                                    omegas=eigen.frequencies())
     else:
-        system = assemble(model, want=("K", "Kg"), tables=tables)
+        system = assemble(model, want=("K", "Kg"))
         if not np.any(system.free_dofs % 4 >= 2):
             raise SpectrumError("no buckling mode: no free deflection DOF (wb, ws) remains "
                                 "after the edge constraints")
@@ -87,11 +87,10 @@ def run_case(config: CaseConfig, *, tables: Optional[PatchTables] = None) -> Cas
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
 
 
-def _static_case(config: CaseConfig, model: PlateModel,
-                 tables: Optional[PatchTables] = None) -> tuple[CaseResult, BasisLocal]:
+def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, BasisLocal]:
     """A static case and the basis at its station, which is located once for
     the deflection, the stress and a profile."""
-    system = assemble(model, want=("K", "F"), tables=tables)
+    system = assemble(model, want=("K", "F"))
     q = solve_static(system)
     x, y = config.center()
     basis = _station_basis(model, x, y)
@@ -111,17 +110,17 @@ def sweep_case(config: CaseConfig) -> SweepResult:
     """One case per sweep value, in deterministic input order.
 
     A sweep over n, the thickness ratio or the shear model changes only the
-    section constants, so its cases share one patch, one geometry pass of
-    assembly (the basis tables of every element) and one load vector, all
-    dropped when the sweep returns. A mesh sweep builds each case anew.
+    section constants, so its cases share one patch, and with it the patch's
+    Gram and load vector, each built once and dropped when the sweep
+    returns. A mesh sweep builds one patch per value.
     """
     if config.sweep_axis is None:
         raise ConfigurationError("configuration has no sweep section")
     key = _SWEEP_FIELDS[config.sweep_axis]
-    tables = None if key == "elements" else PatchTables(config.build_patch())
+    patch = None if key == "elements" else config.build_patch()
     reports = []
     for value in config.sweep_values:
-        result = run_case(config.replace(**{key: value}), tables=tables)
+        result = run_case(config.replace(**{key: value}), patch=patch)
         reports.append(result.report)
     return SweepResult(config=config, axis=config.sweep_axis,
                        values=config.sweep_values, reports=tuple(reports))

@@ -9,11 +9,11 @@ volume fraction.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import _gauss_legendre
 from .errors import DomainError, IntegrationError
 
 __all__ = [
@@ -207,17 +207,6 @@ class SectionConstants:
                 [self.I4, self.I5, self.I6],
             ]
         )
-
-
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    and returned read-only, since every caller shares them. A run uses a
-    handful of orders: p+1 and p+3 in assembly, 30 * 2^k in the section."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 def _thickness_rule(spec: FGMSpec, h: float, n_gauss: int):

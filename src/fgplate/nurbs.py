@@ -1,18 +1,19 @@
-"""Tensor-product NURBS patches with first and second physical derivatives.
+"""Tensor-product NURBS patches with first and second physical derivatives,
+and the integrals of their basis over the patch.
 
 The plate mid-surface is a single rational tensor-product patch on the
 parametric square [0,1]^2. Control points are stored on an (nu, nv) grid and
 flattened with the u index running fastest: A = i + j * nu.
 
 Every basis evaluation takes one tabulated path, as in Bezier extraction
-(Borden, Scott, Evans, Hughes, IJNME 2011): tabulate evaluates the 1-D
-derivatives at all parameters of a direction in one array call, and
-grid_basis forms R, its physical derivatives, det J and the points on a
-whole tensor grid at once, with a leading point axis; the second physical
-derivatives come from a closed-form inverse of the second-order chain rule.
-surface_basis, physical_derivs and evaluate_point are one-point calls into
-it. A patch has one degree in both directions, so a point's u and v tables
-come from one recursion over the stacked knot windows of both directions.
+(Borden, Scott, Evans, Hughes, IJNME 2011): _tables evaluates the 1-D
+derivatives at all parameters of both directions in one array call, from one
+recursion over the stacked knot windows (a patch has one degree in both
+directions), and grid_basis forms R, its physical derivatives, det J and the
+points on a whole tensor grid at once, with a leading point axis; the second
+physical derivatives come from a closed-form inverse of the second-order
+chain rule. surface_basis, physical_derivs and evaluate_point are one-point
+calls into it.
 
 locate_point inverts the geometry map by Newton iteration (Piegl and Tiller,
 The NURBS Book, 2nd ed., section 6.1). It starts from the nearest entry of a
@@ -20,11 +21,37 @@ seed table that each patch evaluates once, and takes its first step from
 that seed's stored point and Jacobian, so a located station costs about 3.4
 one-point evaluations. Knot insertion and degree elevation act on the whole
 control net at once.
+
+The FGM section is graded through the thickness only, so the plate's
+operators split into integrals of the basis over the patch, which read no
+material, and a small per-case contraction (see assembly). A patch builds
+each integral once, on first use: Patch.gram, the global Gram of six basis
+channels (R, R_x, R_y, R_xx, R_yy, R_xy) over the coupled control-point
+pairs, summed serially in element order from the element Grams
+S_e = Phi^T diag(w det J) Phi, and Patch.load_vector, the consistent load
+vector of each load. The cases of a sweep over n, a/h or the shear model
+share one patch, and with it the Gram and the load vector.
+
+On an 11 x 11 cubic patch (14 x 14 control points) 86 coupled 1-D pairs per
+direction give 86^2 = 7,396 nonzero 4 x 4 blocks of K, of which 3,796 have
+A <= B, so G takes 3,796 x 36 doubles, 1.1 MB, and about 20 ms to build.
+The element Grams (96 x 96 each) would take 8.9 MB: kept for a sweep, they
+peaked the table-11 benchmark at 96.1 MB RSS against 87.8 MB (seed 3,
+2-vCPU VM) and ran no faster.
+
+G uses a (p+1) x (q+1) Gauss rule per element: on an affine square the
+integrands of K, M and Kg are polynomials of degree at most 2p per
+direction, which that rule integrates exactly, and on the disks more points
+move buckling loads by less than 1e-6. The load vector gets its own
+(p+3) x (q+3) rule, because its integrand q(x, y) R det J is not a
+polynomial for the half-sine load, nor on the rational disk: the (p+1) rule
+leaves a relative error of order 1e-8 in F there, the (p+3) rule one of
+order 1e-14.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -32,6 +59,7 @@ import numpy as np
 
 from .bspline import (
     KnotVector,
+    _gauss_legendre,
     basis_tables,
     elevate_bezier,
     greville_abscissae,
@@ -44,7 +72,6 @@ __all__ = [
     "ControlNet",
     "Patch",
     "BasisLocal",
-    "tabulate",
     "grid_basis",
     "surface_basis",
     "physical_derivs",
@@ -95,6 +122,7 @@ class Patch:
     knot_u: KnotVector
     knot_v: KnotVector
     net: ControlNet
+    _loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.knot_u.degree < 2 or self.knot_v.degree < 2:
@@ -131,6 +159,19 @@ class Patch:
         uv = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
         return uv, (R[:, None, :] @ pts)[:, 0], dR.transpose(0, 2, 1) @ pts
 
+    @cached_property
+    def gram(self) -> "_GlobalGram":
+        """The global Gram of K, M and Kg, built on first use (see the module
+        docstring)."""
+        return _GlobalGram(self)
+
+    def load_vector(self, load) -> np.ndarray:
+        """A fresh copy of the consistent load vector of a load, which the
+        patch builds once per load; equal loads share one vector."""
+        if load not in self._loads:
+            self._loads[load] = _assemble_load(self, load)
+        return self._loads[load].copy()
+
     def elements(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
         """Nonempty knot spans as ((u0, u1), (v0, v1)) rectangles."""
         return [
@@ -162,23 +203,13 @@ class BasisLocal:
         return BasisLocal(*(None if v is None else v[k] for v in vars(self).values()))
 
 
-def tabulate(knots: KnotVector, params, order: int):
-    """1-D nonzero basis functions and derivatives up to order at each parameter.
-
-    Returns (params, first, ders): ders[k, d, i] is the d-th derivative of
-    basis function first[k] + i at params[k]. This and _tables are this
-    module's only calls into basis_tables; every 2-D evaluation combines two
-    such tables.
-    """
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    ((spans, ders),) = basis_tables(((knots, params),), order)
-    return params, spans - knots.degree, ders
-
-
 def _tables(patch: Patch, xis, etas, order: int):
     """The u and v tables of the tensor grid xis x etas (scalars for one
     point), from one recursion over the stacked knot windows of both
-    directions; each is bitwise equal to its own tabulate call."""
+    directions: (params, first, ders) each, ders[k, d, i] being the d-th
+    derivative of basis function first[k] + i at params[k]. This is the
+    module's only call into basis_tables; every 2-D evaluation combines the
+    two tables."""
     pairs = [(knots, np.atleast_1d(np.asarray(t, dtype=float)))
              for knots, t in ((patch.knot_u, xis), (patch.knot_v, etas))]
     return [(t, spans - knots.degree, ders)
@@ -239,7 +270,7 @@ def _rational(patch: Patch, tab_u, tab_v):
 
 
 def grid_basis(patch: Patch, tab_u, tab_v) -> BasisLocal:
-    """Physical rational basis on the tensor grid of two tables (see tabulate).
+    """Physical rational basis on the tensor grid of two tables (see _tables).
 
     Order 1 tables give R, dRdx, det J and the points, order 2 tables also
     d2Rdx2; order 0 tables give R and the points only. Second derivatives use
@@ -371,10 +402,14 @@ def make_mapped_disk_patch(radius: float, degree: int, n_elements: int) -> Patch
 
     The Greville grid of an open uniform knot square is pushed through
     (u, v) -> (u sqrt(1 - v^2/2), v sqrt(1 - u^2/2)), so edge control points
-    sit exactly on the circle while the spline boundary sags slightly inside
-    it (about 0.3% of the radius at an 11x11 cubic net). This net reproduces
-    the published thick-disk buckling benchmarks; use make_disk_patch when
-    the boundary circle itself must be exact.
+    sit exactly on the circle while the spline boundary sags inside it. The
+    sag is small on fine nets (about 0.3% of the radius at an 11x11 cubic
+    net) but not on coarse ones: the boundary radius dips to 0.854 R on one
+    quadratic element, 0.906 R on one cubic element and 0.978 R on 4 cubic
+    elements. A uniform load is then integrated over less than pi R^2, while
+    the reports still scale by R. This net reproduces the published
+    thick-disk buckling benchmarks; use make_disk_patch when the boundary
+    circle itself must be exact.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -460,3 +495,88 @@ def locate_point(patch: Patch, x: float, y: float) -> tuple[float, float]:
                 raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")
         (u, v), res, jac, norm = trial, trial_res, trial_jac, trial_norm
     raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")
+
+
+# basis channels of the element Gram, in order: R, R_x, R_y, R_xx, R_yy, R_xy
+_CHANNELS = 6
+
+
+def _element_rows(patch: Patch, extra_points: int, order: int):
+    """Per row of elements (one u span and every v span, rows in u order):
+    the basis of the given order at each element's (p+extra) x (q+extra)
+    Gauss points, and the Gauss weights times det J.
+
+    Every array leads with (element, point), elements in v order and points
+    with u outer, so the working set is one row of elements. The u and v
+    tables of every Gauss point come from one _tables call, and each row
+    takes its slice of the u table; the 2-D basis is formed once per row.
+    """
+    rules = []
+    for knots in (patch.knot_u, patch.knot_v):
+        gx, gw = _gauss_legendre(knots.degree + extra_points)
+        lo, hi = np.array([span[1:] for span in knots.spans()]).T
+        half = 0.5 * (hi - lo)
+        rules.append(((0.5 * (lo + hi))[:, None] + half[:, None] * gx, half[:, None] * gw))
+    (params_u, weights_u), (params_v, weights_v) = rules
+    n_el, n_v = params_v.shape
+    n_u = params_u.shape[1]
+    tab_u, tab_v = _tables(patch, params_u.ravel(), params_v.ravel(), order)
+
+    def by_element(a):
+        a = a.reshape((n_u, n_el, n_v) + a.shape[1:]).swapaxes(0, 1)
+        return a.reshape((n_el, n_u * n_v) + a.shape[3:])
+
+    for row, weights in enumerate(weights_u):
+        points = slice(row * n_u, (row + 1) * n_u)
+        basis = grid_basis(patch, [t[points] for t in tab_u], tab_v)
+        wq = np.outer(weights, weights_v).ravel() * basis.jacobian_det
+        grouped = (None if v is None else by_element(v) for v in vars(basis).values())
+        yield BasisLocal(*grouped), by_element(wq)
+
+
+class _GlobalGram:
+    """G[(A, B), (c, d)]: the integral over the patch of w det J times channel
+    c of basis function A times channel d of basis function B, one row per
+    coupled control-point pair A <= B (rows sorted by A, then B), summed from
+    the element Grams in element order. first and second hold A and B of each
+    row, diagonal the rows with A = B."""
+
+    def __init__(self, patch: Patch):
+        # the first control point of each element along u and v: the points of
+        # the elements, in the order of _element_rows and of the basis columns
+        first_u, first_v = (np.array([span for span, _, _ in knots.spans()]) - knots.degree
+                            for knots in (patch.knot_u, patch.knot_v))
+        points = _active_points(patch, first_u, first_v)
+        n_el, nb = points.shape
+        ia, ib = np.triu_indices(nb)
+        keys = (points[:, ia] * patch.n_points + points[:, ib]).ravel()
+        keys, slots = np.unique(keys, return_inverse=True)
+        slots = slots.reshape(n_el, ia.size)
+        self.first, self.second = np.divmod(keys, patch.n_points)
+        self.diagonal = np.flatnonzero(self.first == self.second)
+        self.values = np.zeros((keys.size, _CHANNELS**2))
+        start = 0
+        for basis, wq in _element_rows(patch, 1, 2):
+            row_el, n_q = wq.shape
+            phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
+                                  basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(row_el, n_q, -1)
+            # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)] over a <= b
+            gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
+            gram = gram.reshape(row_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
+            gram = gram[:, ia, ib].reshape(row_el, ia.size, _CHANNELS**2)
+            for rows, ge in zip(slots[start:start + row_el], gram):
+                self.values[rows] += ge
+            start += row_el
+
+
+def _assemble_load(patch: Patch, load) -> np.ndarray:
+    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element."""
+    F = np.zeros(4 * patch.n_points)
+    for basis, wq in _element_rows(patch, 3, 1):
+        x = basis.point
+        wq = wq * load.value(x[..., 0], x[..., 1])
+        for active, we, R in zip(basis.active_indices[:, 0], wq, basis.R):
+            Fe = we @ R
+            F[4 * active + 2] += Fe
+            F[4 * active + 3] += Fe
+    return F

@@ -76,8 +76,11 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
 
     Uses a Cholesky factorization with iterative refinement; the relative
     residual is driven below 1e-10 or a SolverError is raised. Refinement
-    stops at a relative residual of 1e-13, or once a sweep fails to halve
-    the residual, and returns the best iterate; the sweep count is logged.
+    stops at a relative residual of 1e-13, or at a sweep that fails to halve
+    the residual once the best residual meets 1e-10, and returns the best
+    iterate; the sweep count is logged. Near 1e-10 the residual oscillates
+    from sweep to sweep (2.7e-10, 4.5e-10, 4.7e-11 on an 82-DOF CFFC
+    disk), so a stall above it does not stop the sweeps.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
@@ -122,7 +125,8 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
         stalled = res > 0.5 * best_res
         if res < best_res:
             best_y, best_res = y, res
-        if stalled or res <= 1e-13 * fnorm or sweeps == _REFINEMENT_SWEEPS:
+        if ((stalled and best_res <= 1e-10 * fnorm) or res <= 1e-13 * fnorm
+                or sweeps == _REFINEMENT_SWEEPS):
             break
         y = y + sla.cho_solve(chol, (residual_ld * d_ld).astype(np.float64), check_finite=False)
     _log.debug("static solve: %d refinement sweeps, relative residual %.3e",

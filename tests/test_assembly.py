@@ -2,8 +2,9 @@
 nullspace of the unconstrained stiffness, K, M and Kg against a point-by-point
 reference, load-column sums, the disk load resultant, quadrature consistency
 of the load vector, constrained-DOF bookkeeping, the solvability of every
-SSFF preset, assembly on the free DOFs against the full matrices, and the
-pinned in-plane rotation and the mechanism of partly supported squares."""
+SSFF preset, assembly on the free DOFs against the full matrices, the
+pinned in-plane rotation and the mechanism of partly supported squares, and
+the Gram and load vectors that a patch builds once."""
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fgplate as fg
+from fgplate import nurbs
 from fgplate.assembly import BC, SinusoidalLoad, UniformLoad
 from fgplate.errors import ConfigurationError, SolverError
 
@@ -210,6 +212,33 @@ def test_load_vector_requires_load():
     model = square_model()
     with pytest.raises(ConfigurationError):
         fg.assemble(model, want=("F",))
+
+
+def test_assembly_builds_the_gram_of_a_patch_once(monkeypatch):
+    grams = []
+    original = nurbs._GlobalGram
+
+    def counted(patch):
+        grams.append(patch)
+        return original(patch)
+
+    monkeypatch.setattr(nurbs, "_GlobalGram", counted)
+    model = square_model(nel=2, bcs=_bcs("SSSS"))
+    first = fg.assemble(model, want=("K",))
+    second = fg.assemble(replace(model, section=square_model(n=3.0).section), want=("K", "M"))
+    assert grams == [model.patch]
+    assert not np.array_equal(first.K, second.K)
+
+
+def test_load_vector_is_built_once_and_handed_out_as_a_copy():
+    patch = fg.make_square_patch(1.0, 1.0, 3, 3)
+    F = patch.load_vector(UniformLoad(2.0))
+    F[:] = -1.0
+    again = patch.load_vector(UniformLoad(2.0))
+    assert again is not F and again[2::4].sum() == pytest.approx(2.0, rel=1e-12)
+    patch.load_vector(SinusoidalLoad(1.0, 1.0, 1.0))
+    # equal loads share one entry
+    assert len(patch._loads) == 2
 
 
 def test_kg_symmetric_and_semidefinite_for_compression():

@@ -1,11 +1,11 @@
 """Sweeps: a sweep over n, the thickness ratio or the shear model reports
-exactly what independent run_case calls report, while it builds the patch,
-assembly's geometry pass and the load vector once; a mesh sweep builds them
-once per value."""
+exactly what independent run_case calls report, while it builds one patch
+and with it one Gram and one load vector; a mesh sweep builds one of each
+per value."""
 import pytest
 
 import fgplate as fg
-from fgplate import assembly
+from fgplate import nurbs
 from fgplate.config import _SWEEP_FIELDS, CaseConfig, parse_config
 
 
@@ -49,7 +49,7 @@ def count_calls(monkeypatch, owner, name):
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -63,8 +63,10 @@ def count_calls(monkeypatch, owner, name):
 def test_geometry_pass_runs_once_per_patch(monkeypatch, axis, values, patches):
     """patches lists the element count of each patch the sweep should build."""
     built = count_calls(monkeypatch, CaseConfig, "build_patch")
-    rows = count_calls(monkeypatch, assembly, "grid_basis")
+    grams = count_calls(monkeypatch, nurbs, "_GlobalGram")
+    loads = count_calls(monkeypatch, nurbs, "_assemble_load")
     fg.sweep_case(parse_config(dict(base_doc("static"), sweep={"axis": axis, "values": values})))
     assert len(built) == len(patches)
-    # one grid_basis call per row of elements in the matrix and in the load pass
-    assert len(rows) == sum(2 * e for e in patches)
+    # the patch of each Gram and load pass, by its element count
+    for calls in (grams, loads):
+        assert [len(args[0].knot_u.spans()) for args in calls] == patches

@@ -18,7 +18,6 @@ from fgplate.nurbs import (
     grid_basis,
     locate_point,
     surface_basis,
-    tabulate,
 )
 
 from oracles import central_diff, central_diff2
@@ -217,7 +216,7 @@ def test_disk_area_converges():
 def test_grid_basis_matches_one_point_calls(disk):
     # a grid across several spans: every point has its own active set
     xis, etas = np.array([0.05, 0.31, 0.62]), np.array([0.12, 0.5, 0.77, 0.93])
-    grid = grid_basis(disk, tabulate(disk.knot_u, xis, 2), tabulate(disk.knot_v, etas, 2))
+    grid = grid_basis(disk, *_tables(disk, xis, etas, 2))
     Bgrid = fg.strain_operators(grid)
     for k, (xi, eta) in enumerate((u, v) for u in xis for v in etas):
         b = fg.physical_derivs(disk, xi, eta)
@@ -356,11 +355,12 @@ def test_stacked_tables_equal_separate_calls(p):
     etas = np.concatenate([rng.random(4), [0.25, 1.0]])
     for order in (0, 1, 2):
         for xi, eta in ((xis, etas), (xis[0], etas[1]), (xis[:1], etas)):
-            stacked = _tables(patch, xi, eta, order)
-            separate = tabulate(patch.knot_u, xi, order), tabulate(patch.knot_v, eta, order)
-            for one, other in zip(stacked, separate):
-                for a, b in zip(one, other):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            (_, first_u, ders_u), (_, first_v, ders_v) = _tables(patch, xi, eta, order)
+            (span_u, sep_u), = basis_tables(((patch.knot_u, xi),), order)
+            (span_v, sep_v), = basis_tables(((patch.knot_v, eta),), order)
+            for a, b in ((first_u, span_u - p), (first_v, span_v - p),
+                         (ders_u, sep_u), (ders_v, sep_v)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_locate_point_tabulates_at_most_four_times(monkeypatch):

@@ -376,3 +376,20 @@ def test_static_refinement_stops_when_a_sweep_stalls(name, caplog):
     sweeps, residual = record.args
     assert sweeps <= 3
     assert residual <= 1e-10
+
+
+def test_static_refinement_runs_on_past_a_stall_above_the_contract(caplog):
+    # 82 free DOFs whose residual reads 2.73e-10, 4.48e-10, 4.65e-11 over the
+    # first sweeps: stopping at the first stall raised at 2.73e-10
+    caplog.set_level(logging.DEBUG, logger="fgplate")
+    config = fg.parse_config({
+        "geometry": {"type": "disk", "radius": 0.5, "net": "rational"},
+        "thickness_ratio": 0.030847381782144048, "degree": 2, "elements": 4,
+        "material": {"ceramic": "ZrO2-2", "metal": "Al", "power_index": 0.5},
+        "shear_model": "atan_sin", "edge_bcs": "CFFC",
+        "load": {"type": "uniform", "q0": 1.0}, "analysis": {"type": "static"},
+    })
+    result = fg.run_case(config)
+    (record,) = [r for r in caplog.records if r.msg.startswith("static solve")]
+    assert record.args[1] <= 1e-10
+    assert result.report.w_bar == pytest.approx(10.393262668033373, rel=1e-9)

@@ -42,7 +42,7 @@ Every BLAS product stays below OpenBLAS's threading threshold
 (m n k > 262,144): V is formed 256 rows of G at a time, and the element
 Grams of G are one product per element. numpy and scipy each load their own
 OpenBLAS, and a worker woken in numpy's spins for about 0.1 s after a
-threaded product; the dense scipy eigh that follows in the same case then
+threaded product; the scipy solve that follows in the same case then
 shares two CPUs with it. Measured on a 2-vCPU VM: one unblocked
 (3,796 x 36) @ (36 x 16) product per matrix more than doubled the solver
 time of a three-case vibration sweep (median 245 ms against 105-110 ms), and
@@ -140,8 +140,11 @@ class GlobalSystem:
     global DOF free_dofs[i]. F is the load vector over all n_dofs DOFs, which
     solve_static reads on the free ones. mechanism names a rigid motion that
     the constraints leave and that a static or buckling solve cannot carry;
-    vibration reports it as a zero frequency. Solvers never write into these
-    arrays.
+    vibration reports it as a zero frequency. bandwidth is the half-bandwidth
+    kd of K, M and Kg (entry (i, j) is zero where |i - j| > kd), which the
+    solvers factorize in band storage; assemble sets it from the coupled
+    control-point pairs, and a system built by hand gets the safe n - 1.
+    Solvers never write into these arrays.
     """
 
     n_dofs: int
@@ -151,12 +154,15 @@ class GlobalSystem:
     F: Optional[np.ndarray] = None
     fixed_dofs: np.ndarray = None
     mechanism: Optional[str] = None
+    bandwidth: Optional[int] = None
     free_dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         fixed = np.array([], dtype=int) if self.fixed_dofs is None else np.unique(self.fixed_dofs)
         object.__setattr__(self, "fixed_dofs", fixed)
         object.__setattr__(self, "free_dofs", np.setdiff1d(np.arange(self.n_dofs), fixed))
+        if self.bandwidth is None:
+            object.__setattr__(self, "bandwidth", max(self.free_dofs.size - 1, 0))
 
     def reduce(self, matrix: np.ndarray) -> np.ndarray:
         """The free-DOF block of a system matrix, which is the matrix itself:
@@ -271,11 +277,11 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
 
     fixed, mechanism = edge_constraints(model, inertia="M" in want)
     system = GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism)
-    K = M = Kg = None
+    K = M = Kg = bandwidth = None
     if want & {"K", "M", "Kg"}:
-        K, M, Kg = _assemble_matrices(model, want, system.free_dofs)
+        (K, M, Kg), bandwidth = _assemble_matrices(model, want, system.free_dofs)
     F = model.patch.load_vector(model.load) if "F" in want else None
-    return replace(system, K=K, M=M, Kg=Kg, F=F)
+    return replace(system, K=K, M=M, Kg=Kg, F=F, bandwidth=bandwidth)
 
 
 def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -294,7 +300,8 @@ def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
     """K, M and Kg (None where not wanted) on the given free DOFs, from the
     global Gram of the model's patch: one blocked product with a coefficient
     table per matrix, then the free entries of each pair block and of its
-    transpose written once."""
+    transpose written once. Returned with the half-bandwidth of the written
+    entries, max |row - col| over the pairs' free entries."""
     section, gram = model.section, model.patch.gram
     tables = {}
     if "K" in want:
@@ -315,6 +322,8 @@ def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
     cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
     upper = np.minimum(rows * nf + cols, spare)
     lower = np.minimum(cols * nf + rows, spare)
+    written = upper < spare
+    bandwidth = int(np.abs(rows[written] - cols[written]).max()) if written.any() else 0
     G, d = gram.values, gram.diagonal
     out = {}
     for name, C in tables.items():
@@ -328,7 +337,7 @@ def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
         A[upper] = V.ravel()
         A[lower] = V.ravel()
         out[name] = A[:spare].reshape(nf, nf)
-    return tuple(out.get(name) for name in ("K", "M", "Kg"))
+    return tuple(out.get(name) for name in ("K", "M", "Kg")), bandwidth
 
 
 def _edge_point_indices(shape: tuple[int, int], edge: int, offset: int) -> np.ndarray:

@@ -1,36 +1,52 @@
-"""Dense solvers for the static system and the two symmetric generalized
+"""Banded solvers for the static system and the two symmetric generalized
 eigenproblems (free vibration, linearized buckling), on the free-DOF matrices
 that assembly builds.
 
-Problem sizes stay in the low thousands of DOFs, so dense symmetric
-factorizations are the right tool. At 784 DOFs (624 free, K 23% nonzero) the
-10 lowest vibration modes take 31-32 ms with the dense subset eigh, against
-50-52 ms for a sparse shift-invert eigsh (splu) and 61-88 ms for eigsh on a
-dense Cholesky (vib10-atan-n1-r10, 2-vCPU VM).
+With four DOFs per control point in the natural control-point order, K, M
+and Kg are banded: the half-bandwidth kd (GlobalSystem.bandwidth) is 147 at
+488 free DOFs and 165 at 624, against 285 at 2,024. Every analysis
+therefore factorizes one Jacobi-equilibrated matrix A in LAPACK's band
+storage with xPBTRF, D A D = L L^T with D = diag(A)^-1/2, and never
+factorizes a dense one.
 
-Both eigenproblems are one flipped pencil, B v = mu (K + sigma B) v, of which
-only the k largest mu are computed, by LAPACK's subset driver xSYGVX. The
-factorized operator is the stiffness: vibration takes B = M and a small
-shift sigma (lambda = 1/mu - sigma), buckling takes B = -Kg and sigma = 0
-(lambda = 1/mu). M is never factorized, because it is nearly singular on
-thin plates. The matrices are not equilibrated: on every case measured the
-flip and the shift alone give the equilibrated form's eigenvalues, and the
-scaling copies cost 5-7 ms of a 25-32 ms vibration solve at 624 free DOFs.
+- static: A = K, solved with xPBTRS, then refined with long-double
+  residuals against the dense K;
+- vibration and buckling: one flipped pencil, B v = mu (K + sigma B) v, of
+  which only the k largest mu are computed. A = K + sigma B: vibration
+  takes B = M and a small shift sigma (lambda = 1/mu - sigma), buckling B =
+  -Kg and sigma = 0 (lambda = 1/mu), and its two signs share the factor of
+  K. M is never factorized, because it is nearly singular on thin plates.
+
+The k largest mu are those of the symmetric operator C = L^-1 D B D L^-T,
+found by ARPACK's implicitly restarted Lanczos (scipy's eigsh; Lehoucq,
+Sorensen and Yang, ARPACK Users' Guide, SIAM 1998). One product with C is
+two triangular band solves (xTBTRS) and one band product with B (xSBMV). The
+vectors map back as v = D L^-T x, so v^T (K + sigma B) v = 1. At 624 free
+DOFs the 10 lowest vibration modes take 18-29 ms and the lowest one 8-11
+ms, against 34-47 ms for either with LAPACK's dense subset eigensolver
+xSYGVX, which this replaced (vib10-atan-n1-r10, vib-atan-n1-r5; shared
+2-vCPU VM, 1 and 2 BLAS threads). ARPACK needs k < n - 1; a system with
+fewer free DOFs forms C densely from the same factor and takes the top k
+of its full spectrum.
+
 The solves run in scipy's LAPACK on its bundled OpenBLAS, which is
 multi-threaded: it uses up to one thread per core unless OPENBLAS_NUM_THREADS
-caps it. For a fixed thread count the results are deterministic.
+caps it. The Lanczos start vector comes from a fixed seed, so for a fixed
+thread count the results are deterministic.
 
 A solve reads the system's arrays and never writes into them, so a system
-can be solved again with the same result. LAPACK works in place only on
-arrays that the solver makes itself (B, and K + sigma M); it copies K.
+can be solved again with the same result.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas, lapack
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import GlobalSystem
 from .errors import MassMatrixError, SolverError, SpectrumError
@@ -39,6 +55,9 @@ __all__ = ["EigenResult", "solve_static", "solve_vibration", "solve_buckling"]
 
 _POSITIVE_CUTOFF = 1e-12
 _REFINEMENT_SWEEPS = 7  # corrections at most, each followed by its residual
+# the Lanczos start vector; a vector of ones shares the symmetry of a
+# symmetric plate and may miss a whole mode family
+_START_SEED = 0
 
 _log = logging.getLogger("fgplate")
 
@@ -71,16 +90,51 @@ def _matrix(system: GlobalSystem, name: str) -> np.ndarray:
     return matrix
 
 
+def _band(matrix: np.ndarray, kd: int, d: np.ndarray) -> np.ndarray:
+    """D A D in LAPACK's lower band storage, ab[i - j, j] = d_i A_ij d_j for
+    0 <= i - j <= kd, with D = diag(d)."""
+    n = matrix.shape[0]
+    ab = np.zeros((kd + 1, n))
+    for offset in range(kd + 1):
+        ab[offset, :n - offset] = matrix.diagonal(-offset) * d[offset:] * d[:n - offset]
+    return ab
+
+
+def _factor(K: np.ndarray, kd: int, factored: str, B: Optional[np.ndarray] = None,
+            sigma: float = 0.0) -> tuple:
+    """The banded Cholesky factor of the Jacobi-equilibrated A = K + sigma B:
+    D A D = L L^T with D = diag(d) = diag(A)^-1/2, made by xPBTRF. Returns
+    (L, d, D B D) with L and D B D in lower band storage, D B D None without
+    B. factored names A in the SolverError raised when it is not positive
+    definite."""
+    diag = np.diag(K) if B is None else np.diag(K) + sigma * np.diag(B)
+    bad = np.flatnonzero(~(diag > 0.0))
+    if bad.size:
+        raise SolverError(f"{factored} is not positive definite on the free DOFs: diagonal "
+                          f"pivot {bad[0] + 1} of {diag.size} is {diag[bad[0]]:.3e}")
+    d = 1.0 / np.sqrt(diag)
+    A = _band(K, kd, d)
+    DBD = None if B is None else _band(B, kd, d)
+    if sigma:
+        A += sigma * DBD
+    L, info = lapack.dpbtrf(A, lower=1, overwrite_ab=1)
+    if info:
+        raise SolverError(f"{factored} is not positive definite on the free DOFs: the "
+                          f"banded Cholesky fails at pivot {info} of {diag.size}")
+    return L, d, DBD
+
+
 def solve_static(system: GlobalSystem) -> np.ndarray:
     """Solve K q = F on the free DOFs and expand with zeros on the fixed ones.
 
-    Uses a Cholesky factorization with iterative refinement; the relative
-    residual is driven below 1e-10 or a SolverError is raised. Refinement
-    stops at a relative residual of 1e-13, or at a sweep that fails to halve
-    the residual once the best residual meets 1e-10, and returns the best
-    iterate; the sweep count is logged. Near 1e-10 the residual oscillates
-    from sweep to sweep (2.7e-10, 4.5e-10, 4.7e-11 on an 82-DOF CFFC
-    disk), so a stall above it does not stop the sweeps.
+    Uses the banded Cholesky factorization of the Jacobi-equilibrated K with
+    iterative refinement; the relative residual is driven below 1e-10 or a
+    SolverError is raised. Refinement stops at a relative residual of 1e-13,
+    or at a sweep that fails to halve the residual once the best residual
+    meets 1e-10, and returns the best iterate; the sweep count is logged.
+    Near 1e-10 the residual oscillates from sweep to sweep (2.7e-10,
+    4.5e-10, 4.7e-11 on an 82-DOF CFFC disk), so a stall above it does not
+    stop the sweeps.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
@@ -90,23 +144,12 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
         raise SolverError("no free DOFs remain after constraints")
 
     # symmetric Jacobi equilibration tames the membrane/bending scale spread
-    diag = np.diag(K).copy()
-    if np.any(diag <= 0):
-        raise SolverError(
-            f"reduced stiffness is not positive definite (smallest pivot ~ {diag.min():.3e})"
-        )
-    d = 1.0 / np.sqrt(diag)
-    Ks = K * d[:, None] * d[None, :]
-    Fs = F * d
-    try:
-        chol = sla.cho_factor(Ks, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        smallest = float(sla.eigh(Ks, eigvals_only=True, subset_by_index=(0, 0))[0])
-        raise SolverError(
-            f"reduced stiffness is not positive definite (smallest pivot ~ {smallest:.3e})"
-        ) from exc
+    L, d, _ = _factor(K, system.bandwidth, "reduced stiffness")
 
-    y = sla.cho_solve(chol, Fs, check_finite=False)
+    def solve(rhs):
+        return lapack.dpbtrs(L, rhs, lower=1)[0]
+
+    y = solve(F * d)
     fnorm = np.linalg.norm(F)
     if fnorm == 0.0:
         return system.expand(np.zeros_like(y))
@@ -128,7 +171,7 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
         if ((stalled and best_res <= 1e-10 * fnorm) or res <= 1e-13 * fnorm
                 or sweeps == _REFINEMENT_SWEEPS):
             break
-        y = y + sla.cho_solve(chol, (residual_ld * d_ld).astype(np.float64), check_finite=False)
+        y = y + solve((residual_ld * d_ld).astype(np.float64))
     _log.debug("static solve: %d refinement sweeps, relative residual %.3e",
                sweeps, best_res / fnorm)
     if best_res > 1e-10 * fnorm:
@@ -136,29 +179,58 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     return system.expand(best_y * d)
 
 
-def _largest_pairs(B: np.ndarray, K: np.ndarray, sigma: float, k: int, factored: str) -> tuple:
-    """The k largest mu of B v = mu (K + sigma B) v, descending, with their
-    vectors, which are normalized to v^T (K + sigma B) v = 1.
+def _negative_semidefinite(B: np.ndarray) -> bool:
+    """Whether a band matrix (lower band storage) is negative semidefinite
+    to roundoff: eps I - B has a band Cholesky factor, with eps = 1e-12 of
+    its largest diagonal entry."""
+    shifted = -B
+    shifted[0] += _POSITIVE_CUTOFF * np.abs(B[0]).max()
+    return lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
 
-    One call of LAPACK's subset driver xSYGVX factorizes K + sigma B. B must
-    be a fresh bitwise symmetric array, which LAPACK overwrites; K is never
-    written (it is copied when sigma is 0). factored names K + sigma B in the
-    SolverError raised when it is not positive definite.
+
+def _largest_pairs(L: np.ndarray, d: np.ndarray, B: np.ndarray, k: int,
+                   factored: str) -> tuple:
+    """The k largest mu of B v = mu A v, descending, with their vectors,
+    which are normalized to v^T A v = 1: the eigenpairs (mu, x) of
+    C = L^-1 B L^-T mapped back as v = D L^-T x, for L and d from _factor
+    and B as D B D in band storage. factored names A in a SolverError.
+
+    C is congruent to B, so it has a positive eigenvalue only if B has one
+    (Sylvester's law of inertia). Where B has none, being zero or negative
+    semidefinite to roundoff (the flipped buckling pencil under tension),
+    its k largest mu are a multiple eigenvalue 0, which Lanczos cannot
+    converge; they are returned as 0 without it.
     """
-    n = K.shape[0]
+    n, kd = d.size, B.shape[0] - 1
     k = min(k, n)
     if k < 1:
         raise SolverError("need at least one requested mode")
-    A = K + sigma * B if sigma else K
-    # the transposes of bitwise symmetric C-order arrays are the same
-    # matrices in Fortran order: LAPACK overwrites B and K + sigma B in
-    # place and copies K
-    try:
-        mu, vectors = sla.eigh(B.T, A.T, subset_by_index=(n - k, n - 1), overwrite_a=True,
-                               overwrite_b=A is not K, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise SolverError(f"{factored} is not positive definite on the free DOFs") from exc
-    return mu[::-1], vectors[:, ::-1]
+    if not B.any() or (not np.any(B[0] > 0.0) and _negative_semidefinite(B)):
+        return np.zeros(k), np.zeros((n, k))
+
+    def apply(x):
+        y = lapack.dtbtrs(L, x, uplo="L", trans="T")[0]
+        return lapack.dtbtrs(L, blas.dsbmv(kd, 1.0, B, y, lower=1), uplo="L")[0]
+
+    C = LinearOperator((n, n), matvec=apply, dtype=float)
+    operator = f"L^-1 B L^-T with L L^T = {factored}"
+    if k >= n - 1:
+        # below ARPACK's limit k < n - 1: C from the factor, all of it
+        mu, X = sla.eigh(C.matmat(np.eye(n)))
+        mu, X = mu[n - k:], X[:, n - k:]
+    else:
+        start = np.random.default_rng(_START_SEED).standard_normal(n)
+        try:
+            mu, X = eigsh(C, k, which="LA", tol=0, ncv=min(n, max(2 * k + 1, 20)), v0=start)
+        except ArpackNoConvergence as exc:
+            mu, X = exc.eigenvalues, exc.eigenvectors
+            found = f"{mu.size} of {k} pairs converged"
+            if mu.size:
+                found += f", largest residual {np.linalg.norm(C @ X - X * mu, axis=0).max():.3e}"
+            raise SolverError(f"Lanczos on {operator} did not converge: {found}") from exc
+        except ArpackError as exc:
+            raise SolverError(f"Lanczos on {operator} failed: {exc}") from exc
+    return mu[::-1], d[:, None] * lapack.dtbtrs(L, X[:, ::-1], uplo="L", trans="T")[0]
 
 
 def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
@@ -171,9 +243,7 @@ def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
     mu of M v = mu (K + sigma M) v are computed instead, with sigma =
     1e-9 median(diag K / diag M), which makes K + sigma M positive definite
     on a plate with rigid modes. Then lambda = 1/mu - sigma, and the vectors
-    are divided by sqrt(mu) so that v^T M v = 1. The flip and the shift alone
-    give the equilibrated form's eigenvalues on every case measured, so the
-    matrices are not scaled.
+    are divided by sqrt(mu) so that v^T M v = 1.
 
     Rigid-body modes, within 1e-16 max(diag K / diag M) of zero, return
     exactly 0; an eigenvalue below that bound on the negative side raises
@@ -187,7 +257,9 @@ def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
         raise MassMatrixError("mass matrix is not positive definite on the free DOFs")
     ratio = np.diag(K) / np.diag(M)
     sigma = 1e-9 * np.median(ratio)
-    mu, vectors = _largest_pairs(M.copy(), K, sigma, k, f"K + sigma M (sigma = {sigma:.3e})")
+    factored = f"K + sigma M (sigma = {sigma:.3e})"
+    L, d, DMD = _factor(K, system.bandwidth, factored, M, sigma)
+    mu, vectors = _largest_pairs(L, d, DMD, k, factored)
     if mu[-1] <= 0.0:
         raise MassMatrixError(f"mass matrix has fewer than {mu.size} positive modes")
     values = 1.0 / mu - sigma
@@ -212,14 +284,16 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     prestress), the computed theta when the diagonal vanishes (pure shear,
     where R_x R_y integrates to zero). If the flipped pencil has no positive
     theta, the raw sign is tried, so callers may also pass the pattern
-    operator of the eigenproblem directly. Only positive factors return.
+    operator of the eigenproblem directly; both signs use one factor of K.
+    Only positive factors return.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
     K, Kg = _matrix(system, "K"), _matrix(system, "Kg")
     diag_g = np.abs(np.diag(Kg))
+    L, d, DGD = _factor(K, system.bandwidth, "stiffness matrix", Kg)
     for sign in (-1.0, 1.0):
-        theta, vectors = _largest_pairs(sign * Kg, K, 0.0, k, "stiffness matrix")
+        theta, vectors = _largest_pairs(L, d, sign * DGD, k, "stiffness matrix")
         scale = max(np.max(diag_g / np.diag(K)), np.abs(theta).max())
         take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)
         if take.size:

@@ -462,6 +462,35 @@ def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, code, 
     assert np.array_equal(system.F, full.F)
 
 
+@pytest.mark.parametrize("geometry,code", [
+    pytest.param("square", "SSSS", id="square-SSSS"),
+    pytest.param("square", "FFFF", id="square-FFFF"),
+    pytest.param("disk", "CCCC", id="disk-CCCC"),
+    pytest.param("mapped disk", "CCCC", id="mapped-disk-CCCC"),
+])
+def test_bandwidth_is_that_of_the_nonzeros_of_k(geometry, code):
+    # the solvers factorize in band storage of this width, so no nonzero of
+    # K, M or Kg may lie outside it; an FGM section couples every component
+    if geometry == "square":
+        model = square_model(n=1.5, nel=3, bcs=_bcs(code),
+                             prestress=np.array([[-1.3, 0.4], [0.4, -0.7]]))
+    else:
+        model = _disk_model(fg.make_disk_patch if geometry == "disk"
+                            else fg.make_mapped_disk_patch, _bcs(code))
+    system = fg.assemble(model, want=("K", "M", "Kg"))
+    rows, cols = np.nonzero(system.K)
+    assert system.bandwidth == np.abs(rows - cols).max()
+    for name in ("M", "Kg"):
+        rows, cols = np.nonzero(getattr(system, name))
+        assert np.abs(rows - cols).max() <= system.bandwidth, name
+
+
+def test_bandwidth_of_a_system_built_by_hand_is_the_full_width():
+    assert fg.GlobalSystem(n_dofs=5, K=np.eye(5)).bandwidth == 4
+    assert fg.GlobalSystem(n_dofs=5, K=np.eye(3), fixed_dofs=[0, 4]).bandwidth == 2
+    assert fg.GlobalSystem(n_dofs=2, fixed_dofs=[0, 1]).bandwidth == 0
+
+
 def test_reduce_passes_only_free_size_matrices():
     # reduce is the identity on the free-DOF matrices and refuses a full-size one
     model = square_model(nel=2, bcs=_bcs("SSSS"))

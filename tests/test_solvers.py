@@ -1,7 +1,8 @@
 """Solver tests: trivial systems, residual bounds, degenerate-pair handling,
 cross-checks of the discretization against independent trigonometric-series
 solutions, spectral monotonicity properties, systems left unchanged by a
-solve, and top-k buckling against the full spectrum."""
+solve, top-k buckling against the full spectrum, and the banded Lanczos
+eigensolver against a dense subset eigh on the same matrices."""
 import logging
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+
 import fgplate as fg
+from fgplate import solvers
 from fgplate.assembly import BC, GlobalSystem, SinusoidalLoad
 from fgplate.errors import MassMatrixError, SolverError, SpectrumError
 
@@ -61,6 +65,13 @@ def test_static_zero_load():
 def test_static_rejects_indefinite():
     system = tiny_system(np.diag([1.0, -1.0]), F=np.ones(2))
     with pytest.raises(SolverError, match="pivot"):
+        fg.solve_static(system)
+
+
+def test_static_names_the_failing_pivot():
+    # a positive diagonal passes the equilibration; the band Cholesky fails
+    system = tiny_system([[1.0, 2.0], [2.0, 1.0]], F=np.ones(2))
+    with pytest.raises(SolverError, match="pivot 2 of 2"):
         fg.solve_static(system)
 
 
@@ -393,3 +404,128 @@ def test_static_refinement_runs_on_past_a_stall_above_the_contract(caplog):
     (record,) = [r for r in caplog.records if r.msg.startswith("static solve")]
     assert record.args[1] <= 1e-10
     assert result.report.w_bar == pytest.approx(10.393262668033373, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos eigensolve on the band factor against a dense subset eigh of
+# the same flipped pencil, B v = mu (K + sigma B) v
+# ---------------------------------------------------------------------------
+
+def dense_largest(B, K, sigma, k):
+    n = K.shape[0]
+    return sla.eigh(B, K + sigma * B, eigvals_only=True, subset_by_index=(n - k, n - 1))[::-1]
+
+
+def dense_vibration(system, k):
+    """The vibration eigenvalues lambda = 1/mu - sigma of the flipped pencil
+    by a dense subset eigh, and the rigid-mode floor within which
+    solve_vibration returns 0."""
+    K, M = system.K, system.M
+    ratio = np.diag(K) / np.diag(M)
+    sigma = 1e-9 * np.median(ratio)
+    return 1.0 / dense_largest(M, K, sigma, k) - sigma, 1e-16 * ratio.max()
+
+
+def assert_vibration_matches_dense(system, k, rtol=1e-10):
+    res = fg.solve_vibration(system, k)
+    expected, floor = dense_vibration(system, k)
+    assert_allclose(res.values, expected, rtol=rtol, atol=floor)
+    # mass-orthonormal modes, so a double mode comes back as two modes
+    K, M, V = system.K, system.M, res.vectors
+    assert_allclose(V.T @ M @ V, np.eye(k), atol=1e-9)
+    # normwise backward errors at roundoff
+    knorm, mnorm = np.linalg.norm(K, 1), np.linalg.norm(M, 1)
+    for lam, v in zip(res.values, V.T):
+        resid = np.linalg.norm(K @ v - lam * (M @ v))
+        assert resid <= 1e-13 * (knorm + lam * mnorm) * np.linalg.norm(v)
+    return res
+
+
+def preset_system(name, want):
+    config = fg.preset_config(name)
+    return config, fg.assemble(config.build_model(), want=want)
+
+
+def test_lanczos_finds_both_modes_of_the_ssss_double_pairs():
+    config, system = preset_system("vib10-atan-n1-r10", ("K", "M"))
+    res = assert_vibration_matches_dense(system, config.modes)
+    # three double modes of the square among the first ten
+    for first in (1, 3, 6):
+        assert res.values[first + 1] == pytest.approx(res.values[first], rel=1e-12)
+
+
+def test_lanczos_matches_dense_on_the_paired_modes_of_the_clamped_disk():
+    config, system = preset_system("buck-disk-atan-n0-hr0.1", ("K", "Kg"))
+    res = fg.solve_buckling(system, config.modes)
+    k = config.modes
+    expected = 1.0 / dense_largest(-system.Kg, system.K, 0.0, k)
+    assert_allclose(res.values, expected, rtol=1e-10)
+    # the axisymmetric mode, then a pair
+    assert res.values[2] == pytest.approx(res.values[1], rel=1e-12)
+    V = res.vectors
+    assert_allclose(V.T @ system.K @ V, np.eye(k), atol=1e-9)
+
+
+def test_lanczos_matches_dense_on_the_thinnest_plate():
+    _, system, _ = thin_vibration("SSSS", 1e6, 7)
+    res = assert_vibration_matches_dense(system, 4)
+    assert res.values[0] == pytest.approx(9.811e-4, rel=1e-4)
+
+
+def test_lanczos_returns_the_rigid_modes_of_a_free_plate():
+    _, system = build_case(ZRO2_MT, fg.ShearModel.ATAN, tuple(BC(c) for c in "FSFS"), nel=2,
+                           want=("K", "M"))
+    assert system.free_dofs.size > 9
+    # the dense pairs' residuals reach 2.5e-8 of |K v| here, the Lanczos ones 6e-13
+    res = assert_vibration_matches_dense(system, 8, rtol=1e-7)
+    assert res.values[0] == 0.0 and res.values[-1] > 0.0
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_systems_below_arpack_limit_take_the_dense_operator(k, monkeypatch):
+    # eigsh needs k < n - 1; at k >= n - 1 the operator is formed densely
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh called with k >= n - 1")
+
+    monkeypatch.setattr(solvers, "eigsh", no_lanczos)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 6))
+    K, M = X @ X.T + 6.0 * np.eye(6), np.diag(rng.uniform(1.0, 2.0, 6))
+    res = fg.solve_vibration(tiny_system(K, M=M), k)
+    assert_allclose(res.values, sla.eigh(K, M, eigvals_only=True)[:k], rtol=1e-12)
+    assert_allclose(res.vectors.T @ M @ res.vectors, np.eye(k), atol=1e-12)
+
+
+def test_tension_skips_lanczos_on_the_flipped_pencil(monkeypatch):
+    # -Kg has no positive eigenvalue, so neither has the flipped pencil: its
+    # k largest mu are a multiple zero, and only the raw sign is iterated
+    calls, lanczos = [], solvers.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["which"])
+        return lanczos(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "eigsh", counted)
+    system = _buckling_system("square-SSSS", PRESTRESSES["tensile"])
+    got = fg.solve_buckling(system, 4).values
+    assert calls == ["LA"]
+    assert_allclose(got, 1.0 / dense_largest(system.Kg, system.K, 0.0, 4), rtol=1e-10)
+
+
+def test_lanczos_failure_is_a_solver_error_with_the_residual(monkeypatch):
+    _, system = preset_system("vib-atan-n1-r5", ("K", "M"))
+    n = system.free_dofs.size
+
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([1e-9]), np.ones((n, 1)) / np.sqrt(n))
+
+    monkeypatch.setattr(solvers, "eigsh", stalled)
+    with pytest.raises(SolverError, match=r"L\^-1 B L\^-T .*1 of 2 pairs .*residual"):
+        fg.solve_vibration(system, 2)
+
+    def failed(*args, **kwargs):
+        raise ArpackError(-9999)
+
+    monkeypatch.setattr(solvers, "eigsh", failed)
+    with pytest.raises(SolverError, match=r"Lanczos on L\^-1 B L\^-T .* failed"):
+        fg.solve_vibration(system, 2)

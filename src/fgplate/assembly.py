@@ -25,18 +25,26 @@ Stress recovery (postprocess) reads a station's strains through the same
 bending and shear rows of L, so K and the stresses share one kinematics.
 
 A case is one product V = G @ C per matrix; it makes the 4 x 4 blocks of
-the pairs A = B exactly symmetric and writes each pair block and its
-transpose once into the dense matrix, so nothing is accumulated per case.
-The matrix is numbered by the free DOFs of the model's edge conditions: a
-map from global DOF to free position, built per case, drops the entries of
-the fixed DOFs at that write, so no full-size matrix and no reduced copy is
-made. A model free on every edge fixes nothing and gets the full matrices.
-Every block is written from one product row, so results are deterministic
-and the global matrices bitwise symmetric.
+the pairs A = B exactly symmetric and writes each free entry of the pair
+blocks once into LAPACK's lower band storage, so nothing is accumulated per
+case. Entry (r, c) goes to ab[|r - c|, min(r, c)] of a (kd + 1) x nf array,
+the format that the solvers factorize (xPBTRF) and multiply (xSBMV) in; a
+pair block and its transpose share those slots. The half-bandwidth kd is
+the largest |r - c| over the written entries, so the band is as narrow as
+the coupled control-point pairs allow in the natural control-point order,
+and GlobalSystem reads it back as K.shape[0] - 1. The matrix is numbered
+by the free DOFs of the model's edge conditions: a map from global DOF to
+free position, built per case, sends the entries of the fixed DOFs to one
+spare slot at that write, so no full-size matrix, no reduced copy and no
+nf x nf array is made. A model free on every edge fixes nothing and gets
+the full matrices. Every entry is written from one product row, so results
+are deterministic.
 
 On an 11 x 11 cubic patch a K + M pair from G takes about 3 ms, against
-26-29 ms for contracting and scattering the 121 element Grams. On the 624
-free DOFs of SSSS a matrix takes 3.1 MB, against 4.9 MB full-size.
+26-29 ms for contracting and scattering the 121 element Grams. A band
+matrix takes 0.58 MB on the 488 free DOFs of the clamped disk (kd = 147),
+0.83 MB on the 624 of SSSS (kd = 165) and 4.6 MB on 2,024 (kd = 285),
+against 1.9, 3.1 and 32.8 MB for the dense free-DOF matrix.
 
 Every BLAS product stays below OpenBLAS's threading threshold
 (m n k > 262,144): V is formed 256 rows of G at a time, and the element
@@ -137,14 +145,18 @@ class GlobalSystem:
     """Assembled matrices on the free DOFs, plus constrained-DOF bookkeeping.
 
     K, M and Kg are numbered by the free DOFs: row and column i belong to
-    global DOF free_dofs[i]. F is the load vector over all n_dofs DOFs, which
-    solve_static reads on the free ones. mechanism names a rigid motion that
-    the constraints leave and that a static or buckling solve cannot carry;
-    vibration reports it as a zero frequency. bandwidth is the half-bandwidth
-    kd of K, M and Kg (entry (i, j) is zero where |i - j| > kd), which the
-    solvers factorize in band storage; assemble sets it from the coupled
-    control-point pairs, and a system built by hand gets the safe n - 1.
-    Solvers never write into these arrays.
+    global DOF free_dofs[i]. Each is stored in LAPACK's lower band storage,
+    the solvers' input format: a (kd + 1) x nf array ab with
+    ab[|i - j|, min(i, j)] the entry (i, j) of the symmetric matrix and zeros
+    past the end of each diagonal. The half-bandwidth kd is K.shape[0] - 1:
+    entry (i, j) is zero where |i - j| > kd. assemble makes the band as wide
+    as the coupled control-point pairs reach in the free numbering, the same
+    for all three matrices; a system built by hand gives K, M and Kg one
+    band width too. reduce(matrix) is the dense view. F is the load vector
+    over all n_dofs DOFs, which solve_static reads on the free ones.
+    mechanism names a rigid motion that the constraints leave and that a
+    static or buckling solve cannot carry; vibration reports it as a zero
+    frequency. Solvers never write into these arrays.
     """
 
     n_dofs: int
@@ -154,25 +166,27 @@ class GlobalSystem:
     F: Optional[np.ndarray] = None
     fixed_dofs: np.ndarray = None
     mechanism: Optional[str] = None
-    bandwidth: Optional[int] = None
     free_dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         fixed = np.array([], dtype=int) if self.fixed_dofs is None else np.unique(self.fixed_dofs)
         object.__setattr__(self, "fixed_dofs", fixed)
         object.__setattr__(self, "free_dofs", np.setdiff1d(np.arange(self.n_dofs), fixed))
-        if self.bandwidth is None:
-            object.__setattr__(self, "bandwidth", max(self.free_dofs.size - 1, 0))
 
-    def reduce(self, matrix: np.ndarray) -> np.ndarray:
-        """The free-DOF block of a system matrix, which is the matrix itself:
-        assemble numbers K, M and Kg by the free DOFs. perfbench/tracer.py
-        still reads the matrices through this call. A matrix of any other
-        size is not one of this system's and raises."""
-        if matrix.shape != (self.free_dofs.size,) * 2:
-            raise ConfigurationError(f"a {matrix.shape} matrix is not on the "
-                                     f"{self.free_dofs.size} free DOFs of this system")
-        return matrix
+    def reduce(self, band: np.ndarray) -> np.ndarray:
+        """The dense nf x nf free-DOF matrix of one of the system's band
+        arrays (K, M or Kg), the only dense view of them; the tests and
+        perfbench/tracer.py read the matrices through it. An array that is
+        not a band over this system's free DOFs raises."""
+        nf = self.free_dofs.size
+        if band.ndim != 2 or band.shape[1] != nf or not 1 <= band.shape[0] <= max(nf, 1):
+            raise ConfigurationError(f"a {band.shape} array is not a band over the "
+                                     f"{nf} free DOFs of this system")
+        dense = np.zeros((nf, nf), dtype=band.dtype)
+        for offset, diagonal in enumerate(band):
+            i = np.arange(nf - offset)
+            dense[i + offset, i] = dense[i, i + offset] = diagonal[:nf - offset]
+        return dense
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Embed a free-DOF vector (or mode block) into the full DOF space."""
@@ -277,11 +291,9 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
 
     fixed, mechanism = edge_constraints(model, inertia="M" in want)
     system = GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism)
-    K = M = Kg = bandwidth = None
-    if want & {"K", "M", "Kg"}:
-        (K, M, Kg), bandwidth = _assemble_matrices(model, want, system.free_dofs)
+    matrices = _assemble_matrices(model, want, system.free_dofs) if want - {"F"} else {}
     F = model.patch.load_vector(model.load) if "F" in want else None
-    return replace(system, K=K, M=M, Kg=Kg, F=F, bandwidth=bandwidth)
+    return replace(system, F=F, **matrices)
 
 
 def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -296,12 +308,12 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
 _PRODUCT_ROWS = 256
 
 
-def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
-    """K, M and Kg (None where not wanted) on the given free DOFs, from the
-    global Gram of the model's patch: one blocked product with a coefficient
-    table per matrix, then the free entries of each pair block and of its
-    transpose written once. Returned with the half-bandwidth of the written
-    entries, max |row - col| over the pairs' free entries."""
+def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray) -> dict:
+    """The wanted ones of K, M and Kg by name, on the given free DOFs, in LAPACK
+    lower band storage, from the global Gram of the model's patch: one
+    blocked product with a coefficient table per matrix, then each free
+    entry of the pair blocks written once. The band is as wide as the
+    written entries: kd = max |row - col| over the pairs' free entries."""
     section, gram = model.section, model.patch.gram
     tables = {}
     if "K" in want:
@@ -311,19 +323,18 @@ def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
         tables["M"] = _coefficient_table(_INERTIA_ROWS, np.kron(np.eye(3), section.inertia_block()))
     if "Kg" in want:
         tables["Kg"] = _coefficient_table(_PRESTRESS_ROWS, model.prestress)
-    # flat index of entry (A i, B j) of each pair block, and of its transpose,
-    # in an nf x nf matrix followed by one spare slot: a fixed DOF's position
-    # is nf^2, so every entry of its row or column lands in the spare slot
+    # flat index of entry (A i, B j) of each pair block in a (kd + 1) x nf
+    # band, ab[|r - c|, min(r, c)], followed by one spare slot that takes
+    # every entry in the row or column of a fixed DOF (position -1)
     nf = free.size
-    spare = nf * nf
-    position = np.full(model.n_dofs, spare)
+    position = np.full(model.n_dofs, -1)
     position[free] = np.arange(nf)
     rows = np.repeat(position[4 * gram.first[:, None] + np.arange(4)], 4, axis=1).ravel()
     cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
-    upper = np.minimum(rows * nf + cols, spare)
-    lower = np.minimum(cols * nf + rows, spare)
-    written = upper < spare
-    bandwidth = int(np.abs(rows[written] - cols[written]).max()) if written.any() else 0
+    low, offsets = np.minimum(rows, cols), np.abs(rows - cols)
+    kd = int(offsets[low >= 0].max(initial=0))
+    spare = (kd + 1) * nf
+    slots = np.where(low >= 0, offsets * nf + low, spare)
     G, d = gram.values, gram.diagonal
     out = {}
     for name, C in tables.items():
@@ -333,11 +344,10 @@ def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray):
             np.matmul(G[lo:lo + _PRODUCT_ROWS], C, out=V[lo:lo + _PRODUCT_ROWS])
         V = V.reshape(-1, 4, 4)
         V[d] = 0.5 * (V[d] + V[d].swapaxes(1, 2))
-        A = np.zeros(spare + 1)
-        A[upper] = V.ravel()
-        A[lower] = V.ravel()
-        out[name] = A[:spare].reshape(nf, nf)
-    return tuple(out.get(name) for name in ("K", "M", "Kg")), bandwidth
+        ab = np.zeros(spare + 1)
+        ab[slots] = V.ravel()
+        out[name] = ab[:spare].reshape(kd + 1, nf)
+    return out
 
 
 def _edge_point_indices(shape: tuple[int, int], edge: int, offset: int) -> np.ndarray:
@@ -372,7 +382,8 @@ def edge_constraints(model: PlateModel, *,
     the stresses do not change. With inertia it is a rigid mode of zero
     frequency, which a pin would turn into a spurious in-plane mode (3,622.6
     rad/s on SSFF at a/h = 5 on 4 cubic elements), so it is left free and
-    named as a mechanism. A fully free plate is left as it is.
+    named as a mechanism. A plate free on every edge is left as it is, and
+    without inertia its rigid motions are named as the mechanism.
 
     On straight edges (the square's) the in-plane rotation about a point
     (x_c, y_c), u0 = -t (y - y_c) and v0 = t (x - x_c), vanishes where a
@@ -415,6 +426,8 @@ def edge_constraints(model: PlateModel, *,
             else:
                 line = _edge_point_indices(shape, 2 if c == 0 else 0, 0)
                 fixed.add(4 * int(line[len(line) // 2]) + c)
+    elif not inertia:
+        mechanisms.append("mechanism: the plate is free on every edge and moves rigidly")
     if BC.CLAMPED not in model.edge_bcs:
         # each supported edge's normal coordinate: x on the u edges, y on the v edges
         points = model.patch.net.points.reshape(-1, 2, order="F")

@@ -357,8 +357,9 @@ def parse_config(doc: dict) -> CaseConfig:
                 raise ConfigurationError("mesh sweep values must be positive element counts")
         else:
             sweep_values = tuple(_number(v, "sweep.values") for v in values)
-            if any(v <= 0 for v in sweep_values):
-                raise ConfigurationError("sweep values must be positive")
+            # n >= 0 like material.power_index; an aspect ratio > 0
+            if any(v < 0 if sweep_axis == "n" else v <= 0 for v in sweep_values):
+                raise ConfigurationError("sweep values must be positive (nonnegative for n)")
 
     return CaseConfig(
         geometry_type=gtype, a=a, b=b, thickness_ratio=ratio, degree=degree,

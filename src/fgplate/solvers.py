@@ -1,16 +1,17 @@
 """Banded solvers for the static system and the two symmetric generalized
-eigenproblems (free vibration, linearized buckling), on the free-DOF matrices
-that assembly builds.
+eigenproblems (free vibration, linearized buckling), on the free-DOF band
+arrays that assembly builds.
 
 With four DOFs per control point in the natural control-point order, K, M
-and Kg are banded: the half-bandwidth kd (GlobalSystem.bandwidth) is 147 at
-488 free DOFs and 165 at 624, against 285 at 2,024. Every analysis
-therefore factorizes one Jacobi-equilibrated matrix A in LAPACK's band
-storage with xPBTRF, D A D = L L^T with D = diag(A)^-1/2, and never
-factorizes a dense one.
+and Kg are banded: the half-bandwidth kd is 147 at 488 free DOFs and 165 at
+624, against 285 at 2,024. assemble stores each in LAPACK's lower band
+storage, ab[|i - j|, min(i, j)] in a (kd + 1) x nf array (see GlobalSystem),
+so kd is K.shape[0] - 1 and the diagonal is row 0. Every analysis
+factorizes one Jacobi-equilibrated matrix A in that storage with xPBTRF,
+D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M or Kg is made.
 
 - static: A = K, solved with xPBTRS, then refined with long-double
-  residuals against the dense K;
+  residuals from a band product with K;
 - vibration and buckling: one flipped pencil, B v = mu (K + sigma B) v, of
   which only the k largest mu are computed. A = K + sigma B: vibration
   takes B = M and a small shift sigma (lambda = 1/mu - sigma), buckling B =
@@ -45,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
@@ -90,31 +92,34 @@ def _matrix(system: GlobalSystem, name: str) -> np.ndarray:
     return matrix
 
 
-def _band(matrix: np.ndarray, kd: int, d: np.ndarray) -> np.ndarray:
-    """D A D in LAPACK's lower band storage, ab[i - j, j] = d_i A_ij d_j for
-    0 <= i - j <= kd, with D = diag(d)."""
-    n = matrix.shape[0]
-    ab = np.zeros((kd + 1, n))
-    for offset in range(kd + 1):
-        ab[offset, :n - offset] = matrix.diagonal(-offset) * d[offset:] * d[:n - offset]
-    return ab
+def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for a symmetric A in lower band storage, in the precision of ab
+    and x: each stored entry below the diagonal also stands for its mirror."""
+    n = x.size
+    y = ab[0] * x
+    for k in range(1, ab.shape[0]):
+        y[k:] += ab[k, :n - k] * x[:n - k]
+        y[:n - k] += ab[k, :n - k] * x[k:]
+    return y
 
 
-def _factor(K: np.ndarray, kd: int, factored: str, B: Optional[np.ndarray] = None,
+def _factor(K: np.ndarray, factored: str, B: Optional[np.ndarray] = None,
             sigma: float = 0.0) -> tuple:
-    """The banded Cholesky factor of the Jacobi-equilibrated A = K + sigma B:
-    D A D = L L^T with D = diag(d) = diag(A)^-1/2, made by xPBTRF. Returns
-    (L, d, D B D) with L and D B D in lower band storage, D B D None without
-    B. factored names A in the SolverError raised when it is not positive
-    definite."""
-    diag = np.diag(K) if B is None else np.diag(K) + sigma * np.diag(B)
+    """The banded Cholesky factor of the Jacobi-equilibrated A = K + sigma B,
+    for K and B in lower band storage of one width: D A D = L L^T with D =
+    diag(d) = diag(A)^-1/2, made by xPBTRF. Returns (L, d, D B D) with L and
+    D B D in lower band storage, D B D None without B. factored names A in
+    the SolverError raised when it is not positive definite."""
+    diag = K[0] if B is None else K[0] + sigma * B[0]
     bad = np.flatnonzero(~(diag > 0.0))
     if bad.size:
         raise SolverError(f"{factored} is not positive definite on the free DOFs: diagonal "
                           f"pivot {bad[0] + 1} of {diag.size} is {diag[bad[0]]:.3e}")
     d = 1.0 / np.sqrt(diag)
-    A = _band(K, kd, d)
-    DBD = None if B is None else _band(B, kd, d)
+    # D A D in band storage is ab[k, j] d_(j+k) d_j
+    shifted = sliding_window_view(np.concatenate([d, np.zeros(K.shape[0] - 1)]), d.size)
+    A = K * shifted * d
+    DBD = None if B is None else B * shifted * d
     if sigma:
         A += sigma * DBD
     L, info = lapack.dpbtrf(A, lower=1, overwrite_ab=1)
@@ -140,11 +145,11 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
         raise SolverError(system.mechanism)
     K = _matrix(system, "K")
     F = _matrix(system, "F")[system.free_dofs]
-    if K.shape[0] == 0:
+    if K.shape[1] == 0:
         raise SolverError("no free DOFs remain after constraints")
 
     # symmetric Jacobi equilibration tames the membrane/bending scale spread
-    L, d, _ = _factor(K, system.bandwidth, "reduced stiffness")
+    L, d, _ = _factor(K, "reduced stiffness")
 
     def solve(rhs):
         return lapack.dpbtrs(L, rhs, lower=1)[0]
@@ -157,12 +162,10 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     # iterative refinement with extended-precision residuals: the plain
     # float64 residual evaluation floors out above the contract tolerance
     # for badly scale-mixed thin-plate systems
-    K_ld = K.astype(np.longdouble)
-    F_ld = F.astype(np.longdouble)
-    d_ld = d.astype(np.longdouble)
+    K_ld, F_ld, d_ld = (array.astype(np.longdouble) for array in (K, F, d))
     best_y, best_res = y, np.inf
     for sweeps in range(_REFINEMENT_SWEEPS + 1):
-        residual_ld = F_ld - K_ld @ (y * d).astype(np.longdouble)
+        residual_ld = F_ld - _band_product(K_ld, (y * d).astype(np.longdouble))
         res = float(np.linalg.norm(residual_ld.astype(np.float64)))
         # a stalled sweep leaves the residual at the float64 solve's floor
         stalled = res > 0.5 * best_res
@@ -253,12 +256,12 @@ def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
     while the floor runs from 1.9e-6 to 1.4e-5, at least 2x from either side.
     """
     K, M = _matrix(system, "K"), _matrix(system, "M")
-    if not np.all(np.diag(M) > 0.0):
+    if not np.all(M[0] > 0.0):
         raise MassMatrixError("mass matrix is not positive definite on the free DOFs")
-    ratio = np.diag(K) / np.diag(M)
+    ratio = K[0] / M[0]
     sigma = 1e-9 * np.median(ratio)
     factored = f"K + sigma M (sigma = {sigma:.3e})"
-    L, d, DMD = _factor(K, system.bandwidth, factored, M, sigma)
+    L, d, DMD = _factor(K, factored, M, sigma)
     mu, vectors = _largest_pairs(L, d, DMD, k, factored)
     if mu[-1] <= 0.0:
         raise MassMatrixError(f"mass matrix has fewer than {mu.size} positive modes")
@@ -290,11 +293,10 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     if system.mechanism:
         raise SolverError(system.mechanism)
     K, Kg = _matrix(system, "K"), _matrix(system, "Kg")
-    diag_g = np.abs(np.diag(Kg))
-    L, d, DGD = _factor(K, system.bandwidth, "stiffness matrix", Kg)
+    L, d, DGD = _factor(K, "stiffness matrix", Kg)
     for sign in (-1.0, 1.0):
         theta, vectors = _largest_pairs(L, d, sign * DGD, k, "stiffness matrix")
-        scale = max(np.max(diag_g / np.diag(K)), np.abs(theta).max())
+        scale = max(np.max(np.abs(Kg[0]) / K[0]), np.abs(theta).max())
         take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)
         if take.size:
             return EigenResult(values=1.0 / theta[take], vectors=vectors[:, take])

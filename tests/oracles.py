@@ -1,7 +1,8 @@
 """Independent reference solutions used to pin expected values.
 
 Everything here is deliberately separate from the package implementation:
-naive recursions, finite differences, trigonometric series and Bessel roots.
+naive recursions, finite differences, trigonometric series and Bessel roots,
+and a band packer for systems built by hand.
 """
 from __future__ import annotations
 
@@ -10,6 +11,23 @@ import scipy.linalg as sla
 from scipy.special import jn_zeros
 
 from fgplate.materials import FGMSpec, ShearModel, effective_props, shear_fn
+
+
+# ---------------------------------------------------------------------------
+# LAPACK lower band storage, packed diagonal by diagonal
+# ---------------------------------------------------------------------------
+
+def lower_band(matrix, kd: int | None = None) -> np.ndarray:
+    """A symmetric matrix in LAPACK lower band storage, the format of
+    GlobalSystem's K, M and Kg: ab[k, j] = A[j + k, j] for k = 0..kd
+    (default: the full width n - 1), zeros past the end of each diagonal."""
+    A = np.asarray(matrix, dtype=float)
+    n = A.shape[0]
+    kd = max(n - 1, 0) if kd is None else kd
+    ab = np.zeros((kd + 1, n))
+    for k in range(kd + 1):
+        ab[k, :n - k] = np.diagonal(A, -k)
+    return ab
 
 
 # ---------------------------------------------------------------------------

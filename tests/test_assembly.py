@@ -16,6 +16,8 @@ from fgplate import nurbs
 from fgplate.assembly import BC, SinusoidalLoad, UniformLoad
 from fgplate.errors import ConfigurationError, SolverError
 
+from oracles import lower_band
+
 AL = fg.MATERIALS["Al"]
 AL2O3 = fg.MATERIALS["Al2O3"]
 
@@ -77,7 +79,7 @@ def test_rigid_translation_and_linear_bending_have_zero_strain():
 
 def test_matrices_symmetric(free_homogeneous):
     _, system = free_homogeneous
-    for mat in (system.K, system.M):
+    for mat in map(system.reduce, (system.K, system.M)):
         asym = np.abs(mat - mat.T).max()
         assert asym <= 1e-12 * np.abs(mat).max()
 
@@ -85,14 +87,14 @@ def test_matrices_symmetric(free_homogeneous):
 def test_mass_positive_definite_on_constrained_model():
     model = square_model(bcs=(BC.SIMPLY_SUPPORTED,) * 4, nel=3)
     system = fg.assemble(model, want=("M",))
-    vals = np.linalg.eigvalsh(system.M)
+    vals = np.linalg.eigvalsh(system.reduce(system.M))
     assert vals.min() > 0
 
 
 def test_unconstrained_stiffness_has_seven_zero_modes(free_homogeneous):
     # nullspace: u0 const, v0 const, in-plane rotation, wb in {1, x, y}, ws const
     _, system = free_homogeneous
-    vals = np.linalg.eigvalsh(system.K)
+    vals = np.linalg.eigvalsh(system.reduce(system.K))
     scale = np.abs(vals).max()
     assert np.sum(np.abs(vals) < 1e-9 * scale) == 7
 
@@ -100,7 +102,7 @@ def test_unconstrained_stiffness_has_seven_zero_modes(free_homogeneous):
 def test_unconstrained_fgm_stiffness_has_seven_zero_modes():
     model = square_model(n=2.0, nel=4, scheme=fg.Scheme.MORI_TANAKA)
     system = fg.assemble(model, want=("K",))
-    vals = np.linalg.eigvalsh(system.K)
+    vals = np.linalg.eigvalsh(system.reduce(system.K))
     assert np.sum(np.abs(vals) < 1e-9 * np.abs(vals).max()) == 7
 
 
@@ -108,7 +110,8 @@ def test_nullspace_vectors_are_zero_energy(free_homogeneous):
     model, system = free_homogeneous
     pts = model.patch.net.points.reshape(-1, 2, order="F")
     n = model.patch.n_points
-    scale = np.abs(system.K).max()
+    K = system.reduce(system.K)
+    scale = np.abs(K).max()
     candidates = []
     for comp in (0, 1):  # rigid in-plane translations
         q = np.zeros(4 * n)
@@ -126,13 +129,13 @@ def test_nullspace_vectors_are_zero_energy(free_homogeneous):
     q[3::4] = 1.0
     candidates.append(q)
     for q in candidates:
-        energy = q @ system.K @ q
+        energy = q @ K @ q
         assert abs(energy) < 1e-9 * scale * (q @ q)
 
 
 def test_homogeneous_membrane_bending_decoupling(free_homogeneous):
     _, system = free_homogeneous
-    K = system.K
+    K = system.reduce(system.K)
     scale = np.abs(K).max()
     inplane = np.concatenate([np.arange(0, K.shape[0], 4), np.arange(1, K.shape[0], 4)])
     transverse = np.concatenate([np.arange(2, K.shape[0], 4), np.arange(3, K.shape[0], 4)])
@@ -244,8 +247,9 @@ def test_load_vector_is_built_once_and_handed_out_as_a_copy():
 def test_kg_symmetric_and_semidefinite_for_compression():
     model = square_model(prestress=-np.eye(2), nel=3)
     system = fg.assemble(model, want=("Kg",))
-    assert np.abs(system.Kg - system.Kg.T).max() <= 1e-12 * np.abs(system.Kg).max()
-    vals = np.linalg.eigvalsh(system.Kg)
+    Kg = system.reduce(system.Kg)
+    assert np.abs(Kg - Kg.T).max() <= 1e-12 * np.abs(Kg).max()
+    vals = np.linalg.eigvalsh(Kg)
     assert vals.max() <= 1e-10 * np.abs(vals).max()
 
 
@@ -305,7 +309,8 @@ def test_matrices_match_pointwise_reference(geometry, p):
     system = fg.assemble(model, want=("K", "M", "Kg"))
     free = np.ix_(system.free_dofs, system.free_dofs)
     for name, ref in zip(("K", "M", "Kg"), pointwise_matrices(model)):
-        for got, expected in ((getattr(full, name), ref), (getattr(system, name), ref[free])):
+        for got, expected in ((full.reduce(getattr(full, name)), ref),
+                              (system.reduce(getattr(system, name)), ref[free])):
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
             assert np.array_equal(got, got.T)
@@ -320,7 +325,8 @@ def test_stiffness_blocks_are_exactly_the_coupled_pairs(p, nel):
     # pairs with i = j and n - k ordered pairs each way at distance k
     model = square_model(p=p, nel=nel)
     n = nel + p
-    K = fg.assemble(model, want=("K",)).K
+    system = fg.assemble(model, want=("K",))
+    K = system.reduce(system.K)
     blocks = np.any(K.reshape(n * n, 4, n * n, 4) != 0, axis=(1, 3))
     assert blocks.sum() == (n + 2 * sum(n - k for k in range(1, p + 1))) ** 2
     index = np.arange(n)
@@ -333,9 +339,12 @@ def test_stiffness_blocks_are_exactly_the_coupled_pairs(p, nel):
 # ---------------------------------------------------------------------------
 
 def test_free_edges_fix_nothing():
+    # and name the rigid motions as the mechanism of a system without M
     model = square_model(bcs=(BC.FREE,) * 4)
     system = fg.assemble(model, want=("K",))
     assert system.fixed_dofs.size == 0
+    assert "free on every edge" in system.mechanism
+    assert fg.assemble(model, want=("K", "M")).mechanism is None
 
 
 def test_ssss_fixed_count_on_cubic_mesh():
@@ -383,7 +392,7 @@ def test_ssff_pins_one_in_plane_translation():
     nu = model.patch.net.shape[0]
     pinned = system.fixed_dofs[system.fixed_dofs % 4 == 0] // 4
     assert pinned.size == 1 and 0 < pinned[0] < nu - 1
-    K = system.K
+    K = system.reduce(system.K)
     d = 1.0 / np.sqrt(np.diag(K))
     assert np.linalg.eigvalsh(K * d[:, None] * d[None, :]).min() > 1e-8
 
@@ -456,7 +465,7 @@ def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, code, 
     assert full.fixed_dofs.size == 0 and system.fixed_dofs.size > 0
     free = np.ix_(system.free_dofs, system.free_dofs)
     for name in set(want) - {"F"}:
-        got, ref = getattr(system, name), getattr(full, name)[free]
+        got, ref = system.reduce(getattr(system, name)), full.reduce(getattr(full, name))[free]
         assert got.shape == (system.free_dofs.size,) * 2
         assert np.array_equal(got, ref), name
     assert np.array_equal(system.F, full.F)
@@ -469,8 +478,9 @@ def test_constrained_assembly_is_the_free_block_of_the_full_one(geometry, code, 
     pytest.param("mapped disk", "CCCC", id="mapped-disk-CCCC"),
 ])
 def test_bandwidth_is_that_of_the_nonzeros_of_k(geometry, code):
-    # the solvers factorize in band storage of this width, so no nonzero of
-    # K, M or Kg may lie outside it; an FGM section couples every component
+    # each band is tight: its last row, the half-bandwidth kd = K.shape[0] - 1
+    # that the solvers factorize with, holds a nonzero of K, and M and Kg
+    # share the band; an FGM section couples every component
     if geometry == "square":
         model = square_model(n=1.5, nel=3, bcs=_bcs(code),
                              prestress=np.array([[-1.3, 0.4], [0.4, -0.7]]))
@@ -478,24 +488,22 @@ def test_bandwidth_is_that_of_the_nonzeros_of_k(geometry, code):
         model = _disk_model(fg.make_disk_patch if geometry == "disk"
                             else fg.make_mapped_disk_patch, _bcs(code))
     system = fg.assemble(model, want=("K", "M", "Kg"))
-    rows, cols = np.nonzero(system.K)
-    assert system.bandwidth == np.abs(rows - cols).max()
+    nf = system.free_dofs.size
+    assert system.K.shape[1] == nf and np.any(system.K[-1] != 0.0)
+    rows, cols = np.nonzero(system.reduce(system.K))
+    assert system.K.shape[0] - 1 == np.abs(rows - cols).max()
     for name in ("M", "Kg"):
-        rows, cols = np.nonzero(getattr(system, name))
-        assert np.abs(rows - cols).max() <= system.bandwidth, name
-
-
-def test_bandwidth_of_a_system_built_by_hand_is_the_full_width():
-    assert fg.GlobalSystem(n_dofs=5, K=np.eye(5)).bandwidth == 4
-    assert fg.GlobalSystem(n_dofs=5, K=np.eye(3), fixed_dofs=[0, 4]).bandwidth == 2
-    assert fg.GlobalSystem(n_dofs=2, fixed_dofs=[0, 1]).bandwidth == 0
+        assert getattr(system, name).shape == system.K.shape, name
 
 
 def test_reduce_passes_only_free_size_matrices():
-    # reduce is the identity on the free-DOF matrices and refuses a full-size one
+    # reduce unpacks a band over the free DOFs, entry (i, j) from
+    # band[|i - j|, min(i, j)], and refuses a band over the full DOF set
     model = square_model(nel=2, bcs=_bcs("SSSS"))
     system = fg.assemble(model, want=("K",))
-    assert system.reduce(system.K) is system.K
+    K = system.reduce(system.K)
+    assert K.shape == (system.free_dofs.size,) * 2 and np.array_equal(K, K.T)
+    assert np.array_equal(lower_band(K, system.K.shape[0] - 1), system.K)
     full = fg.assemble(replace(model, edge_bcs=(BC.FREE,) * 4), want=("K",))
     with pytest.raises(ConfigurationError, match="free DOFs"):
         system.reduce(full.K)
@@ -522,7 +530,7 @@ def test_adjacent_supports_pin_the_in_plane_rotation_without_inertia(code):
     system = fg.assemble(model, want=("K",))
     assert set(system.fixed_dofs.tolist()) - unpinned == {_far_pin(model, 1)}
     assert set(fg.assemble(model, want=("K", "M")).fixed_dofs.tolist()) == unpinned
-    K = system.K
+    K = system.reduce(system.K)
     d = 1.0 / np.sqrt(np.diag(K))
     assert np.linalg.eigvalsh(K * d[:, None] * d[None, :]).min() > 1e-8
     # the arcs of the disks hold the rotation, so nothing more is pinned there
@@ -539,7 +547,7 @@ def _pinned_elsewhere(model, want):
     full = fg.assemble(replace(model, edge_bcs=(BC.FREE,) * 4), want=want)
     free = np.setdiff1d(np.arange(model.n_dofs), fixed)
     return fg.GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, F=full.F,
-                           **{name: getattr(full, name)[np.ix_(free, free)]
+                           **{name: lower_band(full.reduce(getattr(full, name))[np.ix_(free, free)])
                               for name in set(want) - {"F"}})
 
 

@@ -29,7 +29,7 @@ def base_doc(analysis):
     return doc
 
 
-SWEEPS = {"n": [0.5, 2.0, 6.5], "aspect": [5.0, 20.0], "model": ["cubic", "atan_sin"]}
+SWEEPS = {"n": [0.0, 0.5, 2.0, 6.5], "aspect": [5.0, 20.0], "model": ["cubic", "atan_sin"]}
 
 
 @pytest.mark.parametrize("axis", sorted(SWEEPS))

@@ -254,12 +254,19 @@ def test_non_finite_number_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # fully free plate: singular stiffness, no static solution
-    doc = small_static(edge_bcs="FFFF")
+@pytest.mark.parametrize("analysis", ["static", "buckle"])
+def test_solver_failure_exit_code(tmp_path, capsys, analysis):
+    # fully free plate: singular stiffness, no static solution and no
+    # buckling load; the message names the cause, not a Cholesky pivot
+    doc = small_static(edge_bcs="FFFF", load={"type": "uniform", "q0": 1.0})
+    if analysis == "buckle":
+        doc.update(analysis={"type": "buckle", "modes": 1},
+                   prestress=[[-1.0, 0.0], [0.0, -1.0]], report="buckling_dm")
+        del doc["load"]
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert "solver error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error" in err and "free on every edge" in err
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ def test_custom_phase_object():
         (lambda d: d.update(report="frequency"), "report"),
         (lambda d: d.update(sweep={"axis": "bogus", "values": [1]}), "sweep.axis"),
         (lambda d: d.update(sweep={"axis": "n", "values": []}), "sweep.values"),
+        # n sweeps start at 0 like material.power_index; aspect and mesh do not
+        pytest.param(lambda d: d.update(sweep={"axis": "n", "values": [0, -0.5]}),
+                     "nonnegative for n", id="negative-n-sweep"),
+        pytest.param(lambda d: d.update(sweep={"axis": "aspect", "values": [0]}),
+                     "must be positive", id="zero-aspect-sweep"),
+        pytest.param(lambda d: d.update(sweep={"axis": "mesh", "values": [0]}),
+                     "mesh sweep values", id="zero-mesh-sweep"),
         (lambda d: d.update(station=[0.1]), "station"),
         # a value that is not a finite number names its key
         pytest.param(lambda d: d.update(thickness_ratio=float("nan")), "thickness_ratio",

@@ -18,6 +18,7 @@ from fgplate.assembly import BC, GlobalSystem, SinusoidalLoad
 from fgplate.errors import MassMatrixError, SolverError, SpectrumError
 
 from oracles import (
+    lower_band,
     section_blocks_bruteforce,
     series_center_deflection_sin,
     series_frequencies,
@@ -28,11 +29,13 @@ AL2O3 = fg.MATERIALS["Al2O3"]
 ZRO2 = fg.MATERIALS["ZrO2-1"]
 
 
-def tiny_system(K, M=None, Kg=None, F=None):
+def tiny_system(K, M=None, Kg=None, F=None, kd=None):
+    """A system built by hand from dense matrices, packed in band storage of
+    half-bandwidth kd (default: the full width)."""
     n = np.asarray(K).shape[0]
-    return GlobalSystem(n_dofs=n, K=np.asarray(K, float),
-                        M=None if M is None else np.asarray(M, float),
-                        Kg=None if Kg is None else np.asarray(Kg, float),
+    return GlobalSystem(n_dofs=n, K=lower_band(K, kd),
+                        M=None if M is None else lower_band(M, kd),
+                        Kg=None if Kg is None else lower_band(Kg, kd),
                         F=None if F is None else np.asarray(F, float))
 
 
@@ -124,7 +127,8 @@ def test_static_residual_and_fixed_zeros(static_case):
     model, system = static_case
     q = fg.solve_static(system)
     free = system.free_dofs
-    resid = np.linalg.norm(system.K @ q[free] - system.F[free])
+    K = system.reduce(system.K)
+    resid = np.linalg.norm(K @ q[free] - system.F[free])
     assert resid <= 1e-10 * np.linalg.norm(system.F[free])
     assert np.all(q[system.fixed_dofs] == 0.0)
 
@@ -155,7 +159,7 @@ def vibration_case():
 def test_vibration_matches_series_and_rayleigh(vibration_case):
     model, system = vibration_case
     res = fg.solve_vibration(system, 8)
-    K, M = system.K, system.M
+    K, M = map(system.reduce, (system.K, system.M))
     for lam, v in zip(res.values, res.vectors.T):
         rayleigh = (v @ K @ v) / (v @ M @ v)
         assert rayleigh == pytest.approx(lam, rel=1e-9)
@@ -241,7 +245,7 @@ def test_thin_simply_supported_vibration_matches_series():
     expected = series_frequencies(1.0, model.section.h, blocks, ds, inertias)[:4]
     assert expected[0] ** 2 == pytest.approx(9.8108e-4, rel=1e-4)
     assert_allclose(res.frequencies(), expected, rtol=1e-3)
-    K, M = system.K, system.M
+    K, M = map(system.reduce, (system.K, system.M))
     for lam, v in zip(res.values, res.vectors.T):
         assert v @ M @ v == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(K @ v - lam * (M @ v)) <= 1e-8 * lam * np.linalg.norm(M @ v)
@@ -268,7 +272,8 @@ def test_thin_flexible_mode_is_not_taken_for_a_rigid_one():
     # the flexible lambda_2 of FSSF at a/h = 1e6 lies below the old rigid-mode
     # floor 1e-12 max(diag K / diag M) = 1.9e-2 and above the new 1e-16 one
     _, system, res = thin_vibration("FSSF", 1e6, 6)
-    ratio = np.diag(system.K) / np.diag(system.M)
+    K, M = map(system.reduce, (system.K, system.M))
+    ratio = np.diag(K) / np.diag(M)
     assert res.values[0] == 0.0
     assert res.values[1] == pytest.approx(2.864e-5, rel=1e-3)
     assert 2.0 * 1e-16 * ratio.max() < res.values[1] < 1e-12 * ratio.max()
@@ -296,8 +301,8 @@ def disk_buckling(hr, nel=9, mapped=False, k=4):
 def test_buckling_values_ascending_and_residuals():
     res, system, pbars = disk_buckling(0.2)
     assert np.all(np.diff(res.values) >= 0)
-    K = system.K
-    G = -system.Kg
+    K, Kg = map(system.reduce, (system.K, system.Kg))
+    G = -Kg
     knorm = np.linalg.norm(K, 2)
     for lam, v in zip(res.values, res.vectors.T):
         resid = np.linalg.norm(K @ v - lam * (G @ v))
@@ -367,8 +372,9 @@ def test_buckling_top_k_matches_the_full_spectrum(geometry, prestress):
     # solve, flipped pencil first and the raw sign (tension) as the fallback
     system = _buckling_system(geometry, PRESTRESSES[prestress])
     got = fg.solve_buckling(system, 4).values
-    for G in (-system.Kg, system.Kg):
-        theta = sla.eigh(G, system.K, eigvals_only=True)
+    K, Kg = map(system.reduce, (system.K, system.Kg))
+    for G in (-Kg, Kg):
+        theta = sla.eigh(G, K, eigvals_only=True)
         positive = theta[theta > 1e-12 * np.abs(theta).max()]
         if positive.size:
             break
@@ -420,7 +426,7 @@ def dense_vibration(system, k):
     """The vibration eigenvalues lambda = 1/mu - sigma of the flipped pencil
     by a dense subset eigh, and the rigid-mode floor within which
     solve_vibration returns 0."""
-    K, M = system.K, system.M
+    K, M = map(system.reduce, (system.K, system.M))
     ratio = np.diag(K) / np.diag(M)
     sigma = 1e-9 * np.median(ratio)
     return 1.0 / dense_largest(M, K, sigma, k) - sigma, 1e-16 * ratio.max()
@@ -431,7 +437,7 @@ def assert_vibration_matches_dense(system, k, rtol=1e-10):
     expected, floor = dense_vibration(system, k)
     assert_allclose(res.values, expected, rtol=rtol, atol=floor)
     # mass-orthonormal modes, so a double mode comes back as two modes
-    K, M, V = system.K, system.M, res.vectors
+    K, M, V = system.reduce(system.K), system.reduce(system.M), res.vectors
     assert_allclose(V.T @ M @ V, np.eye(k), atol=1e-9)
     # normwise backward errors at roundoff
     knorm, mnorm = np.linalg.norm(K, 1), np.linalg.norm(M, 1)
@@ -458,12 +464,13 @@ def test_lanczos_matches_dense_on_the_paired_modes_of_the_clamped_disk():
     config, system = preset_system("buck-disk-atan-n0-hr0.1", ("K", "Kg"))
     res = fg.solve_buckling(system, config.modes)
     k = config.modes
-    expected = 1.0 / dense_largest(-system.Kg, system.K, 0.0, k)
+    K, Kg = map(system.reduce, (system.K, system.Kg))
+    expected = 1.0 / dense_largest(-Kg, K, 0.0, k)
     assert_allclose(res.values, expected, rtol=1e-10)
     # the axisymmetric mode, then a pair
     assert res.values[2] == pytest.approx(res.values[1], rel=1e-12)
     V = res.vectors
-    assert_allclose(V.T @ system.K @ V, np.eye(k), atol=1e-9)
+    assert_allclose(V.T @ K @ V, np.eye(k), atol=1e-9)
 
 
 def test_lanczos_matches_dense_on_the_thinnest_plate():
@@ -509,7 +516,8 @@ def test_tension_skips_lanczos_on_the_flipped_pencil(monkeypatch):
     system = _buckling_system("square-SSSS", PRESTRESSES["tensile"])
     got = fg.solve_buckling(system, 4).values
     assert calls == ["LA"]
-    assert_allclose(got, 1.0 / dense_largest(system.Kg, system.K, 0.0, 4), rtol=1e-10)
+    K, Kg = map(system.reduce, (system.K, system.Kg))
+    assert_allclose(got, 1.0 / dense_largest(Kg, K, 0.0, 4), rtol=1e-10)
 
 
 def test_lanczos_failure_is_a_solver_error_with_the_residual(monkeypatch):
@@ -529,3 +537,55 @@ def test_lanczos_failure_is_a_solver_error_with_the_residual(monkeypatch):
     monkeypatch.setattr(solvers, "eigsh", failed)
     with pytest.raises(SolverError, match=r"Lanczos on L\^-1 B L\^-T .* failed"):
         fg.solve_vibration(system, 2)
+
+
+# ---------------------------------------------------------------------------
+# the band contract: K, M and Kg in LAPACK lower band storage of any width
+# ---------------------------------------------------------------------------
+
+def banded_spd(rng, n, kd, shift):
+    """A random symmetric positive definite n x n matrix of half-bandwidth kd."""
+    X = rng.standard_normal((n, n))
+    A = X + X.T
+    A[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > kd] = 0.0
+    return A + shift * np.eye(n)
+
+
+def aligned(V, reference):
+    """The columns of V, scaled to unit norm with the signs of the reference's."""
+    V = V / np.linalg.norm(V, axis=0)
+    return V * np.sign(np.sum(V * reference, axis=0))
+
+
+@pytest.mark.parametrize("kd", [0, 1, 7])
+def test_band_systems_built_by_hand_match_dense_solves(kd):
+    # kd = n - 1 is the full width; every width gives the dense answers
+    rng = np.random.default_rng(kd)
+    n, k = 8, 3
+    K, M = banded_spd(rng, n, kd, 2.0 * n), banded_spd(rng, n, kd, 2.0 * n)
+    Kg = -banded_spd(rng, n, kd, 3.0 * n)
+    F = rng.standard_normal(n)
+    system = tiny_system(K, M=M, Kg=Kg, F=F, kd=kd)
+    assert system.K.shape == (kd + 1, n)
+    assert_allclose(fg.solve_static(system), sla.solve(K, F, assume_a="pos"), rtol=1e-12)
+    for got, (values, vectors) in (
+            (fg.solve_vibration(system, k), sla.eigh(K, M, subset_by_index=(0, k - 1))),
+            (fg.solve_buckling(system, k), sla.eigh(K, -Kg, subset_by_index=(0, k - 1)))):
+        assert_allclose(got.values, values, rtol=1e-10)
+        unit = vectors / np.linalg.norm(vectors, axis=0)
+        assert_allclose(aligned(got.vectors, unit), unit, atol=1e-9)
+
+
+def test_band_product_in_long_double_matches_the_dense_one(static_case):
+    # the static refinement's residual: the band product against the dense
+    # long-double product of the same K, at the solution and a random vector
+    _, system = static_case
+    K_ld = system.K.astype(np.longdouble)
+    dense_ld = system.reduce(system.K).astype(np.longdouble)
+    x = fg.solve_static(system)[system.free_dofs]
+    for x in (x, np.random.default_rng(5).standard_normal(x.size)):
+        x_ld = x.astype(np.longdouble)
+        got, expected = solvers._band_product(K_ld, x_ld), dense_ld @ x_ld
+        assert got.dtype == np.longdouble
+        error = np.linalg.norm((got - expected).astype(float))
+        assert error <= 1e-17 * np.linalg.norm(expected.astype(float))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .assembly import BC, PlateModel, assemble
 from .errors import ConfigurationError, MassMatrixError, SpectrumError
-from .config import _SWEEP_FIELDS, CaseConfig
+from .config import _SWEPT, CaseConfig
 from .nurbs import BasisLocal, Patch
 from .postprocess import (
     NondimReport,
@@ -116,11 +116,11 @@ def sweep_case(config: CaseConfig) -> SweepResult:
     """
     if config.sweep_axis is None:
         raise ConfigurationError("configuration has no sweep section")
-    key = _SWEEP_FIELDS[config.sweep_axis]
-    patch = None if key == "elements" else config.build_patch()
+    swept = _SWEPT[config.sweep_axis].field
+    patch = None if swept == "elements" else config.build_patch()
     reports = []
     for value in config.sweep_values:
-        result = run_case(config.replace(**{key: value}), patch=patch)
+        result = run_case(config.replace(**{swept: value}), patch=patch)
         reports.append(result.report)
     return SweepResult(config=config, axis=config.sweep_axis,
                        values=config.sweep_values, reports=tuple(reports))

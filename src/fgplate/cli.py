@@ -2,8 +2,11 @@
 
 Commands: run, sweep, profile, presets list, presets run <id>. Flags only
 select the command, the config file and the output directory; everything
-else lives in the JSON config. Each command writes <out>/results.csv and
-<out>/config.echo.json; profile additionally writes a small SVG chart.
+else lives in the JSON config. run and presets run dispatch a config with a
+sweep section to the sweep table, as sweep does, and any other config to one
+case; sweep needs a sweep section, and profile refuses one. Each command
+writes <out>/results.csv and <out>/config.echo.json; profile additionally
+writes a small SVG chart.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 from __future__ import annotations
@@ -78,6 +81,8 @@ def _svg_chart(path: Path, z_over_h, series: dict[str, list[float]]) -> None:
 
 
 def _cmd_run(config: CaseConfig, out: Path) -> None:
+    if config.sweep_axis is not None:
+        return _cmd_sweep(config, out)
     result = run_case(config)
     header, rows = _report_columns(result.report)
     _write_csv(out / "results.csv", header, rows)
@@ -105,6 +110,8 @@ def _cmd_sweep(config: CaseConfig, out: Path) -> None:
 
 
 def _cmd_profile(config: CaseConfig, out: Path) -> None:
+    if config.sweep_axis is not None:
+        raise ConfigurationError("profile solves one case: remove the sweep section")
     result, prof = profile_case(config)
     h = result.model.section.h
     z_over_h = [z / h for z in prof.z_samples]
@@ -131,6 +138,9 @@ def _cmd_profile(config: CaseConfig, out: Path) -> None:
         pass
 
 
+_COMMANDS = {"run": _cmd_run, "presets": _cmd_run, "sweep": _cmd_sweep, "profile": _cmd_profile}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgplate",
@@ -140,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("run", "solve one case from a JSON config"),
+        ("run", "solve the case from a JSON config, or its sweep if it has one"),
         ("sweep", "run the config's parameter sweep (axis: n, aspect, mesh or model)"),
         ("profile", "solve a static case and sample stresses through the thickness"),
     ):
@@ -160,30 +170,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "presets":
-            if args.preset_command == "list":
-                for name in sorted(PRESETS):
-                    print(name)
-                return EXIT_OK
-            config = preset_config(args.name)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            if config.sweep_axis is not None:
-                _cmd_sweep(config, out)
-            else:
-                _cmd_run(config, out)
-            print(f"wrote {out / 'results.csv'}")
+        if args.command == "presets" and args.preset_command == "list":
+            for name in sorted(PRESETS):
+                print(name)
             return EXIT_OK
-
-        config = load_config(args.config)
+        config = preset_config(args.name) if args.command == "presets" else load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "run":
-            _cmd_run(config, out)
-        elif args.command == "sweep":
-            _cmd_sweep(config, out)
-        else:
-            _cmd_profile(config, out)
+        _COMMANDS[args.command](config, out)
         print(f"wrote {out / 'results.csv'}")
         return EXIT_OK
     except ConfigurationError as exc:

@@ -3,13 +3,28 @@
 A case is one JSON document; the CLI only chooses the command, the config
 file and the output directory. Benchmark presets are generated here so that
 every published comparison case can be run by name.
+
+The table _KEYS is the schema. Each row is one accepted document key: its
+path, the CaseConfig field it sets, its reader, its default and bound, where
+it applies (the analyses or the geometry type) and the sweep axis that
+varies it, if any. parse_config walks the table and then makes the checks
+that span fields; a sweep reads each value through the row of the field its
+axis varies, and CaseConfig.replace writes a field at its row's path.
+
+The contract is closed. A key that no row names is an error that names the
+closest known key. A key given where its row does not apply is an error
+too: analysis.modes outside vibrate and buckle, load, station and
+profile_samples outside static, prestress outside buckle, and a geometry
+key of the other geometry type. A null value means absent for the optional
+keys: load, prestress, report, station and sweep.
 """
 from __future__ import annotations
 
+import difflib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,10 +46,7 @@ __all__ = ["CaseConfig", "load_config", "parse_config", "PRESETS", "preset_confi
 
 _EDGE_KEYS = ("xmin", "xmax", "ymin", "ymax")
 _ANALYSES = ("static", "vibrate", "buckle")
-# the configuration field each sweep axis varies
-_SWEEP_FIELDS = {"n": "power_index", "aspect": "thickness_ratio", "mesh": "elements",
-                 "model": "shear_model"}
-_SWEEP_AXES = tuple(_SWEEP_FIELDS)
+_PHASE_KEYS = ("E", "nu", "rho")
 
 
 @dataclass(frozen=True)
@@ -112,12 +124,21 @@ class CaseConfig:
                           load=load, prestress=prestress)
 
     def replace(self, **updates) -> "CaseConfig":
-        """Re-parse the document with field-level updates. An update's key is
-        its document key, except power_index, which lives in the material
-        section."""
-        doc = dict(self.raw, **updates)
-        if "power_index" in updates:
-            doc["material"] = dict(self.raw["material"], power_index=doc.pop("power_index"))
+        """Re-parse the document with fields updated, each written at the
+        path of the key that sets it in this case (power_index at
+        material.power_index). The whole case is checked again: a mesh
+        sweep rechecks a station on the mapped net."""
+        doc = dict(self.raw)
+        for name, value in updates.items():
+            key = next((k for k in _KEYS if k.field == name
+                        and k.applies(self.analysis, self.geometry_type)), None)
+            if key is None:
+                raise ConfigurationError(f"no configuration key sets {name!r} in this case")
+            section, _, leaf = key.path.rpartition(".")
+            if section:
+                doc[section] = dict(doc.get(section) or {}, **{leaf: value})
+            else:
+                doc[leaf] = value
         return parse_config(doc)
 
 
@@ -141,6 +162,10 @@ def load_config(path: str) -> CaseConfig:
     return parse_config(doc)
 
 
+# ---------------------------------------------------------------------------
+# readers: (value, document path) -> field value, or ConfigurationError
+# ---------------------------------------------------------------------------
+
 def _number(value, key: str, kind=float):
     """value read as a finite float, or as an int with kind=int; anything else,
     a fractional value for an int included, raises ConfigurationError naming
@@ -155,8 +180,43 @@ def _number(value, key: str, kind=float):
     raise ConfigurationError(f"{key} must be {kind_name}, got {value!r}")
 
 
-def _phase_from(doc, name: str) -> Phase:
-    value = doc.get(name)
+def _int(value, path: str) -> int:
+    return _number(value, path, int)
+
+
+def _one_of(options):
+    """Reader of one of options, strings or the members of a str Enum; the
+    value comes back as the option it equals."""
+    by_name = {getattr(option, "value", option): option for option in options}
+
+    def read(value, path):
+        try:
+            return by_name[value]
+        except (KeyError, TypeError):
+            raise ConfigurationError(
+                f"{path} must be one of {list(by_name)}, got {value!r}") from None
+    return read
+
+
+def _check_names(mapping: dict, path: str, known) -> None:
+    """Every key of mapping must be known; an unknown one is named with the
+    closest known key."""
+    prefix = f"{path}." if path else ""
+    for name in mapping:
+        if name not in known:
+            close = difflib.get_close_matches(str(name), known, n=1)
+            hint = f"did you mean {prefix + close[0]!r}?" if close else f"known keys: {list(known)}"
+            raise ConfigurationError(f"unknown key {prefix + str(name)!r}; {hint}")
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path or 'configuration'} must be a JSON object")
+    _check_names(value, path, _NAMES[path])
+    return value
+
+
+def _phase(value, path: str) -> Phase:
     if isinstance(value, str):
         if value not in MATERIALS:
             raise ConfigurationError(
@@ -164,213 +224,236 @@ def _phase_from(doc, name: str) -> Phase:
             )
         return MATERIALS[value]
     if isinstance(value, dict):
+        _check_names(value, path, _PHASE_KEYS)
         value = {"rho": 0.0, **value}
         try:
-            return Phase(*(_number(value[k], f"material.{name}.{k}") for k in ("E", "nu", "rho")))
-        except (KeyError, ValueError) as exc:
+            return Phase(*(_number(value[k], f"{path}.{k}") for k in _PHASE_KEYS))
+        except KeyError as exc:
             raise ConfigurationError(
-                f"invalid phase definition for {name!r}: needs numeric E, nu[, rho]"
+                f"invalid phase definition for {path!r}: needs numeric E, nu[, rho]"
             ) from exc
-    raise ConfigurationError(f"material.{name} must be a preset name or a phase object")
+        except ValueError as exc:  # a value out of the phase's range
+            raise ConfigurationError(f"invalid phase definition for {path!r}: {exc}") from exc
+    raise ConfigurationError(f"{path} must be a preset name or a phase object")
 
 
-def _edge_bcs_from(value) -> tuple[BC, BC, BC, BC]:
+def _edge_bcs(value, path: str) -> tuple[BC, BC, BC, BC]:
     if isinstance(value, str):
         letters = value.strip().upper()
         if len(letters) != 4 or any(c not in "SCF" for c in letters):
-            raise ConfigurationError(f"edge_bcs string must be 4 letters from S/C/F, got {value!r}")
+            raise ConfigurationError(f"{path} string must be 4 letters from S/C/F, got {value!r}")
         return tuple(BC(c) for c in letters)
     if isinstance(value, dict):
         extra = set(value) - set(_EDGE_KEYS)
         missing = set(_EDGE_KEYS) - set(value)
         if extra or missing:
-            raise ConfigurationError(f"edge_bcs mapping needs exactly the keys {_EDGE_KEYS}")
+            raise ConfigurationError(f"{path} mapping needs exactly the keys {_EDGE_KEYS}")
         try:
             return tuple(BC(str(value[k]).upper()) for k in _EDGE_KEYS)
         except ValueError as exc:
             raise ConfigurationError("edge conditions must be S, C or F") from exc
-    raise ConfigurationError("edge_bcs must be a 4-letter string or an edge mapping")
+    raise ConfigurationError(f"{path} must be a 4-letter string or an edge mapping")
+
+
+def _prestress(value, path: str):
+    arr = np.asarray(value, dtype=object)
+    arr = np.array([_number(x, path) for x in arr.ravel()]).reshape(arr.shape)
+    if arr.shape != (2, 2) or not np.allclose(arr, arr.T):
+        raise ConfigurationError(f"{path} must be a symmetric 2x2 matrix in N/m")
+    return tuple(map(tuple, arr.tolist()))
+
+
+def _station(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigurationError(f"{path} must be an [x, y] pair")
+    return (_number(value[0], path), _number(value[1], path))
+
+
+def _sweep_axis(value, path: str) -> str:
+    return _one_of(tuple(_SWEPT))(value, path)
+
+
+def _sweep_values(value, path: str) -> tuple:
+    """The list only; each value is read by the row its axis varies."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigurationError(f"{path} must be a nonempty list")
+    return tuple(value)
+
+
+# ---------------------------------------------------------------------------
+# the table of accepted keys
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that must be given
+_POSITIVE = (lambda v: v > 0, "positive")
+
+
+class _Key(NamedTuple):
+    """One accepted document key.
+
+    field is None for a section, which is read as an object of its own keys.
+    default is the value of a missing key, or a function of the fields read
+    before it; None makes the key optional, and a null value then means
+    absent too. bound is a predicate on the read value and its wording.
+    only lists the analyses or the geometry type the key applies to, every
+    case if empty. A key that does not apply, or whose section is absent,
+    gives its field the default unread (None if the key is required).
+    """
+
+    path: str
+    field: Optional[str]
+    read: Callable
+    default: object = _REQUIRED
+    bound: Optional[tuple] = None
+    only: tuple = ()
+    axis: Optional[str] = None
+
+    def applies(self, analysis: str, geometry: str) -> bool:
+        return not self.only or analysis in self.only or geometry in self.only
+
+
+_KEYS = (  # the analysis and the geometry type come first: where a key applies depends on them
+    _Key("analysis", None, _object, {"type": "static"}),
+    _Key("analysis.type", "analysis", _one_of(_ANALYSES)),
+    _Key("geometry", None, _object),
+    _Key("geometry.type", "geometry_type", _one_of(("square", "disk"))),
+    _Key("geometry.a", "a", _number, 1.0, _POSITIVE, only=("square",)),
+    _Key("geometry.radius", "a", _number, bound=_POSITIVE, only=("disk",)),
+    _Key("geometry.b", "b", _number, lambda f: f["a"], _POSITIVE, only=("square",)),
+    _Key("geometry.net", "disk_net", _one_of(("rational", "mapped")), "rational", only=("disk",)),
+    _Key("geometry.interior_multiplicity", "interior_multiplicity", _int, 1, only=("square",)),
+    _Key("thickness_ratio", "thickness_ratio", _number, bound=_POSITIVE, axis="aspect"),
+    _Key("degree", "degree", _int, 3, (lambda v: v >= 2, "at least 2 for the C1 discretization")),
+    _Key("elements", "elements", _int, 11, (lambda v: v >= 1, "at least 1"), axis="mesh"),
+    _Key("material", None, _object),
+    _Key("material.ceramic", "ceramic", _phase),
+    _Key("material.metal", "metal", _phase),
+    _Key("material.scheme", "scheme", _one_of(Scheme), "rule_of_mixture"),
+    _Key("material.profile", "profile", _one_of(Profile), "ceramic_power"),
+    _Key("material.power_index", "power_index", _number, 0.0, (lambda v: v >= 0, "nonnegative"),
+         axis="n"),
+    _Key("shear_model", "shear_model", _one_of(ShearModel), "atan", axis="model"),
+    _Key("edge_bcs", "edge_bcs", _edge_bcs, "SSSS"),
+    _Key("analysis.modes", "modes", _int, lambda f: 1 if f["analysis"] == "vibrate" else 4,
+         (lambda v: v >= 1, "at least 1"), only=("vibrate", "buckle")),
+    _Key("load", None, _object, None, only=("static",)),
+    _Key("load.type", "load_type", _one_of(("sinusoidal", "uniform"))),
+    _Key("load.q0", "q0", _number, 1.0, (lambda v: v != 0, "nonzero: the reports scale by 1/q0")),
+    _Key("prestress", "prestress", _prestress, None, only=("buckle",)),
+    _Key("report", "report", _one_of(ReportFamily), None),
+    _Key("station", "station", _station, None, only=("static",)),
+    _Key("profile_samples", "profile_samples", _int, 101, (lambda v: v >= 2, "at least 2"),
+         only=("static",)),
+    _Key("sweep", None, _object, None),
+    _Key("sweep.axis", "sweep_axis", _sweep_axis),
+    _Key("sweep.values", "sweep_values", _sweep_values, ()),
+)
+# each key's section and name in it, each section's key names, and the key
+# that each sweep axis varies
+_WALK = tuple((*key.path.rpartition(".")[::2], key) for key in _KEYS)
+_NAMES: dict[str, tuple] = {}
+for _section, _name, _ in _WALK:
+    _NAMES[_section] = _NAMES.get(_section, ()) + (_name,)
+_SWEPT = {key.axis: key for key in _KEYS if key.axis}
+
+
+def _sweep_value(key: _Key, value, axis: str):
+    """One value of a sweep over axis, read and bounded by the key it varies."""
+    value = key.read(value, "sweep.values")
+    if key.bound and not key.bound[0](value):
+        raise ConfigurationError(f"{axis} sweep values must be {key.bound[1]} for {axis} "
+                                 f"({key.path}), got {value!r}")
+    return value
 
 
 def parse_config(doc: dict) -> CaseConfig:
-    """Validate a configuration document; every problem raises before assembly."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("configuration must be a JSON object")
+    """Validate a configuration document against _KEYS; every problem raises
+    before assembly."""
+    objects = {"": _object(doc, "")}    # the sections the document gives, by path
+    fields: dict = {}
+    stray = []                           # keys given where they do not apply
+    for section, name, key in _WALK:
+        path, attr, read, default, bound, only, _ = key
+        holder = objects.get(section)
+        if callable(default):
+            default = default(fields)
+        if holder is None or only and not key.applies(fields["analysis"], fields["geometry_type"]):
+            if holder is not None and holder.get(name) is not None:
+                stray.append(key)
+            if attr:
+                fields.setdefault(attr, None if default is _REQUIRED else default)
+            continue
+        value = holder.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigurationError(f"{path} is required")
+        if value is not None or default is not None:
+            value = read(value, path)
+            if bound and not bound[0](value):
+                raise ConfigurationError(f"{path} must be {bound[1]}, got {value!r}")
+        if attr:
+            fields[attr] = value
+        elif value is not None:
+            objects[path] = value
 
-    geometry = doc.get("geometry")
-    if not isinstance(geometry, dict) or geometry.get("type") not in ("square", "disk"):
-        raise ConfigurationError(
-            'geometry must be {"type": "square", ...} or {"type": "disk", ...}'
-        )
-    gtype = geometry["type"]
-    if gtype == "square":
-        a = _number(geometry.get("a", 1.0), "geometry.a")
-        b = _number(geometry.get("b", a), "geometry.b")
-    else:
-        a = b = _number(geometry.get("radius", 0.0), "geometry.radius")
-    if a <= 0 or b <= 0:
-        raise ConfigurationError("geometry dimensions must be positive")
-    disk_net = str(geometry.get("net", "rational"))
-    if disk_net not in ("rational", "mapped"):
-        raise ConfigurationError('disk net must be "rational" or "mapped"')
-    interior_multiplicity = _number(geometry.get("interior_multiplicity", 1),
-                                    "geometry.interior_multiplicity", int)
-
-    ratio = _number(doc.get("thickness_ratio", 0.0), "thickness_ratio")
-    if ratio <= 0:
-        raise ConfigurationError(
-            "thickness_ratio must be positive (a/h for squares, h/R for disks)"
-        )
-
-    degree = _number(doc.get("degree", 3), "degree", int)
-    elements = _number(doc.get("elements", 11), "elements", int)
-    if degree < 2:
-        raise ConfigurationError("degree must be at least 2 for the C1 discretization")
-    if elements < 1:
-        raise ConfigurationError("elements must be at least 1")
-    if not 1 <= interior_multiplicity <= degree - 1:
+    analysis, gtype = fields["analysis"], fields["geometry_type"]
+    if not 1 <= fields["interior_multiplicity"] <= fields["degree"] - 1:
         raise ConfigurationError("geometry.interior_multiplicity must lie in [1, degree-1]")
-
-    material = doc.get("material")
-    if not isinstance(material, dict):
-        raise ConfigurationError("material section is required")
-    ceramic = _phase_from(material, "ceramic")
-    metal = _phase_from(material, "metal")
-    try:
-        scheme = Scheme(material.get("scheme", "rule_of_mixture"))
-        profile = Profile(material.get("profile", "ceramic_power"))
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid homogenization scheme/profile: {exc}") from exc
-    power_index = _number(material.get("power_index", 0.0), "material.power_index")
-    if power_index < 0:
-        raise ConfigurationError("power_index must be nonnegative")
-
-    try:
-        shear = ShearModel(doc.get("shear_model", "atan"))
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"unknown shear_model {doc.get('shear_model')!r}; options: {[m.value for m in ShearModel]}"
-        ) from exc
-
-    edge_bcs = _edge_bcs_from(doc.get("edge_bcs", "SSSS"))
-
-    analysis_doc = doc.get("analysis", {"type": "static"})
-    if not isinstance(analysis_doc, dict) or analysis_doc.get("type") not in _ANALYSES:
-        raise ConfigurationError(f"analysis.type must be one of {_ANALYSES}")
-    analysis = analysis_doc["type"]
-    modes = _number(analysis_doc.get("modes", 1 if analysis == "vibrate" else 4),
-                    "analysis.modes", int)
-    if analysis != "static" and modes < 1:
-        raise ConfigurationError("analysis.modes must be at least 1")
-
-    load_doc = doc.get("load")
-    load_type = None
-    q0 = 1.0
-    if load_doc is not None:
-        if not isinstance(load_doc, dict) or load_doc.get("type") not in ("sinusoidal", "uniform"):
-            raise ConfigurationError('load must be {"type": "sinusoidal"|"uniform", "q0": ...}')
-        load_type = load_doc["type"]
-        q0 = _number(load_doc.get("q0", 1.0), "load.q0")
-        if q0 == 0.0:
-            raise ConfigurationError("load.q0 must be nonzero: the reports scale by 1/q0")
-        if load_type == "sinusoidal" and gtype == "disk":
-            raise ConfigurationError("sinusoidal load is defined for square geometry only")
-    if analysis == "static" and load_type is None:
+    if fields["load_type"] == "sinusoidal" and gtype == "disk":
+        raise ConfigurationError("sinusoidal load is defined for square geometry only")
+    if analysis == "static" and fields["load_type"] is None:
         raise ConfigurationError("static analysis requires a load")
-
-    prestress = None
-    if doc.get("prestress") is not None:
-        arr = np.asarray(doc["prestress"], dtype=object)
-        arr = np.array([_number(x, "prestress") for x in arr.ravel()]).reshape(arr.shape)
-        if arr.shape != (2, 2) or not np.allclose(arr, arr.T):
-            raise ConfigurationError("prestress must be a symmetric 2x2 matrix in N/m")
-        prestress = tuple(map(tuple, arr.tolist()))
-    if analysis == "buckle" and prestress is None:
+    if analysis == "buckle" and fields["prestress"] is None:
         raise ConfigurationError(
             "buckling analysis: missing prestress state (in-plane force matrix)"
         )
-
-    report_value = doc.get("report")
-    if report_value is None:
-        report = next(f for f in ReportFamily if f.analysis == analysis)
-    else:
-        try:
-            report = ReportFamily(report_value)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"unknown report family {report_value!r}; options: {[f.value for f in ReportFamily]}"
-            ) from exc
-    if report.analysis != analysis:
+    if fields["report"] is None:
+        fields["report"] = next(f for f in ReportFamily if f.analysis == analysis)
+    if fields["report"].analysis != analysis:
         raise ConfigurationError(
-            f"report family {report.value!r} does not apply to {analysis} analysis"
+            f"report family {fields['report'].value!r} does not apply to {analysis} analysis"
         )
-
-    station = None
-    if doc.get("station") is not None:
-        pair = doc["station"]
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigurationError("station must be an [x, y] pair")
-        station = (_number(pair[0], "station"), _number(pair[1], "station"))
-        x, y = station
-        tol = 1e-12 * max(a, b)  # points on the boundary, up to roundoff, lie on the plate
-        if gtype == "square":
-            outside = not (-tol <= x <= a + tol and -tol <= y <= b + tol)
-            where = f"the square [0, {a:g}] x [0, {b:g}]"
-        else:
-            outside = math.hypot(x, y) > a + tol
-            where = f"the disk r <= {a:g}"
-        if outside:
-            raise ConfigurationError(f"station ({x:g}, {y:g}) lies outside {where}")
-        if gtype == "disk" and disk_net == "mapped":
-            # the mapped net's boundary sags inside the circle: by 0.37% of R
-            # at 11 cubic elements, by 15% on one quadratic element
-            try:
-                locate_point(make_mapped_disk_patch(a, degree, elements), x, y)
-            except GeometryError:
+    if fields["station"] is not None:
+        _check_station(fields)
+    if analysis == "vibrate":
+        for name in ("ceramic", "metal"):
+            if fields[name].rho == 0.0:
                 raise ConfigurationError(
-                    f"station ({x:g}, {y:g}) lies outside the mapped net, whose boundary "
-                    f"sags inside the circle r = {a:g} with {elements} elements of degree "
-                    f'{degree}; use "net": "rational" for the exact circle') from None
+                    f"material.{name} {objects['material'][name]!r} has no density (rho = 0), "
+                    "so a vibration has no mass; give a phase object with rho")
+    axis = fields["sweep_axis"]
+    if axis is not None:
+        fields["sweep_values"] = tuple(_sweep_value(_SWEPT[axis], v, axis)
+                                       for v in fields["sweep_values"])
+    if stray:
+        raise ConfigurationError(f"{stray[0].path} does not apply to a {analysis} case on a "
+                                 f"{gtype}; it applies to {' and '.join(stray[0].only)} only")
+    return CaseConfig(**fields, raw=_canonical_doc(doc))
 
-    profile_samples = _number(doc.get("profile_samples", 101), "profile_samples", int)
-    if profile_samples < 2:
-        raise ConfigurationError("profile_samples must be at least 2")
 
-    sweep_axis = None
-    sweep_values: tuple = ()
-    if doc.get("sweep") is not None:
-        sweep_doc = doc["sweep"]
-        if not isinstance(sweep_doc, dict) or sweep_doc.get("axis") not in _SWEEP_AXES:
-            raise ConfigurationError(f"sweep.axis must be one of {_SWEEP_AXES}")
-        sweep_axis = sweep_doc["axis"]
-        values = sweep_doc.get("values")
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigurationError("sweep.values must be a nonempty list")
-        if sweep_axis == "model":
-            bad = [v for v in values if v not in {m.value for m in ShearModel}]
-            if bad:
-                raise ConfigurationError(f"sweep over models: unknown shear models {bad}")
-            sweep_values = tuple(str(v) for v in values)
-        elif sweep_axis == "mesh":
-            sweep_values = tuple(_number(v, "sweep.values", int) for v in values)
-            if any(v < 1 for v in sweep_values):
-                raise ConfigurationError("mesh sweep values must be positive element counts")
-        else:
-            sweep_values = tuple(_number(v, "sweep.values") for v in values)
-            # n >= 0 like material.power_index; an aspect ratio > 0
-            if any(v < 0 if sweep_axis == "n" else v <= 0 for v in sweep_values):
-                raise ConfigurationError("sweep values must be positive (nonnegative for n)")
-
-    return CaseConfig(
-        geometry_type=gtype, a=a, b=b, thickness_ratio=ratio, degree=degree,
-        elements=elements, ceramic=ceramic, metal=metal, scheme=scheme,
-        profile=profile, power_index=power_index, shear_model=shear,
-        edge_bcs=edge_bcs, analysis=analysis, modes=modes, report=report,
-        load_type=load_type, q0=q0, prestress=prestress, disk_net=disk_net,
-        interior_multiplicity=interior_multiplicity,
-        station=station, profile_samples=profile_samples,
-        sweep_axis=sweep_axis, sweep_values=sweep_values, raw=_canonical_doc(doc),
-    )
+def _check_station(fields: dict) -> None:
+    """The station must lie on the plate and, on the mapped disk, inside the
+    net's boundary."""
+    (x, y), a, b = fields["station"], fields["a"], fields["b"]
+    tol = 1e-12 * max(a, b)  # points on the boundary, up to roundoff, lie on the plate
+    if fields["geometry_type"] == "square":
+        outside = not (-tol <= x <= a + tol and -tol <= y <= b + tol)
+        where = f"the square [0, {a:g}] x [0, {b:g}]"
+    else:
+        outside = math.hypot(x, y) > a + tol
+        where = f"the disk r <= {a:g}"
+    if outside:
+        raise ConfigurationError(f"station ({x:g}, {y:g}) lies outside {where}")
+    if fields["geometry_type"] == "disk" and fields["disk_net"] == "mapped":
+        # the mapped net's boundary sags inside the circle: by 0.37% of R
+        # at 11 cubic elements, by 15% on one quadratic element
+        degree, elements = fields["degree"], fields["elements"]
+        try:
+            locate_point(make_mapped_disk_patch(a, degree, elements), x, y)
+        except GeometryError:
+            raise ConfigurationError(
+                f"station ({x:g}, {y:g}) lies outside the mapped net, whose boundary "
+                f"sags inside the circle r = {a:g} with {elements} elements of degree "
+                f'{degree}; use "net": "rational" for the exact circle') from None
 
 
 def _canonical_doc(doc: dict) -> dict:
@@ -387,66 +470,43 @@ def _square_material(ceramic: str, metal: str, scheme: str, n: float) -> dict:
             "profile": "ceramic_power", "power_index": n}
 
 
+def _preset(geometry: dict, ratio: float, material: dict, shear: str, edge_bcs: str,
+            analysis: dict, report: str, **rest) -> dict:
+    """A case on the 11 x 11 cubic mesh; rest holds load, prestress or sweep."""
+    return {"geometry": geometry, "thickness_ratio": ratio, "degree": 3, "elements": 11,
+            "material": material, "shear_model": shear, "edge_bcs": edge_bcs,
+            "analysis": analysis, "report": report, **rest}
+
+
+def _unit_square() -> dict:
+    return {"type": "square", "a": 1.0, "b": 1.0}
+
+
 def _bend_sin_preset(shear: str, n: float, ratio: float) -> dict:
     # the C1 (doubled-knot) space reproduces the published center-stress
     # evaluation accuracy; deflections are insensitive to the choice
-    return {
-        "geometry": {"type": "square", "a": 1.0, "b": 1.0, "interior_multiplicity": 2},
-        "thickness_ratio": ratio,
-        "degree": 3,
-        "elements": 11,
-        "material": _square_material("Al2O3", "Al", "rule_of_mixture", n),
-        "shear_model": shear,
-        "edge_bcs": "SSSS",
-        "load": {"type": "sinusoidal", "q0": 1.0},
-        "analysis": {"type": "static"},
-        "report": "bending_ec",
-    }
+    return _preset(dict(_unit_square(), interior_multiplicity=2), ratio,
+                   _square_material("Al2O3", "Al", "rule_of_mixture", n), shear, "SSSS",
+                   {"type": "static"}, "bending_ec", load={"type": "sinusoidal", "q0": 1.0})
 
 
 def _bend_uni_preset(shear: str, bcs: str, ceramic: str, metal: str, n: float) -> dict:
-    return {
-        "geometry": {"type": "square", "a": 1.0, "b": 1.0},
-        "thickness_ratio": 5.0,
-        "degree": 3,
-        "elements": 11,
-        "material": _square_material(ceramic, metal, "mori_tanaka", n),
-        "shear_model": shear,
-        "edge_bcs": bcs,
-        "load": {"type": "uniform", "q0": 1.0},
-        "analysis": {"type": "static"},
-        "report": "bending_dm",
-    }
+    return _preset(_unit_square(), 5.0, _square_material(ceramic, metal, "mori_tanaka", n),
+                   shear, bcs, {"type": "static"}, "bending_dm",
+                   load={"type": "uniform", "q0": 1.0})
 
 
 def _vib_preset(shear: str, n: float, ratio: float, modes: int) -> dict:
-    return {
-        "geometry": {"type": "square", "a": 1.0, "b": 1.0},
-        "thickness_ratio": ratio,
-        "degree": 3,
-        "elements": 11,
-        "material": _square_material("ZrO2-1", "Al", "mori_tanaka", n),
-        "shear_model": shear,
-        "edge_bcs": "SSSS",
-        "analysis": {"type": "vibrate", "modes": modes},
-        "report": "frequency",
-    }
+    return _preset(_unit_square(), ratio, _square_material("ZrO2-1", "Al", "mori_tanaka", n),
+                   shear, "SSSS", {"type": "vibrate", "modes": modes}, "frequency")
 
 
 def _buckle_preset(shear: str, n: float, hr: float) -> dict:
-    return {
-        "geometry": {"type": "disk", "radius": 0.5, "net": "mapped"},
-        "thickness_ratio": hr,
-        "degree": 3,
-        "elements": 11,
-        "material": {"ceramic": "ZrO2-2", "metal": "Al", "scheme": "rule_of_mixture",
-                     "profile": "metal_power", "power_index": n},
-        "shear_model": shear,
-        "edge_bcs": "CCCC",
-        "prestress": [[-1.0, 0.0], [0.0, -1.0]],
-        "analysis": {"type": "buckle", "modes": 4},
-        "report": "buckling_dm",
-    }
+    material = {"ceramic": "ZrO2-2", "metal": "Al", "scheme": "rule_of_mixture",
+                "profile": "metal_power", "power_index": n}
+    return _preset({"type": "disk", "radius": 0.5, "net": "mapped"}, hr, material, shear, "CCCC",
+                   {"type": "buckle", "modes": 4}, "buckling_dm",
+                   prestress=[[-1.0, 0.0], [0.0, -1.0]])
 
 
 def _format_value(v: float) -> str:
@@ -497,34 +557,16 @@ def _build_presets() -> dict[str, dict]:
                 presets[name] = _buckle_preset(shear, n, hr)
 
     # mesh convergence study
-    presets["converge-mesh"] = {
-        "geometry": {"type": "square", "a": 1.0, "b": 1.0},
-        "thickness_ratio": 10.0,
-        "degree": 3,
-        "elements": 11,
-        "material": _square_material("SiC", "Al", "rule_of_mixture", 1.0),
-        "shear_model": "cubic",
-        "edge_bcs": "SSSS",
-        "load": {"type": "sinusoidal", "q0": 1.0},
-        "analysis": {"type": "static"},
-        "report": "bending_ec",
-        "sweep": {"axis": "mesh", "values": [5, 9, 13, 17, 21, 25]},
-    }
+    presets["converge-mesh"] = _preset(
+        _unit_square(), 10.0, _square_material("SiC", "Al", "rule_of_mixture", 1.0), "cubic",
+        "SSSS", {"type": "static"}, "bending_ec", load={"type": "sinusoidal", "q0": 1.0},
+        sweep={"axis": "mesh", "values": [5, 9, 13, 17, 21, 25]})
 
     # thin-limit (locking) study on an isotropic plate
-    presets["locking-aspect"] = {
-        "geometry": {"type": "square", "a": 1.0, "b": 1.0},
-        "thickness_ratio": 10.0,
-        "degree": 3,
-        "elements": 11,
-        "material": _square_material("Al", "Al", "rule_of_mixture", 0.0),
-        "shear_model": "atan",
-        "edge_bcs": "SSSS",
-        "load": {"type": "uniform", "q0": 1.0},
-        "analysis": {"type": "static"},
-        "report": "bending_cpt",
-        "sweep": {"axis": "aspect", "values": [10.0, 100.0, 1000.0, 1e4, 1e5, 1e6]},
-    }
+    presets["locking-aspect"] = _preset(
+        _unit_square(), 10.0, _square_material("Al", "Al", "rule_of_mixture", 0.0), "atan",
+        "SSSS", {"type": "static"}, "bending_cpt", load={"type": "uniform", "q0": 1.0},
+        sweep={"axis": "aspect", "values": [10.0, 100.0, 1000.0, 1e4, 1e5, 1e6]})
 
     # shear-model comparison on the thick sinusoidal case
     presets["models-thick-bend"] = {

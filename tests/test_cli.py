@@ -354,3 +354,113 @@ def test_presets_run(tmp_path):
     assert lines[0] == "w_bar"
     value = float(lines[1])
     assert abs(value - 0.2948) / 0.2948 < 3e-3
+
+
+def test_run_dispatches_a_sweep_config_like_sweep(tmp_path):
+    # run used to solve only the base case of a sweep config: one row, at 11
+    # elements, for a mesh sweep over [3, 4]
+    doc = small_static(sweep={"axis": "mesh", "values": [3, 4]})
+    cfg = write_config(tmp_path, doc)
+    for command in ("run", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    ran = (tmp_path / "run" / "results.csv").read_bytes()
+    assert ran == (tmp_path / "sweep" / "results.csv").read_bytes()
+    assert [line.split(",")[0] for line in ran.decode().split("\n")[1:3]] == [
+        "3.000000e+00", "4.000000e+00"]
+
+
+def test_profile_with_sweep_section_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_static(sweep={"axis": "n", "values": [0.0, 1.0]}))
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "sweep section" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the closed input contract: unknown keys, keys that do not apply, sweep
+# values out of their field's bound and massless phases in a vibration
+# ---------------------------------------------------------------------------
+
+def small_vibration():
+    doc = small_static(analysis={"type": "vibrate", "modes": 1}, report="frequency")
+    doc.pop("load")
+    return doc
+
+
+def small_disk_static():
+    return small_static(geometry={"type": "disk", "radius": 0.5}, thickness_ratio=0.1,
+                        load={"type": "uniform", "q0": 1.0}, report="bending_dm")
+
+
+CONTRACT_RULES = {
+    # each used to exit 0 and solve as if the key were absent
+    "unknown-top-level": (small_vibration, lambda d: d.update(elemnts=40),
+                          ["'elemnts'", "did you mean 'elements'"]),
+    "unknown-geometry": (small_vibration, lambda d: d["geometry"].update(nett="mapped"),
+                         ["'geometry.nett'", "did you mean 'geometry.net'"]),
+    "unknown-material": (small_vibration, lambda d: d["material"].update(power_indx=5),
+                         ["'material.power_indx'", "did you mean 'material.power_index'"]),
+    "unknown-phase": (small_static,
+                      lambda d: d["material"].update(ceramic={"E": 2e11, "nu": 0.3, "rh": 3e3}),
+                      ["'material.ceramic.rh'", "did you mean 'material.ceramic.rho'"]),
+    "modes-on-static": (small_static, lambda d: d["analysis"].update(modes=-3),
+                        ["analysis.modes does not apply", "static"]),
+    "load-on-vibration": (small_vibration, lambda d: d.update(load={"type": "uniform", "q0": 1.0}),
+                          ["load does not apply", "vibrate"]),
+    "station-on-vibration": (small_vibration, lambda d: d.update(station=[0.3, 0.3]),
+                             ["station does not apply", "vibrate"]),
+    "prestress-on-vibration": (small_vibration,
+                               lambda d: d.update(prestress=[[-1e9, 0.0], [0.0, -1e9]]),
+                               ["prestress does not apply", "vibrate"]),
+    "radius-on-square": (small_static, lambda d: d["geometry"].update(radius=0.5),
+                         ["geometry.radius does not apply", "square"]),
+    "net-on-square": (small_static, lambda d: d["geometry"].update(net="mapped"),
+                      ["geometry.net does not apply", "square"]),
+    "a-on-disk": (small_disk_static, lambda d: d["geometry"].update(a=0.5),
+                  ["geometry.a does not apply", "disk"]),
+    "mesh-sweep-value": (small_static, lambda d: d.update(sweep={"axis": "mesh", "values": [3, 0]}),
+                         ["mesh sweep values", "elements", "got 0"]),
+    "n-sweep-value": (small_static, lambda d: d.update(sweep={"axis": "n", "values": [1, -0.5]}),
+                      ["n sweep values", "material.power_index", "got -0.5"]),
+    "aspect-sweep-value": (small_static,
+                           lambda d: d.update(sweep={"axis": "aspect", "values": [0]}),
+                           ["aspect sweep values", "thickness_ratio", "got 0.0"]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CONTRACT_RULES))
+def test_closed_contract_rule_is_config_error(tmp_path, capsys, rule):
+    make, mutate, expected = CONTRACT_RULES[rule]
+    doc = make()
+    cfg = write_config(tmp_path, doc, "valid.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "valid")]) == 0
+    mutate(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in expected), err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("n", [0.0, 1.0])
+@pytest.mark.parametrize("ceramic", ["SiC", {"E": 427e9, "nu": 0.17}], ids=["SiC", "no-rho"])
+def test_massless_phase_in_a_vibration_is_config_error(tmp_path, capsys, ceramic, n):
+    # SiC has rho = 0: at n = 0 this exited 3 (mass matrix not positive
+    # definite), at n = 1 it exited 0 with a frequency of a massless ceramic
+    doc = small_vibration()
+    doc["material"].update(ceramic=ceramic, power_index=n)
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "material.ceramic" in err and "phase object with rho" in err
+    doc["material"]["ceramic"] = {"E": 427e9, "nu": 0.17, "rho": 3100.0}
+    cfg = write_config(tmp_path, doc, "with-rho.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "with-rho")]) == 0
+
+
+@pytest.mark.parametrize("doc", [small_static(), small_disk_buckle()], ids=["static", "buckle"])
+def test_massless_phase_solves_without_inertia(tmp_path, doc):
+    doc = json.loads(json.dumps(doc))
+    doc["material"]["ceramic"] = "SiC"
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

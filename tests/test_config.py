@@ -2,11 +2,12 @@
 that every published-benchmark acceptance case ships as a named preset."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import fgplate as fg
-from fgplate.config import PRESETS, parse_config, preset_config
+from fgplate.config import _SWEPT, PRESETS, parse_config, preset_config
 from fgplate.errors import ConfigurationError
 from fgplate.materials import Profile, Scheme, ShearModel
 from fgplate.postprocess import ReportFamily
@@ -57,6 +58,19 @@ def test_custom_phase_object():
     doc["material"]["ceramic"] = {"E": 2.0e11, "nu": 0.25, "rho": 4000.0}
     cfg = parse_config(doc)
     assert cfg.ceramic.E == 2.0e11
+
+
+@pytest.mark.parametrize("phase,match", [
+    ({"nu": 0.3}, "needs numeric E, nu"),
+    ({"E": -1.0, "nu": 0.3}, "modulus must be positive"),
+    ({"E": 2e11, "nu": 0.3, "rho": -5.0}, "density must be nonnegative"),
+])
+def test_phase_object_error_names_the_fault(phase, match):
+    # an out-of-range value was reported as a missing one
+    doc = minimal_static()
+    doc["material"]["ceramic"] = phase
+    with pytest.raises(ConfigurationError, match=match):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize(
@@ -231,6 +245,31 @@ def test_replace_reparses():
     assert cfg.power_index == 1.0
 
 
+def test_replace_writes_each_field_at_its_key_path():
+    cfg = parse_config(minimal_static(geometry={"type": "disk", "radius": 0.5},
+                                      thickness_ratio=0.1))
+    updated = cfg.replace(a=0.25, power_index=2.0, shear_model="cubic")
+    assert updated.raw["geometry"] == {"type": "disk", "radius": 0.25}
+    assert updated.raw["material"]["power_index"] == 2.0
+    assert (updated.a, updated.b, updated.shear_model) == (0.25, 0.25, ShearModel.CUBIC)
+    # b is a key of squares only
+    with pytest.raises(ConfigurationError, match="'b'"):
+        cfg.replace(b=0.25)
+
+
+def test_sweep_axes_vary_their_fields():
+    assert {axis: key.field for axis, key in _SWEPT.items()} == {
+        "n": "power_index", "aspect": "thickness_ratio", "mesh": "elements",
+        "model": "shear_model"}
+
+
+@pytest.mark.parametrize("key", ["load", "prestress", "report", "station", "sweep"])
+def test_null_optional_key_means_absent(key):
+    doc = analysis_doc("vibrate", report="frequency")
+    doc[key] = None
+    assert parse_config(doc) == parse_config(analysis_doc("vibrate", report="frequency"))
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
@@ -239,6 +278,23 @@ def test_every_preset_parses():
     for name in PRESETS:
         cfg = preset_config(name)
         assert cfg.degree == 3 and cfg.elements in range(1, 26)
+        assert parse_config(cfg.raw) == cfg
+
+
+REF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+
+
+@pytest.mark.parametrize("workload", ["table-11", "fine-mesh"])
+def test_benchmark_documents_parse(workload):
+    # the benchmark parses these documents, and n sweeps over them: the closed
+    # contract must accept every one of them
+    documents = json.loads((REF_DIR / f"{workload}.json").read_text())["documents"]
+    assert documents
+    for name, doc in documents.items():
+        cfg = parse_config(doc)
+        assert parse_config(cfg.raw) == cfg, name
+        swept = parse_config(dict(doc, sweep={"axis": "n", "values": [0.0, 2.0]}))
+        assert swept.sweep_values == (0.0, 2.0), name
 
 
 def test_unknown_preset():

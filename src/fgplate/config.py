@@ -44,7 +44,6 @@ from .postprocess import ReportFamily
 
 __all__ = ["CaseConfig", "load_config", "parse_config", "PRESETS", "preset_config"]
 
-_EDGE_KEYS = ("xmin", "xmax", "ymin", "ymax")
 _ANALYSES = ("static", "vibrate", "buckle")
 _PHASE_KEYS = ("E", "nu", "rho")
 
@@ -238,21 +237,10 @@ def _phase(value, path: str) -> Phase:
 
 
 def _edge_bcs(value, path: str) -> tuple[BC, BC, BC, BC]:
-    if isinstance(value, str):
-        letters = value.strip().upper()
-        if len(letters) != 4 or any(c not in "SCF" for c in letters):
-            raise ConfigurationError(f"{path} string must be 4 letters from S/C/F, got {value!r}")
-        return tuple(BC(c) for c in letters)
-    if isinstance(value, dict):
-        extra = set(value) - set(_EDGE_KEYS)
-        missing = set(_EDGE_KEYS) - set(value)
-        if extra or missing:
-            raise ConfigurationError(f"{path} mapping needs exactly the keys {_EDGE_KEYS}")
-        try:
-            return tuple(BC(str(value[k]).upper()) for k in _EDGE_KEYS)
-        except ValueError as exc:
-            raise ConfigurationError("edge conditions must be S, C or F") from exc
-    raise ConfigurationError(f"{path} must be a 4-letter string or an edge mapping")
+    letters = value.strip().upper() if isinstance(value, str) else ""
+    if len(letters) != 4 or any(c not in "SCF" for c in letters):
+        raise ConfigurationError(f"{path} must be 4 letters from S/C/F, got {value!r}")
+    return tuple(BC(c) for c in letters)
 
 
 def _prestress(value, path: str):

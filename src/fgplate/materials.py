@@ -5,6 +5,16 @@ The section is a two-phase mix whose ceramic volume fraction follows a power
 law in the thickness coordinate. Elastic moduli are homogenized either by a
 Voigt rule of mixture or by the Mori-Tanaka estimate; density always mixes by
 volume fraction.
+
+The section constants are one moment table of thickness integrals
+(_section_table). Its rows are the plane-stress moduli q11, q12, q66 and the
+density rho; its columns weigh them by 1, z, z^2, g, z g, g^2 and f'^2, with
+f the shear shape function and g = f - z. The first six columns of the
+moduli rows are the rigidity blocks A, B, D, E, F and H, the f'^2 column of
+q66 is the shear rigidity Ds, and the first six columns of rho are the
+inertias I1..I6. The thickness rule is doubled until the table is stable
+against three scales: the largest rigidity for the blocks, the larger of
+that and Ds for Ds, and the largest inertia for the inertias.
 """
 from __future__ import annotations
 
@@ -30,6 +40,9 @@ __all__ = [
     "shear_fn",
     "section_constants",
 ]
+
+_BASE_ORDER = 30  # Gauss points of the first thickness rule, doubled until stable
+_RTOL = 1e-10     # the change under one doubling that counts as stable, per scale
 
 
 @dataclass(frozen=True)
@@ -215,89 +228,66 @@ def _thickness_rule(spec: FGMSpec, h: float, n_gauss: int):
     Integer power indices give entire integrands, so a single Gauss-Legendre
     rule suffices. Fractional indices put an algebraic branch point at the
     pure-metal surface; a dyadic composite rule graded toward that surface
-    restores geometric convergence there.
+    restores geometric convergence there: n_gauss points on each of the 60
+    pieces [h 2^-(k+1), h 2^-k] of the distance from it, and on [0, h 2^-60].
     """
     x, w = _gauss_legendre(n_gauss)
     if float(spec.n).is_integer():
         return 0.5 * h * x, 0.5 * h * w
-    levels = 60
-    zs, ws = [], []
-    edges = [h * 2.0 ** (-k) for k in range(levels + 1)]
-    pieces = [(edges[k + 1], edges[k]) for k in range(levels)] + [(0.0, edges[levels])]
-    for lo, hi in pieces:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        zs.append(mid + half * x)
-        ws.append(half * w)
-    dist = np.concatenate(zs)  # distance from the singular surface
-    wz = np.concatenate(ws)
+    hi = h * 0.5 ** np.arange(61)
+    lo = np.append(hi[1:], 0.0)
+    half = 0.5 * (hi - lo)[:, None]
+    dist = (0.5 * (lo + hi)[:, None] + half * x).ravel()  # distance from the singular surface
+    wz = (half * w).ravel()
     if spec.profile is Profile.CERAMIC_POWER:
         return -h / 2 + dist, wz
     return h / 2 - dist, wz
 
 
-def _section_integrals(spec: FGMSpec, model: ShearModel, h: float, n_gauss: int):
+def _section_table(spec: FGMSpec, model: ShearModel, h: float, n_gauss: int) -> np.ndarray:
+    """The (4, 7) moment table: rows q11, q12, q66 and rho, columns their
+    thickness integrals weighted by 1, z, z^2, g, z g, g^2 and f'^2."""
     z, wz = _thickness_rule(spec, h, n_gauss)
     E, nu, rho = effective_props(z, h, spec)
-    q11, q12, q66 = plane_stress_moduli(E, nu)
-    f, fp, g, _ = shear_fn(model, z, h)
-
-    weights = {"A": 1.0, "B": z, "D": z * z, "E": g, "F": z * g, "H": g * g}
-    blocks = {}
-    for name, fac in weights.items():
-        a11 = np.sum(q11 * fac * wz)
-        a12 = np.sum(q12 * fac * wz)
-        a66 = np.sum(q66 * fac * wz)
-        blocks[name] = np.array([[a11, a12, 0.0], [a12, a11, 0.0], [0.0, 0.0, a66]])
-    ds = np.sum(fp * fp * q66 * wz) * np.eye(2)
-    inertias = [float(np.sum(rho * fac * wz)) for fac in (np.ones_like(z), z, z * z, g, z * g, g * g)]
-    return blocks, ds, inertias
+    moduli = np.array([*plane_stress_moduli(E, nu), rho])
+    _, fp, g, _ = shear_fn(model, z, h)
+    weights = np.array([np.ones_like(z), z, z * z, g, z * g, g * g, fp * fp])
+    terms = moduli[:, None] * weights
+    terms *= wz  # in place: a second (4, 7, n) temporary costs more than the products
+    return terms.sum(axis=-1)
 
 
-def section_constants(
-    spec: FGMSpec, model: ShearModel, h: float, n_gauss: int = 30, rtol: float = 1e-10
-) -> SectionConstants:
+def section_constants(spec: FGMSpec, model: ShearModel, h: float) -> SectionConstants:
     """Integrate the section constants with a convergence check.
 
-    A 30-point Gauss-Legendre base rule resolves every polynomial and
-    inverse-tan integrand here; the rule is doubled until all entries are
-    stable to rtol, and an IntegrationError is raised if stability is never
-    reached.
+    A _BASE_ORDER-point Gauss-Legendre base rule resolves every polynomial
+    and inverse-tan integrand here; the rule is doubled until the moment
+    table is stable to _RTOL, and an IntegrationError is raised if stability
+    is never reached.
     """
     if h <= 0:
         raise ValueError("thickness must be positive")
-    order = n_gauss
-    blocks, ds, inertias = _section_integrals(spec, model, h, order)
+    order = _BASE_ORDER
+    table = _section_table(spec, model, h, order)
     for _ in range(5):
-        blocks2, ds2, inertias2 = _section_integrals(spec, model, h, 2 * order)
-        scale = max(abs(v).max() for v in blocks2.values())
-        iscale = max(max(abs(i) for i in inertias2), 1e-300)
-        ok = all(
-            np.abs(blocks2[k] - blocks[k]).max() <= rtol * scale for k in blocks
-        ) and np.abs(ds2 - ds).max() <= rtol * max(scale, ds2.max()) and all(
-            abs(a - b) <= rtol * iscale for a, b in zip(inertias, inertias2)
-        )
-        blocks, ds, inertias = blocks2, ds2, inertias2
+        finer = _section_table(spec, model, h, 2 * order)
+        change = np.abs(finer - table)
+        scale = np.abs(finer[:3, :6]).max()
+        ok = (change[:3, :6].max() <= _RTOL * scale
+              and change[2, 6] <= _RTOL * max(scale, finer[2, 6])
+              and change[3, :6].max() <= _RTOL * np.abs(finer[3, :6]).max())
+        table = finer
         if ok:
             break
         order *= 2
     else:
         raise IntegrationError(
-            f"section integrals did not stabilize to {rtol} by {2 * order} Gauss points"
+            f"section integrals did not stabilize to {_RTOL} by {2 * order} Gauss points"
         )
 
-    return SectionConstants(
-        A=blocks["A"],
-        B=blocks["B"],
-        D=blocks["D"],
-        E=blocks["E"],
-        F=blocks["F"],
-        H=blocks["H"],
-        Ds=ds,
-        I1=inertias[0],
-        I2=inertias[1],
-        I3=inertias[2],
-        I4=inertias[3],
-        I5=inertias[4],
-        I6=inertias[5],
-        h=h,
-    )
+    def block(column):
+        a11, a12, a66 = table[:3, column]
+        return np.array([[a11, a12, 0.0], [a12, a11, 0.0], [0.0, 0.0, a66]])
+
+    return SectionConstants(*map(block, range(6)), table[2, 6] * np.eye(2),
+                            *table[3, :6].tolist(), h=h)

@@ -15,8 +15,8 @@ D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M or Kg is made.
 - vibration and buckling: one flipped pencil, B v = mu (K + sigma B) v, of
   which only the k largest mu are computed. A = K + sigma B: vibration
   takes B = M and a small shift sigma (lambda = 1/mu - sigma), buckling B =
-  -Kg and sigma = 0 (lambda = 1/mu), and its two signs share the factor of
-  K. M is never factorized, because it is nearly singular on thin plates.
+  -Kg and sigma = 0 (lambda = 1/mu). M is never factorized, because it is
+  nearly singular on thin plates.
 
 The k largest mu are those of the symmetric operator C = L^-1 D B D L^-T,
 found by ARPACK's implicitly restarted Lanczos (scipy's eigsh; Lehoucq,
@@ -283,21 +283,19 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     operator positive definite: the vibration pencil with B = G and sigma = 0.
     Only the k largest theta = 1/lambda are computed. Those above 1e-12 times
     the larger of max |diag G / diag K| and max |theta| count as positive: the
-    diagonal sets the scale when the k largest theta are roundoff (a tensile
-    prestress), the computed theta when the diagonal vanishes (pure shear,
-    where R_x R_y integrates to zero). If the flipped pencil has no positive
-    theta, the raw sign is tried, so callers may also pass the pattern
-    operator of the eigenproblem directly; both signs use one factor of K.
-    Only positive factors return.
+    diagonal sets the scale when the k largest theta are roundoff, the
+    computed theta when the diagonal vanishes (pure shear, where R_x R_y
+    integrates to zero). Only positive factors return; a prestress with none,
+    such as pure tension, for which G is negative semidefinite, raises
+    SpectrumError.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
     K, Kg = _matrix(system, "K"), _matrix(system, "Kg")
     L, d, DGD = _factor(K, "stiffness matrix", Kg)
-    for sign in (-1.0, 1.0):
-        theta, vectors = _largest_pairs(L, d, sign * DGD, k, "stiffness matrix")
-        scale = max(np.max(np.abs(Kg[0]) / K[0]), np.abs(theta).max())
-        take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)
-        if take.size:
-            return EigenResult(values=1.0 / theta[take], vectors=vectors[:, take])
-    raise SpectrumError("no positive buckling factor found for this prestress state")
+    theta, vectors = _largest_pairs(L, d, -DGD, k, "stiffness matrix")
+    scale = max(np.max(np.abs(Kg[0]) / K[0]), np.abs(theta).max())
+    take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)
+    if not take.size:
+        raise SpectrumError("no positive buckling factor found for this prestress state")
+    return EigenResult(values=1.0 / theta[take], vectors=vectors[:, take])

@@ -5,6 +5,7 @@ golden values are published benchmark results for the 11x11 cubic mesh, and
 the derived limits come from the independent oracles in oracles.py.
 """
 import numpy as np
+import pytest
 
 import fgplate as fg
 from fgplate.assembly import BC, UniformLoad
@@ -178,6 +179,23 @@ def test_mapped_net_is_the_exact_circle_scaled_by_its_area():
     remainders = [mapped_disk_oracle_remainder(m) for m in (11, 16)]
     assert remainders[0] < 2e-4 and remainders[1] < 6e-5
     assert remainders[1] < remainders[0]
+
+
+@pytest.mark.parametrize("name,bound", [("buck-disk-atan-n0-hr0.1", 1e-4),
+                                        ("buck-disk-atan_sin-n5-hr0.25", 1.5e-3)])
+def test_mapped_disk_buckling_is_the_exact_circle_scaled_by_its_area(name, bound):
+    # criterion 4's preset on the mapped net against the rational net at 16
+    # elements scaled by pi R^2 / A; measured remainders 3.0e-5 (thin) and
+    # 8.7e-4 (thick, where shear makes p_bar depend on h/R too), against
+    # unscaled gaps of 0.57% and 0.49%
+    doc = fg.PRESETS[name]
+    mapped = run_case(fg.parse_config(doc))
+    area = mapped.model.patch.load_vector(UniformLoad(1.0))[2::4].sum()
+    rational = run_case(fg.parse_config(
+        dict(doc, geometry=dict(doc["geometry"], net="rational"), elements=16)))
+    got, exact = mapped.report.p_cr_bar[0], rational.report.p_cr_bar[0]
+    assert abs(got - exact) / got > 4e-3
+    assert abs(got - exact * np.pi * doc["geometry"]["radius"] ** 2 / area) / got < bound
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,16 @@ def test_zero_prestress_is_solver_error(tmp_path, capsys):
     assert "buckling factor" in capsys.readouterr().err
 
 
+def test_tensile_prestress_has_no_buckling_load(tmp_path, capsys):
+    # tension stiffens the disk: no positive factor, and no compressive
+    # loads reported in its place
+    doc = dict(PRESETS["buck-disk-atan-n0-hr0.1"], prestress=[[1.0, 0.0], [0.0, 1.0]])
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "no positive buckling factor" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_buckling_without_free_deflection_names_it(tmp_path, capsys):
     # one clamped element fixes the edge and its inner ring, which leaves only
     # in-plane DOFs free: the failure is the missing deflection, not the prestress

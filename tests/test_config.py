@@ -80,6 +80,9 @@ def test_phase_object_error_names_the_fault(phase, match):
         (lambda d: d.update(thickness_ratio=-1), "thickness_ratio"),
         (lambda d: d.update(degree=1), "degree"),
         (lambda d: d.update(edge_bcs="SSX S"), "edge_bcs"),
+        # a disk's edges are parametric, so x/y edge names would mislabel them
+        pytest.param(lambda d: d.update(edge_bcs=dict.fromkeys(("xmin", "xmax", "ymin", "ymax"), "S")),
+                     "edge_bcs must be 4 letters", id="edge_bcs-mapping"),
         (lambda d: d.update(shear_model="cubic9"), "shear_model"),
         (lambda d: d["material"].update(ceramic="Unobtainium"), "material preset"),
         (lambda d: d.update(report="frequency"), "report"),

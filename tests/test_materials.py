@@ -266,19 +266,50 @@ def test_fractional_power_index_converges():
     assert_allclose(sec.A, blocks["A"], rtol=1e-6)
 
 
-def test_quadrature_stability_under_doubling():
+def test_quadrature_stability_under_doubling(monkeypatch):
     h = 0.11
     spec = spec_rom(10.0)
-    sec30 = section_constants(spec, ShearModel.ATAN_SIN, h, n_gauss=30)
-    sec60 = section_constants(spec, ShearModel.ATAN_SIN, h, n_gauss=60)
+    sec30 = section_constants(spec, ShearModel.ATAN_SIN, h)
+    monkeypatch.setattr(materials, "_BASE_ORDER", 60)
+    sec60 = section_constants(spec, ShearModel.ATAN_SIN, h)
     for name in "ABDEFH":
         a, b = getattr(sec30, name), getattr(sec60, name)
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max() + 1e-30
 
 
-def test_unreachable_tolerance_raises():
+def test_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(materials, "_RTOL", 0.0)
     with pytest.raises(IntegrationError):
-        section_constants(spec_mt(0.5), ShearModel.ATAN, 0.2, rtol=0.0)
+        section_constants(spec_mt(0.5), ShearModel.ATAN, 0.2)
+
+
+def loop_section_table(spec, model, h, order):
+    """The moment table entry by entry, on the dyadic rule built piece by
+    piece: the reference for the broadcast forms."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    if float(spec.n).is_integer():
+        z, wz = 0.5 * h * x, 0.5 * h * w
+    else:
+        edges = [h * 2.0 ** (-k) for k in range(61)]
+        pieces = [(edges[k + 1], edges[k]) for k in range(60)] + [(0.0, edges[60])]
+        dist = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in pieces])
+        wz = np.concatenate([0.5 * (hi - lo) * w for lo, hi in pieces])
+        z = -h / 2 + dist if spec.profile is Profile.CERAMIC_POWER else h / 2 - dist
+    E, nu, rho = effective_props(z, h, spec)
+    _, fp, g, _ = shear_fn(model, z, h)
+    rows = [*materials.plane_stress_moduli(E, nu), rho]
+    weights = [np.ones_like(z), z, z * z, g, z * g, g * g, fp * fp]
+    return np.array([[np.sum(row * weight * wz) for weight in weights] for row in rows])
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("profile", list(Profile))
+@pytest.mark.parametrize("n", [1.0, 0.5])
+def test_section_table_is_the_entrywise_loop_bitwise(model, profile, n):
+    spec = FGMSpec(ceramic=ZRO2, metal=AL, n=n, scheme=Scheme.MORI_TANAKA, profile=profile)
+    for order in (30, 60):
+        got = materials._section_table(spec, model, 0.2, order)
+        assert got.tobytes() == loop_section_table(spec, model, 0.2, order).tobytes()
 
 
 def test_gauss_rules_cached_read_only():

@@ -96,9 +96,10 @@ def test_vibration_rejects_indefinite_mass():
 
 
 def test_buckling_single_dof_pattern_operator():
-    # already-flipped positive operator form
-    res = fg.solve_buckling(tiny_system([[6.0]], Kg=[[2.0]]), 1)
-    assert res.values[0] == pytest.approx(3.0)
+    # a positive Kg is the geometric stiffness of tension, not an operator
+    # to be flipped back: it has no buckling load
+    with pytest.raises(SpectrumError, match="no positive buckling factor"):
+        fg.solve_buckling(tiny_system([[6.0]], Kg=[[2.0]]), 1)
 
 
 def test_buckling_single_dof_compressive_assembly():
@@ -368,16 +369,18 @@ def _buckling_system(geometry, prestress):
 @pytest.mark.parametrize("prestress", PRESTRESSES)
 @pytest.mark.parametrize("geometry", ["square-SSSS", "square-CCCC", "mapped-disk-CCCC"])
 def test_buckling_top_k_matches_the_full_spectrum(geometry, prestress):
-    # the k largest theta of the subset driver against every theta of a full
-    # solve, flipped pencil first and the raw sign (tension) as the fallback
+    # the k largest theta of the flipped pencil against every theta of a full
+    # solve; tension has none, and raises
     system = _buckling_system(geometry, PRESTRESSES[prestress])
-    got = fg.solve_buckling(system, 4).values
     K, Kg = map(system.reduce, (system.K, system.Kg))
-    for G in (-Kg, Kg):
-        theta = sla.eigh(G, K, eigvals_only=True)
-        positive = theta[theta > 1e-12 * np.abs(theta).max()]
-        if positive.size:
-            break
+    theta = sla.eigh(-Kg, K, eigvals_only=True)
+    positive = theta[theta > 1e-12 * np.abs(theta).max()]
+    if prestress == "tensile":
+        assert positive.size == 0
+        with pytest.raises(SpectrumError, match="no positive buckling factor"):
+            fg.solve_buckling(system, 4)
+        return
+    got = fg.solve_buckling(system, 4).values
     expected = 1.0 / np.sort(positive)[::-1][:4]
     assert got.size == expected.size
     assert_allclose(got, expected, rtol=1e-12)
@@ -505,19 +508,14 @@ def test_systems_below_arpack_limit_take_the_dense_operator(k, monkeypatch):
 
 def test_tension_skips_lanczos_on_the_flipped_pencil(monkeypatch):
     # -Kg has no positive eigenvalue, so neither has the flipped pencil: its
-    # k largest mu are a multiple zero, and only the raw sign is iterated
-    calls, lanczos = [], solvers.eigsh
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["which"])
-        return lanczos(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "eigsh", counted)
+    # k largest mu are a multiple zero, found without Lanczos, and the
+    # solve raises
+    calls = []
+    monkeypatch.setattr(solvers, "eigsh", lambda *args, **kwargs: calls.append(kwargs))
     system = _buckling_system("square-SSSS", PRESTRESSES["tensile"])
-    got = fg.solve_buckling(system, 4).values
-    assert calls == ["LA"]
-    K, Kg = map(system.reduce, (system.K, system.Kg))
-    assert_allclose(got, 1.0 / dense_largest(Kg, K, 0.0, 4), rtol=1e-10)
+    with pytest.raises(SpectrumError, match="no positive buckling factor"):
+        fg.solve_buckling(system, 4)
+    assert calls == []
 
 
 def test_lanczos_failure_is_a_solver_error_with_the_residual(monkeypatch):

@@ -4,7 +4,7 @@ This is the library-level runner behind the CLI; it never touches files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,9 +46,9 @@ class CaseResult:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The reports of a sweep, one per value of config.sweep_values."""
+
     config: CaseConfig
-    axis: str
-    values: tuple
     reports: tuple[NondimReport, ...]
 
     def relative_changes(self) -> tuple[Optional[float], ...]:
@@ -109,21 +109,20 @@ def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, Bas
 def sweep_case(config: CaseConfig) -> SweepResult:
     """One case per sweep value, in deterministic input order.
 
-    A sweep over n, the thickness ratio or the shear model changes only the
-    section constants, so its cases share one patch, and with it the patch's
-    Gram and load vector, each built once and dropped when the sweep
-    returns. A mesh sweep builds one patch per value.
+    parse_config has read and checked every value, so each case is the
+    parsed configuration with the swept field set to its value; its raw
+    stays the sweep's document. A sweep over n, the thickness ratio or the
+    shear model changes only the section constants, so its cases share one
+    patch, and with it the patch's Gram and load vector, each built once and
+    dropped when the sweep returns. A mesh sweep builds one patch per value.
     """
     if config.sweep_axis is None:
         raise ConfigurationError("configuration has no sweep section")
     swept = _SWEPT[config.sweep_axis].field
     patch = None if swept == "elements" else config.build_patch()
-    reports = []
-    for value in config.sweep_values:
-        result = run_case(config.replace(**{swept: value}), patch=patch)
-        reports.append(result.report)
-    return SweepResult(config=config, axis=config.sweep_axis,
-                       values=config.sweep_values, reports=tuple(reports))
+    return SweepResult(config=config, reports=tuple(
+        run_case(replace(config, **{swept: value}), patch=patch).report
+        for value in config.sweep_values))
 
 
 def profile_case(config: CaseConfig) -> tuple[CaseResult, StressProfile]:

@@ -90,19 +90,18 @@ def _cmd_run(config: CaseConfig, out: Path) -> None:
 
 
 def _cmd_sweep(config: CaseConfig, out: Path) -> None:
-    if config.sweep_axis is None:
-        raise ConfigurationError("sweep command needs a sweep section in the config")
     sweep = sweep_case(config)
-    header = [sweep.axis] + sweep.reports[0].table()[0]
+    axis = config.sweep_axis
+    header = [axis] + sweep.reports[0].table()[0]
     changes = sweep.relative_changes()
-    if sweep.axis == "mesh":
+    if axis == "mesh":
         header.append("rel_change")
     rows = []
-    for i, (value, report) in enumerate(zip(sweep.values, sweep.reports)):
+    for i, (value, report) in enumerate(zip(config.sweep_values, sweep.reports)):
         _, report_rows = _report_columns(report)
         for row in report_rows:
             full = [value if isinstance(value, str) else _fmt(float(value))] + row
-            if sweep.axis == "mesh":
+            if axis == "mesh":
                 full.append("" if changes[i] is None else _fmt(changes[i]))
             rows.append(full)
     _write_csv(out / "results.csv", header, rows)

@@ -8,8 +8,11 @@ The table _KEYS is the schema. Each row is one accepted document key: its
 path, the CaseConfig field it sets, its reader, its default and bound, where
 it applies (the analyses or the geometry type) and the sweep axis that
 varies it, if any. parse_config walks the table and then makes the checks
-that span fields; a sweep reads each value through the row of the field its
-axis varies, and CaseConfig.replace writes a field at its row's path.
+that span fields. A sweep is parsed once: each value is read and bounded by
+the row of the field its axis varies, and gets the cross-field checks that
+depend on that field (a mesh sweep checks its station on each value's net),
+so every value's error raises before the first solve. A case of the sweep
+is the parsed configuration with that one field set.
 
 The contract is closed. A key that no row names is an error that names the
 closest known key. A key given where its row does not apply is an error
@@ -121,24 +124,6 @@ class CaseConfig:
                           section=section, spec=spec,
                           shear=self.shear_model, edge_bcs=self.edge_bcs,
                           load=load, prestress=prestress)
-
-    def replace(self, **updates) -> "CaseConfig":
-        """Re-parse the document with fields updated, each written at the
-        path of the key that sets it in this case (power_index at
-        material.power_index). The whole case is checked again: a mesh
-        sweep rechecks a station on the mapped net."""
-        doc = dict(self.raw)
-        for name, value in updates.items():
-            key = next((k for k in _KEYS if k.field == name
-                        and k.applies(self.analysis, self.geometry_type)), None)
-            if key is None:
-                raise ConfigurationError(f"no configuration key sets {name!r} in this case")
-            section, _, leaf = key.path.rpartition(".")
-            if section:
-                doc[section] = dict(doc.get(section) or {}, **{leaf: value})
-            else:
-                doc[leaf] = value
-        return parse_config(doc)
 
 
 def _reject_duplicate_keys(pairs):
@@ -412,6 +397,9 @@ def parse_config(doc: dict) -> CaseConfig:
     if axis is not None:
         fields["sweep_values"] = tuple(_sweep_value(_SWEPT[axis], v, axis)
                                        for v in fields["sweep_values"])
+        if axis == "mesh" and fields["station"] is not None:
+            for elements in fields["sweep_values"]:
+                _check_station(dict(fields, elements=elements))
     if stray:
         raise ConfigurationError(f"{stray[0].path} does not apply to a {analysis} case on a "
                                  f"{gtype}; it applies to {' and '.join(stray[0].only)} only")

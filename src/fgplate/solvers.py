@@ -139,7 +139,9 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     meets 1e-10, and returns the best iterate; the sweep count is logged.
     Near 1e-10 the residual oscillates from sweep to sweep (2.7e-10,
     4.5e-10, 4.7e-11 on an 82-DOF CFFC disk), so a stall above it does not
-    stop the sweeps.
+    stop the sweeps. A stall's error also gives the float64 floor
+    eps |||K| |x||| / ||F|| (eps = 2^-53, x the best iterate): where it
+    exceeds 1e-10, rounding x to float64 alone can break the contract.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
@@ -177,9 +179,12 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
         y = y + solve((residual_ld * d_ld).astype(np.float64))
     _log.debug("static solve: %d refinement sweeps, relative residual %.3e",
                sweeps, best_res / fnorm)
+    x = best_y * d
     if best_res > 1e-10 * fnorm:
-        raise SolverError(f"static solve stalled at relative residual {best_res / fnorm:.3e}")
-    return system.expand(best_y * d)
+        floor = 2.0 ** -53 * np.linalg.norm(_band_product(np.abs(K), np.abs(x))) / fnorm
+        raise SolverError(f"static solve stalled at relative residual {best_res / fnorm:.3e}; "
+                          f"the float64 floor eps |||K| |x||| / ||F|| is {floor:.3e}")
+    return system.expand(x)
 
 
 def _negative_semidefinite(B: np.ndarray) -> bool:

@@ -4,6 +4,8 @@ Each criterion prints one PASS/FAIL line (visible with `pytest -s`); the
 golden values are published benchmark results for the 11x11 cubic mesh, and
 the derived limits come from the independent oracles in oracles.py.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -296,7 +298,7 @@ def test_criterion_7_property_suites():
               np.linalg.norm(K @ v - lam * (G @ v)) <= 1e-8 * knorm * np.linalg.norm(v))
 
     # recovered transverse shear vanishes at the surfaces
-    result = run_case(preset_config("bend-sin-atan-n1-r4").replace(elements=5))
+    result = run_case(replace(preset_config("bend-sin-atan-n1-r4"), elements=5))
     hloc = result.model.section.h
     prof = fg.stress_profile(result.q, result.model, 0.5, 0.5,
                              [-hloc / 2, 0.0, hloc / 2])

@@ -1,7 +1,7 @@
-"""Sweeps: a sweep over n, the thickness ratio or the shear model reports
-exactly what independent run_case calls report, while it builds one patch
-and with it one Gram and one load vector; a mesh sweep builds one of each
-per value."""
+"""Sweeps: a sweep reports exactly what independent run_case calls on
+separately parsed documents report. A sweep over n, the thickness ratio or
+the shear model builds one patch and with it one Gram and one load vector; a
+mesh sweep builds one of each per value."""
 import pytest
 
 import fgplate as fg
@@ -31,18 +31,28 @@ def base_doc(analysis):
     return doc
 
 
-SWEEPS = {"n": [0.0, 0.5, 2.0, 6.5], "aspect": [5.0, 20.0], "model": ["cubic", "atan_sin"]}
+SWEEPS = {"n": [0.0, 0.5, 2.0, 6.5], "aspect": [5.0, 20.0], "mesh": [2, 3],
+          "model": ["cubic", "atan_sin"]}
+
+
+def at_path(doc, path, value):
+    """A copy of doc with value written at the dotted key path."""
+    section, _, leaf = path.rpartition(".")
+    if not section:
+        return dict(doc, **{leaf: value})
+    return dict(doc, **{section: dict(doc[section], **{leaf: value})})
 
 
 @pytest.mark.parametrize("axis", sorted(SWEEPS))
 @pytest.mark.parametrize("analysis", ["static", "vibrate", "buckle"])
 def test_sweep_reports_equal_independent_runs(analysis, axis):
-    values = SWEEPS[axis]
-    config = parse_config(dict(base_doc(analysis), sweep={"axis": axis, "values": values}))
-    sweep = fg.sweep_case(config)
+    # each independent run parses its own document, with the sweep value
+    # written at the path of the key the axis varies
+    values, doc = SWEEPS[axis], base_doc(analysis)
+    sweep = fg.sweep_case(parse_config(dict(doc, sweep={"axis": axis, "values": values})))
     assert len(sweep.reports) == len(values)
     for value, report in zip(values, sweep.reports):
-        single = fg.run_case(config.replace(**{_SWEPT[axis].field: value}))
+        single = fg.run_case(parse_config(at_path(doc, _SWEPT[axis].path, value)))
         assert report.values == single.report.values
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fgplate import PRESETS, parse_config, run_case
+from fgplate import PRESETS, cases, parse_config, run_case, solvers
 from fgplate.cli import main
+from fgplate.errors import ConfigurationError
 
 
 def write_config(tmp_path, doc, name="case.json"):
@@ -242,6 +243,26 @@ def test_station_outside_mapped_net_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "mapped net" in capsys.readouterr().err
+
+
+def test_mesh_sweep_station_outside_a_later_net_exits_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # (0.49, 0) lies inside the mapped net at 11 and 12 elements, not on one
+    # element: the sweep used to solve two cases before the third raised
+    doc = small_static(geometry={"type": "disk", "radius": 0.5, "net": "mapped"},
+                       thickness_ratio=0.1, elements=11, edge_bcs="CCCC",
+                       load={"type": "uniform", "q0": 1.0}, report="bending_dm",
+                       station=[0.49, 0.0], sweep={"axis": "mesh", "values": [11, 12, 1]})
+    with pytest.raises(ConfigurationError, match="mapped net"):
+        parse_config(doc)
+    solves = []
+    monkeypatch.setattr(cases, "solve_static",
+                        lambda *args: solves.append(args) or solvers.solve_static(*args))
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "with 1 elements of degree 3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+    assert solves == []
 
 
 def test_missing_file_is_config_error(tmp_path, capsys):

@@ -239,27 +239,6 @@ def test_duplicate_edge_spec_keys_rejected(tmp_path):
         fg.load_config(str(path))
 
 
-def test_replace_reparses():
-    cfg = parse_config(minimal_static())
-    finer = cfg.replace(elements=7)
-    assert finer.elements == 7
-    graded = cfg.replace(power_index=4.0)
-    assert graded.power_index == 4.0
-    assert cfg.power_index == 1.0
-
-
-def test_replace_writes_each_field_at_its_key_path():
-    cfg = parse_config(minimal_static(geometry={"type": "disk", "radius": 0.5},
-                                      thickness_ratio=0.1))
-    updated = cfg.replace(a=0.25, power_index=2.0, shear_model="cubic")
-    assert updated.raw["geometry"] == {"type": "disk", "radius": 0.25}
-    assert updated.raw["material"]["power_index"] == 2.0
-    assert (updated.a, updated.b, updated.shear_model) == (0.25, 0.25, ShearModel.CUBIC)
-    # b is a key of squares only
-    with pytest.raises(ConfigurationError, match="'b'"):
-        cfg.replace(b=0.25)
-
-
 def test_sweep_axes_vary_their_fields():
     assert {axis: key.field for axis, key in _SWEPT.items()} == {
         "n": "power_index", "aspect": "thickness_ratio", "mesh": "elements",

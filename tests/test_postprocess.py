@@ -3,6 +3,8 @@ traction-free shear recovery, stress antisymmetry, the vectorized profile
 against a per-z strain_operators reference on a square and a rational disk,
 one point location per static case, scaling linearity and the report
 formulas."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,7 +156,7 @@ def test_stress_profile_matches_pointwise_reference(geometry, station):
 def test_static_case_locates_its_station_once(monkeypatch):
     # run_case and profile_case recover w and the stresses at the centre from
     # one located basis; the values equal the separate public queries
-    config = fg.preset_config("bend-sin-atan-n1-r4").replace(elements=5)
+    config = replace(fg.preset_config("bend-sin-atan-n1-r4"), elements=5)
     assert config.report is fg.ReportFamily.BENDING_EC
     locate = fg.postprocess.locate_point
     calls = []

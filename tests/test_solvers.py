@@ -4,6 +4,7 @@ solutions, spectral monotonicity properties, systems left unchanged by a
 solve, top-k buckling against the full spectrum, and the banded Lanczos
 eigensolver against a dense subset eigh on the same matrices."""
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -413,6 +414,26 @@ def test_static_refinement_runs_on_past_a_stall_above_the_contract(caplog):
     (record,) = [r for r in caplog.records if r.msg.startswith("static solve")]
     assert record.args[1] <= 1e-10
     assert result.report.w_bar == pytest.approx(10.393262668033373, rel=1e-9)
+
+
+@pytest.mark.parametrize("geometry,ratio,degree,edges,floor", [
+    ({"type": "square", "a": 1.0}, 9.7e5, 4, "CFFF", 1.34e-8),
+    ({"type": "disk", "radius": 0.5}, 1e-4, 3, "SFFF", 8.1e-9),
+])
+def test_static_stall_reports_the_float64_floor(geometry, ratio, degree, edges, floor):
+    # thin plates with one supported edge stall at relative residuals of
+    # 1.70e-9 and 1.40e-9: rounding the answer to float64 alone can leave
+    # eps |||K| |x||| / ||F||, which is larger
+    config = fg.parse_config({
+        "geometry": geometry, "thickness_ratio": ratio, "degree": degree, "elements": 3,
+        "material": {"ceramic": "Al2O3", "metal": "Al", "power_index": 1.0},
+        "edge_bcs": edges, "load": {"type": "uniform", "q0": 1.0},
+    })
+    with pytest.raises(SolverError, match="static solve stalled") as info:
+        fg.run_case(config)
+    residual, got = map(float, re.findall(r"\d\.\d+e[-+]\d+", str(info.value)))
+    assert 1e-10 < residual <= got
+    assert got == pytest.approx(floor, rel=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ elements took a case's eigh from 0.030 s to 0.058 s.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -290,10 +290,10 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
         raise ConfigurationError("load vector requested without a load description")
 
     fixed, mechanism = edge_constraints(model, inertia="M" in want)
-    system = GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism)
-    matrices = _assemble_matrices(model, want, system.free_dofs) if want - {"F"} else {}
+    matrices = _assemble_matrices(model, want, fixed) if want - {"F"} else {}
     F = model.patch.load_vector(model.load) if "F" in want else None
-    return replace(system, F=F, **matrices)
+    return GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism, F=F,
+                        **matrices)
 
 
 def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -308,12 +308,13 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
 _PRODUCT_ROWS = 256
 
 
-def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray) -> dict:
-    """The wanted ones of K, M and Kg by name, on the given free DOFs, in LAPACK
-    lower band storage, from the global Gram of the model's patch: one
-    blocked product with a coefficient table per matrix, then each free
-    entry of the pair blocks written once. The band is as wide as the
-    written entries: kd = max |row - col| over the pairs' free entries."""
+def _assemble_matrices(model: PlateModel, want: set, fixed: np.ndarray) -> dict:
+    """The wanted ones of K, M and Kg by name, on the DOFs that the given fixed
+    ones leave free (GlobalSystem.free_dofs), in LAPACK lower band storage,
+    from the global Gram of the model's patch: one blocked product with a
+    coefficient table per matrix, then each free entry of the pair blocks
+    written once. The band is as wide as the written entries: kd = max
+    |row - col| over the pairs' free entries."""
     section, gram = model.section, model.patch.gram
     tables = {}
     if "K" in want:
@@ -326,7 +327,9 @@ def _assemble_matrices(model: PlateModel, want: set, free: np.ndarray) -> dict:
     # flat index of entry (A i, B j) of each pair block in a (kd + 1) x nf
     # band, ab[|r - c|, min(r, c)], followed by one spare slot that takes
     # every entry in the row or column of a fixed DOF (position -1)
-    nf = free.size
+    free = np.ones(model.n_dofs, dtype=bool)
+    free[fixed] = False
+    nf = int(np.count_nonzero(free))
     position = np.full(model.n_dofs, -1)
     position[free] = np.arange(nf)
     rows = np.repeat(position[4 * gram.first[:, None] + np.arange(4)], 4, axis=1).ravel()

@@ -46,18 +46,11 @@ class CaseResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The reports of a sweep, one per value of config.sweep_values."""
+    """The reports of a sweep, one per value of config.sweep_values, in that
+    order. The CLI lays them out as one table (cli._cmd_sweep)."""
 
     config: CaseConfig
     reports: tuple[NondimReport, ...]
-
-    def relative_changes(self) -> tuple[Optional[float], ...]:
-        """Per-row change of the leading report scalar against the previous row."""
-        leads = [r.values[0] for r in self.reports]
-        out: list[Optional[float]] = [None]
-        for prev, cur in zip(leads, leads[1:]):
-            out.append(abs(cur - prev) / abs(prev) if prev else None)
-        return tuple(out)
 
 
 def run_case(config: CaseConfig, *, patch: Optional[Patch] = None) -> CaseResult:
@@ -110,11 +103,11 @@ def sweep_case(config: CaseConfig) -> SweepResult:
     """One case per sweep value, in deterministic input order.
 
     parse_config has read and checked every value, so each case is the
-    parsed configuration with the swept field set to its value; its raw
-    stays the sweep's document. A sweep over n, the thickness ratio or the
-    shear model changes only the section constants, so its cases share one
-    patch, and with it the patch's Gram and load vector, each built once and
-    dropped when the sweep returns. A mesh sweep builds one patch per value.
+    parsed configuration with the swept field set to its value. A sweep over
+    n, the thickness ratio or the shear model changes only the section
+    constants, so its cases share one patch, and with it the patch's Gram and
+    load vector, each built once and dropped when the sweep returns. A mesh
+    sweep builds one patch per value.
     """
     if config.sweep_axis is None:
         raise ConfigurationError("configuration has no sweep section")

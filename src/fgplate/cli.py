@@ -5,8 +5,11 @@ select the command, the config file and the output directory; everything
 else lives in the JSON config. run and presets run dispatch a config with a
 sweep section to the sweep table, as sweep does, and any other config to one
 case; sweep needs a sweep section, and profile refuses one. Each command
-writes <out>/results.csv and <out>/config.echo.json; profile additionally
-writes a small SVG chart.
+returns the header and rows of its table, and main writes them, for every
+command, to <out>/results.csv beside <out>/config.echo.json, the document
+the command read: the config file's JSON, or the preset's document. Both are
+written only after the command returns, so a failed command writes neither;
+profile additionally writes a small SVG chart.
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .cases import profile_case, run_case, sweep_case
-from .config import PRESETS, CaseConfig, load_config, preset_config
+from .config import PRESETS, CaseConfig, _read_document, parse_config, preset_config
 from .errors import ConfigurationError, FGPlateError
 from .postprocess import NondimReport
 
@@ -25,25 +28,21 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+Table = tuple[list[str], list[list[str]]]
+
 
 def _fmt(value: float) -> str:
     return "%.6e" % value
 
 
-def _report_columns(report: NondimReport) -> tuple[list[str], list[list[str]]]:
-    header, rows = report.table()
-    return header, [[str(v) if isinstance(v, int) else _fmt(v) for v in row] for row in rows]
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_echo(path: Path, config: CaseConfig) -> None:
-    path.write_text(
-        json.dumps(config.raw, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _report_rows(report: NondimReport) -> Table:
+    """Column names and rows of one report: the set scalars in one row, or
+    (mode, value) per mode."""
+    names = [n for n in ("w_bar", "sigma_x_bar", "omega_bar", "p_cr_bar")
+             if getattr(report, n) not in (None, ())]
+    if report.omega_bar or report.p_cr_bar:
+        return ["mode"] + names, [[str(i + 1), _fmt(v)] for i, v in enumerate(report.values)]
+    return names, [[_fmt(v) for v in report.values]]
 
 
 def _svg_chart(path: Path, z_over_h, series: dict[str, list[float]]) -> None:
@@ -80,49 +79,36 @@ def _svg_chart(path: Path, z_over_h, series: dict[str, list[float]]) -> None:
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _cmd_run(config: CaseConfig, out: Path) -> None:
+def _cmd_run(config: CaseConfig, out: Path) -> Table:
     if config.sweep_axis is not None:
         return _cmd_sweep(config, out)
-    result = run_case(config)
-    header, rows = _report_columns(result.report)
-    _write_csv(out / "results.csv", header, rows)
-    _write_echo(out / "config.echo.json", config)
+    return _report_rows(run_case(config).report)
 
 
-def _cmd_sweep(config: CaseConfig, out: Path) -> None:
-    sweep = sweep_case(config)
-    axis = config.sweep_axis
-    header = [axis] + sweep.reports[0].table()[0]
-    changes = sweep.relative_changes()
-    if axis == "mesh":
-        header.append("rel_change")
+def _cmd_sweep(config: CaseConfig, out: Path) -> Table:
+    """One row block per sweep value; a mesh sweep adds rel_change, the change
+    of the leading report value against the previous value's, blank on the
+    first row and after a zero lead."""
+    axis, reports = config.sweep_axis, sweep_case(config).reports
+    mesh = axis == "mesh"
+    leads = [report.values[0] for report in reports]
     rows = []
-    for i, (value, report) in enumerate(zip(config.sweep_values, sweep.reports)):
-        _, report_rows = _report_columns(report)
-        for row in report_rows:
-            full = [value if isinstance(value, str) else _fmt(float(value))] + row
-            if axis == "mesh":
-                full.append("" if changes[i] is None else _fmt(changes[i]))
-            rows.append(full)
-    _write_csv(out / "results.csv", header, rows)
-    _write_echo(out / "config.echo.json", config)
+    for value, report, lead, prev in zip(config.sweep_values, reports, leads, [0.0] + leads):
+        cell = [value if isinstance(value, str) else _fmt(float(value))]
+        change = [_fmt(abs(lead - prev) / abs(prev)) if prev else ""] if mesh else []
+        rows += [cell + row + change for row in _report_rows(report)[1]]
+    return [axis] + _report_rows(reports[0])[0] + (["rel_change"] if mesh else []), rows
 
 
-def _cmd_profile(config: CaseConfig, out: Path) -> None:
+def _cmd_profile(config: CaseConfig, out: Path) -> Table:
     if config.sweep_axis is not None:
         raise ConfigurationError("profile solves one case: remove the sweep section")
     result, prof = profile_case(config)
     h = result.model.section.h
     z_over_h = [z / h for z in prof.z_samples]
     header = ["z_over_h", "sigma_xx", "sigma_yy", "tau_xy", "tau_xz", "tau_yz"]
-    rows = [
-        [_fmt(z), _fmt(sx), _fmt(sy), _fmt(sxy), _fmt(sxz), _fmt(syz)]
-        for z, sx, sy, sxy, sxz, syz in zip(
-            z_over_h, prof.sigma_x, prof.sigma_y, prof.tau_xy, prof.tau_xz, prof.tau_yz
-        )
-    ]
-    _write_csv(out / "results.csv", header, rows)
-    _write_echo(out / "config.echo.json", config)
+    columns = (z_over_h, prof.sigma_x, prof.sigma_y, prof.tau_xy, prof.tau_xz, prof.tau_yz)
+    rows = [list(map(_fmt, row)) for row in zip(*columns)]
     try:
         _svg_chart(
             out / "profile.svg",
@@ -135,6 +121,7 @@ def _cmd_profile(config: CaseConfig, out: Path) -> None:
         )
     except Exception:  # chart is best-effort only
         pass
+    return header, rows
 
 
 _COMMANDS = {"run": _cmd_run, "presets": _cmd_run, "sweep": _cmd_sweep, "profile": _cmd_profile}
@@ -173,10 +160,18 @@ def main(argv=None) -> int:
             for name in sorted(PRESETS):
                 print(name)
             return EXIT_OK
-        config = preset_config(args.name) if args.command == "presets" else load_config(args.config)
+        if args.command == "presets":
+            config, document = preset_config(args.name), PRESETS[args.name]
+        else:
+            document = _read_document(args.config)
+            config = parse_config(document)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](config, out)
+        header, rows = _COMMANDS[args.command](config, out)
+        (out / "results.csv").write_text(
+            "\n".join(map(",".join, [header, *rows])) + "\n", encoding="utf-8")
+        (out / "config.echo.json").write_text(
+            json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out / 'results.csv'}")
         return EXIT_OK
     except ConfigurationError as exc:

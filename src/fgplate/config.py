@@ -26,7 +26,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -80,7 +80,6 @@ class CaseConfig:
     profile_samples: int = 101
     sweep_axis: Optional[str] = None
     sweep_values: tuple = ()
-    raw: dict = field(default_factory=dict, compare=False)
 
     @property
     def thickness(self) -> float:
@@ -135,15 +134,19 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_config(path: str) -> CaseConfig:
+def _read_document(path: str):
+    """The JSON document in the file at path, unchecked: parse_config checks it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
+            return json.load(handle, object_pairs_hook=_reject_duplicate_keys)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path: str) -> CaseConfig:
+    return parse_config(_read_document(path))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +406,7 @@ def parse_config(doc: dict) -> CaseConfig:
     if stray:
         raise ConfigurationError(f"{stray[0].path} does not apply to a {analysis} case on a "
                                  f"{gtype}; it applies to {' and '.join(stray[0].only)} only")
-    return CaseConfig(**fields, raw=_canonical_doc(doc))
+    return CaseConfig(**fields)
 
 
 def _check_station(fields: dict) -> None:
@@ -430,11 +433,6 @@ def _check_station(fields: dict) -> None:
                 f"station ({x:g}, {y:g}) lies outside the mapped net, whose boundary "
                 f"sags inside the circle r = {a:g} with {elements} elements of degree "
                 f'{degree}; use "net": "rational" for the exact circle') from None
-
-
-def _canonical_doc(doc: dict) -> dict:
-    """Deep-copied plain-JSON form of the accepted document."""
-    return json.loads(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,12 @@ class ReportFamily(str, enum.Enum):
 
 @dataclass(frozen=True)
 class NondimReport:
+    """The report quantities of one case in its family: w_bar, and sigma_x_bar
+    where the family scales a stress, for a static case; omega_bar or
+    p_cr_bar, one per mode, for a vibration or a buckling case. The ones a
+    family does not report stay None or empty. The CLI writes the set ones
+    as the columns of results.csv (cli._report_rows)."""
+
     family: ReportFamily
     w_bar: Optional[float] = None
     sigma_x_bar: Optional[float] = None
@@ -81,14 +87,6 @@ class NondimReport:
         """The scalars that are set, or one value per mode; the first leads."""
         return self.omega_bar or self.p_cr_bar or tuple(
             v for v in (self.w_bar, self.sigma_x_bar) if v is not None)
-
-    def table(self) -> tuple[list[str], list[list]]:
-        """Column names and rows: the set scalars, or (mode, value) per mode."""
-        names = [n for n in ("w_bar", "sigma_x_bar", "omega_bar", "p_cr_bar")
-                 if getattr(self, n) not in (None, ())]
-        if self.omega_bar or self.p_cr_bar:
-            return ["mode"] + names, [[i + 1, v] for i, v in enumerate(self.values)]
-        return names, [list(self.values)]
 
 
 def _station_basis(model: PlateModel, x: float, y: float) -> BasisLocal:

@@ -76,10 +76,6 @@ class EigenResult:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
     def frequencies(self) -> np.ndarray:
         """Natural frequencies omega_i = sqrt(lambda_i) in rad/s."""
         return np.sqrt(self.values)

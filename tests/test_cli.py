@@ -1,7 +1,8 @@
-"""CLI behavior: output schemas per report family, determinism, config echo
-round-trip, exit codes for configuration and solver failures, free-plate
-vibration (rigid modes written as 0, a fully free plate a mass error), and
-partly supported squares (two adjacent supports solve, one is a mechanism)."""
+"""CLI behavior: output schemas per report family, determinism, the config
+echo (the document read) and its round-trip, exit codes for configuration
+and solver failures, free-plate vibration (rigid modes written as 0, a fully
+free plate a mass error), and partly supported squares (two adjacent
+supports solve, one is a mechanism)."""
 import json
 import math
 from pathlib import Path
@@ -185,6 +186,39 @@ def test_config_echo_round_trip(tmp_path):
     out2 = tmp_path / "b"
     assert main(["run", "--config", str(echo), "--out", str(out2)]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def echo_of(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command,doc", [
+    pytest.param("run", small_static(), id="run-static"),
+    pytest.param("run", small_static(sweep={"axis": "n", "values": [0.0, 2.0]}), id="run-sweep"),
+    pytest.param("sweep", small_static(sweep={"axis": "n", "values": [0.0, 2.0]}), id="sweep"),
+    pytest.param("profile", small_static(profile_samples=5), id="profile"),
+])
+def test_echo_is_the_document_read(tmp_path, command, doc):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert (out / "config.echo.json").read_text(encoding="utf-8") == echo_of(doc)
+
+
+def test_preset_echo_is_the_preset_document(tmp_path):
+    out = tmp_path / "out"
+    assert main(["presets", "run", "models-thick-bend", "--out", str(out)]) == 0
+    assert (out / "config.echo.json").read_text(encoding="utf-8") == echo_of(
+        PRESETS["models-thick-bend"])
+
+
+def test_failed_run_writes_neither_file(tmp_path, capsys):
+    # a tensile prestress fails after the solve, where the table would be written
+    doc = small_disk_buckle()
+    doc["prestress"] = [[1.0, 0.0], [0.0, 1.0]]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    assert "no positive buckling factor" in capsys.readouterr().err
+    assert not (out / "results.csv").exists() and not (out / "config.echo.json").exists()
 
 
 # ---------------------------------------------------------------------------

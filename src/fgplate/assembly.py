@@ -34,11 +34,14 @@ the largest |r - c| over the written entries, so the band is as narrow as
 the coupled control-point pairs allow in the natural control-point order,
 and GlobalSystem reads it back as K.shape[0] - 1. The matrix is numbered
 by the free DOFs of the model's edge conditions: a map from global DOF to
-free position, built per case, sends the entries of the fixed DOFs to one
-spare slot at that write, so no full-size matrix, no reduced copy and no
-nf x nf array is made. A model free on every edge fixes nothing and gets
-the full matrices. Every entry is written from one product row, so results
-are deterministic.
+free position sends the entries of the fixed DOFs to one spare slot at that
+write, so no full-size matrix, no reduced copy and no nf x nf array is made.
+The band map (kd and the flat slot of every pair-block entry; 60,736
+indices, 0.49 MB, on an 11 x 11 cubic patch) depends only on the patch and
+the fixed DOFs, so it lives on the patch's Gram, one per fixed-DOF set, and
+the cases of a sweep build it once; it goes with the patch. A model free on
+every edge fixes nothing and gets the full matrices. Every entry is written
+from one product row, so results are deterministic.
 
 On an 11 x 11 cubic patch a K + M pair from G takes about 3 ms, against
 26-29 ms for contracting and scattering the 121 element Grams. A band
@@ -170,8 +173,14 @@ class GlobalSystem:
 
     def __post_init__(self):
         fixed = np.array([], dtype=int) if self.fixed_dofs is None else np.unique(self.fixed_dofs)
+        outside = fixed[(fixed < 0) | (fixed >= self.n_dofs)]
+        if outside.size:
+            raise ConfigurationError(f"fixed DOF {outside[0]} is outside [0, {self.n_dofs}), "
+                                     f"the DOFs of the system")
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[fixed.astype(int)] = False
         object.__setattr__(self, "fixed_dofs", fixed)
-        object.__setattr__(self, "free_dofs", np.setdiff1d(np.arange(self.n_dofs), fixed))
+        object.__setattr__(self, "free_dofs", np.flatnonzero(free))
 
     def reduce(self, band: np.ndarray) -> np.ndarray:
         """The dense nf x nf free-DOF matrix of one of the system's band
@@ -308,13 +317,38 @@ def _coefficient_table(rows: np.ndarray, D: np.ndarray) -> np.ndarray:
 _PRODUCT_ROWS = 256
 
 
+def _band_map(model: PlateModel, fixed: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(kd, nf, slots) of the band that the given fixed DOFs leave on the
+    model's patch: slots is the flat index of entry (A i, B j) of each pair
+    block of the Gram in a (kd + 1) x nf band, ab[|r - c|, min(r, c)],
+    or the spare slot (kd + 1) nf past it for every entry in the row or
+    column of a fixed DOF. Built once per patch and fixed-DOF set and kept
+    on the patch's Gram, so the cases of a sweep share it."""
+    gram, key = model.patch.gram, fixed.tobytes()
+    if key not in gram.band_maps:
+        free = np.ones(model.n_dofs, dtype=bool)
+        free[fixed] = False
+        nf = int(np.count_nonzero(free))
+        position = np.full(model.n_dofs, -1)
+        position[free] = np.arange(nf)
+        rows = np.repeat(position[4 * gram.first[:, None] + np.arange(4)], 4, axis=1).ravel()
+        cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
+        low, offsets = np.minimum(rows, cols), np.abs(rows - cols)
+        kd = int(offsets[low >= 0].max(initial=0))
+        slots = np.where(low >= 0, offsets * nf + low, (kd + 1) * nf)
+        slots.flags.writeable = False
+        gram.band_maps[key] = kd, nf, slots
+    return gram.band_maps[key]
+
+
 def _assemble_matrices(model: PlateModel, want: set, fixed: np.ndarray) -> dict:
     """The wanted ones of K, M and Kg by name, on the DOFs that the given fixed
     ones leave free (GlobalSystem.free_dofs), in LAPACK lower band storage,
     from the global Gram of the model's patch: one blocked product with a
     coefficient table per matrix, then each free entry of the pair blocks
-    written once. The band is as wide as the written entries: kd = max
-    |row - col| over the pairs' free entries."""
+    written once through the band map of the fixed DOFs (_band_map). The
+    band is as wide as the written entries: kd = max |row - col| over the
+    pairs' free entries."""
     section, gram = model.section, model.patch.gram
     tables = {}
     if "K" in want:
@@ -324,20 +358,8 @@ def _assemble_matrices(model: PlateModel, want: set, fixed: np.ndarray) -> dict:
         tables["M"] = _coefficient_table(_INERTIA_ROWS, np.kron(np.eye(3), section.inertia_block()))
     if "Kg" in want:
         tables["Kg"] = _coefficient_table(_PRESTRESS_ROWS, model.prestress)
-    # flat index of entry (A i, B j) of each pair block in a (kd + 1) x nf
-    # band, ab[|r - c|, min(r, c)], followed by one spare slot that takes
-    # every entry in the row or column of a fixed DOF (position -1)
-    free = np.ones(model.n_dofs, dtype=bool)
-    free[fixed] = False
-    nf = int(np.count_nonzero(free))
-    position = np.full(model.n_dofs, -1)
-    position[free] = np.arange(nf)
-    rows = np.repeat(position[4 * gram.first[:, None] + np.arange(4)], 4, axis=1).ravel()
-    cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
-    low, offsets = np.minimum(rows, cols), np.abs(rows - cols)
-    kd = int(offsets[low >= 0].max(initial=0))
+    kd, nf, slots = _band_map(model, fixed)
     spare = (kd + 1) * nf
-    slots = np.where(low >= 0, offsets * nf + low, spare)
     G, d = gram.values, gram.diagonal
     out = {}
     for name, C in tables.items():

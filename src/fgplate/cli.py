@@ -86,17 +86,21 @@ def _cmd_run(config: CaseConfig, out: Path) -> Table:
 
 
 def _cmd_sweep(config: CaseConfig, out: Path) -> Table:
-    """One row block per sweep value; a mesh sweep adds rel_change, the change
-    of the leading report value against the previous value's, blank on the
-    first row and after a zero lead."""
+    """One row block per sweep value; a mesh sweep adds rel_change to each
+    row: the change of the row's leading value, report value i on row i (one
+    per mode, or the first scalar), against row i of the previous value's
+    block, blank on the first value and where the previous value is 0 or
+    has no row i."""
     axis, reports = config.sweep_axis, sweep_case(config).reports
     mesh = axis == "mesh"
-    leads = [report.values[0] for report in reports]
-    rows = []
-    for value, report, lead, prev in zip(config.sweep_values, reports, leads, [0.0] + leads):
+    rows, prev = [], ()
+    for value, report in zip(config.sweep_values, reports):
         cell = [value if isinstance(value, str) else _fmt(float(value))]
-        change = [_fmt(abs(lead - prev) / abs(prev)) if prev else ""] if mesh else []
-        rows += [cell + row + change for row in _report_rows(report)[1]]
+        for i, row in enumerate(_report_rows(report)[1]):
+            old = prev[i] if i < len(prev) else 0.0
+            change = [_fmt(abs(report.values[i] - old) / abs(old)) if old else ""] if mesh else []
+            rows.append(cell + row + change)
+        prev = report.values
     return [axis] + _report_rows(reports[0])[0] + (["rel_change"] if mesh else []), rows
 
 

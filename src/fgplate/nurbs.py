@@ -542,7 +542,9 @@ class _GlobalGram:
     c of basis function A times channel d of basis function B, one row per
     coupled control-point pair A <= B (rows sorted by A, then B), summed from
     the element Grams in element order. first and second hold A and B of each
-    row, diagonal the rows with A = B."""
+    row, diagonal the rows with A = B. band_maps holds assembly's band map
+    of each fixed-DOF set, keyed by the fixed DOFs' bytes, built on first
+    use (see assembly._band_map)."""
 
     def __init__(self, patch: Patch):
         # the first control point of each element along u and v: the points of
@@ -557,6 +559,7 @@ class _GlobalGram:
         slots = slots.reshape(n_el, ia.size)
         self.first, self.second = np.divmod(keys, patch.n_points)
         self.diagonal = np.flatnonzero(self.first == self.second)
+        self.band_maps = {}
         self.values = np.zeros((keys.size, _CHANNELS**2))
         start = 0
         for basis, wq in _element_rows(patch, 1, 2):

@@ -22,13 +22,22 @@ The k largest mu are those of the symmetric operator C = L^-1 D B D L^-T,
 found by ARPACK's implicitly restarted Lanczos (scipy's eigsh; Lehoucq,
 Sorensen and Yang, ARPACK Users' Guide, SIAM 1998). One product with C is
 two triangular band solves (xTBTRS) and one band product with B (xSBMV). The
-vectors map back as v = D L^-T x, so v^T (K + sigma B) v = 1. At 624 free
-DOFs the 10 lowest vibration modes take 18-29 ms and the lowest one 8-11
-ms, against 34-47 ms for either with LAPACK's dense subset eigensolver
-xSYGVX, which this replaced (vib10-atan-n1-r10, vib-atan-n1-r5; shared
-2-vCPU VM, 1 and 2 BLAS threads). ARPACK needs k < n - 1; a system with
-fewer free DOFs forms C densely from the same factor and takes the top k
-of its full spectrum.
+vectors map back as v = D L^-T x, so v^T (K + sigma B) v = 1. ARPACK needs
+k < n - 1; a system with fewer free DOFs forms C densely from the same
+factor and takes the top k of its full spectrum.
+
+LAPACK's band storage is column-major (Anderson et al., LAPACK Users'
+Guide, 3rd ed., SIAM 1999, section 5.3.3), and scipy's wrappers copy a 2-D
+operand that is not Fortran-ordered into that order on every call. So
+_factor builds A and D B D in Fortran order from the system's C-ordered
+bands, which it only reads: xPBTRF factors A in place, and every product
+reads D B D without a copy. At 624 free DOFs (kd = 165) a product takes
+74-76 us, 27 us of it in xSBMV, against 175-212 us and 87-107 us with the
+copy. The 10 lowest vibration modes then take 10.5-11.7 ms and the lowest
+one 4.0-4.5 ms, against 16-22 and 6.6-8.4 ms with the copy and 34-47 ms
+for either with LAPACK's dense subset eigensolver xSYGVX, which Lanczos
+replaced (vib10-atan-n1-r10, vib-atan-n1-r5; least of 40 solves, 2-vCPU
+VM, 1 and 2 BLAS threads).
 
 The solves run in scipy's LAPACK on its bundled OpenBLAS, which is
 multi-threaded: it uses up to one thread per core unless OPENBLAS_NUM_THREADS
@@ -104,18 +113,20 @@ def _factor(K: np.ndarray, factored: str, B: Optional[np.ndarray] = None,
     """The banded Cholesky factor of the Jacobi-equilibrated A = K + sigma B,
     for K and B in lower band storage of one width: D A D = L L^T with D =
     diag(d) = diag(A)^-1/2, made by xPBTRF. Returns (L, d, D B D) with L and
-    D B D in lower band storage, D B D None without B. factored names A in
-    the SolverError raised when it is not positive definite."""
+    D B D Fortran-ordered in lower band storage, D B D None without B. K and
+    B are only read. factored names A in the SolverError raised when it is
+    not positive definite."""
     diag = K[0] if B is None else K[0] + sigma * B[0]
     bad = np.flatnonzero(~(diag > 0.0))
     if bad.size:
         raise SolverError(f"{factored} is not positive definite on the free DOFs: diagonal "
                           f"pivot {bad[0] + 1} of {diag.size} is {diag[bad[0]]:.3e}")
     d = 1.0 / np.sqrt(diag)
-    # D A D in band storage is ab[k, j] d_(j+k) d_j
+    # D A D in band storage is ab[k, j] d_(j+k) d_j, built in Fortran order:
+    # xPBTRF then factors A in place and xSBMV reads D B D without a copy
     shifted = sliding_window_view(np.concatenate([d, np.zeros(K.shape[0] - 1)]), d.size)
-    A = K * shifted * d
-    DBD = None if B is None else B * shifted * d
+    A = np.multiply(K, shifted, order="F") * d
+    DBD = None if B is None else np.multiply(B, shifted, order="F") * d
     if sigma:
         A += sigma * DBD
     L, info = lapack.dpbtrf(A, lower=1, overwrite_ab=1)

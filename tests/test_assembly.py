@@ -244,6 +244,43 @@ def test_load_vector_is_built_once_and_handed_out_as_a_copy():
     assert len(patch._loads) == 2
 
 
+def test_band_map_is_built_once_per_patch_and_edge_set():
+    model = square_model(nel=2, bcs=_bcs("SSSS"))
+    maps = model.patch.gram.band_maps
+    first = fg.assemble(model, want=("K",))
+    ((key, entry),) = maps.items()
+    second = fg.assemble(replace(model, section=square_model(n=3.0).section), want=("K", "M"))
+    assert list(maps) == [key] and maps[key] is entry
+    assert not np.array_equal(first.K, second.K)
+    with pytest.raises(ValueError, match="read-only"):
+        entry[2][0] = 0
+    # another edge set gets its own entry, and the K of a fresh patch
+    other = replace(model, edge_bcs=_bcs("CSFS"))
+    K = fg.assemble(other, want=("K",)).K
+    assert len(maps) == 2 and maps[key] is entry
+    fresh = replace(other, patch=fg.make_square_patch(1.0, 1.0, 3, 2))
+    assert np.array_equal(K, fg.assemble(fresh, want=("K",)).K)
+    assert fresh.patch.gram.band_maps.keys() == maps.keys() - {key}
+
+
+def test_free_dofs_are_the_complement_of_the_fixed_ones():
+    system = fg.GlobalSystem(n_dofs=10, fixed_dofs=[7, 2, 2, 0])
+    assert system.fixed_dofs.tolist() == [0, 2, 7]
+    assert system.free_dofs.tolist() == [1, 3, 4, 5, 6, 8, 9]
+    assert fg.GlobalSystem(n_dofs=3, fixed_dofs=[]).free_dofs.tolist() == [0, 1, 2]
+    model = square_model(nel=3, bcs=_bcs("CSFS"))
+    system = fg.assemble(model, want=("K",))
+    expected = np.setdiff1d(np.arange(model.n_dofs), system.fixed_dofs)
+    assert system.free_dofs.dtype == expected.dtype
+    assert np.array_equal(system.free_dofs, expected)
+
+
+@pytest.mark.parametrize("dof", [-1, 10])
+def test_a_fixed_dof_outside_the_system_is_named(dof):
+    with pytest.raises(ConfigurationError, match=rf"fixed DOF {dof} is outside"):
+        fg.GlobalSystem(n_dofs=10, fixed_dofs=[3, dof])
+
+
 def test_kg_symmetric_and_semidefinite_for_compression():
     model = square_model(prestress=-np.eye(2), nel=3)
     system = fg.assemble(model, want=("Kg",))

@@ -351,6 +351,29 @@ def test_sweep_mesh_emits_relative_change(tmp_path):
     assert change < 1e-2
 
 
+def test_mesh_sweep_compares_each_mode_with_its_own_previous_value(tmp_path):
+    # SFFF has three rigid modes (omega_bar = 0): their rows stay blank, and
+    # mode 4 gets its own change, not the first mode's
+    doc = small_static(edge_bcs="SFFF", analysis={"type": "vibrate", "modes": 4},
+                       report="frequency", sweep={"axis": "mesh", "values": [2, 3, 4]})
+    del doc["load"]
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    lines = read_lines(out / "results.csv")
+    assert lines[0] == "mesh,mode,omega_bar,rel_change"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 12
+    assert [row[3] for row in rows[:4]] == [""] * 4
+    for block in (rows[4:8], rows[8:12]):
+        assert [float(row[2]) for row in block[:3]] == [0.0] * 3
+        assert [row[3] for row in block[:3]] == [""] * 3
+    # from omega_bar as written, to 7 digits: about 4e-4 of the change
+    omega = [float(rows[i][2]) for i in (3, 7, 11)]
+    for prev, row, now in zip(omega, (rows[7], rows[11]), omega[1:]):
+        assert float(row[3]) == pytest.approx(abs(now - prev) / prev, rel=2e-3)
+        assert 0.0 < float(row[3]) < 1e-2
+
+
 def test_sweep_models_identical_schema(tmp_path):
     doc = small_static(sweep={"axis": "model", "values": [
         "cubic", "exponential", "sinusoidal", "quintic", "atan", "atan_sin"]})

@@ -608,3 +608,42 @@ def test_band_product_in_long_double_matches_the_dense_one(static_case):
         assert got.dtype == np.longdouble
         error = np.linalg.norm((got - expected).astype(float))
         assert error <= 1e-17 * np.linalg.norm(expected.astype(float))
+
+
+def test_long_double_is_wider_than_float64():
+    # solve_static's iterative refinement evaluates its residuals in
+    # np.longdouble; where that is float64 the residual floors out above the
+    # 1e-10 contract on scale-mixed thin plates
+    assert np.finfo(np.longdouble).eps < 2.0 ** -60, (
+        "np.longdouble is no wider than float64 here, so solve_static's iterative "
+        "refinement loses its extended-precision residual")
+
+
+# ---------------------------------------------------------------------------
+# band layout: LAPACK's band storage is column-major, so the solvers' own
+# band operands are Fortran-ordered and reach xPBTRF and xSBMV uncopied
+# ---------------------------------------------------------------------------
+
+def test_factor_returns_fortran_ordered_bands():
+    _, system = preset_system("vib-atan-n1-r5", ("K", "M"))
+    assert system.K.flags.c_contiguous
+    L, _, DMD = solvers._factor(system.K, "A", system.M, 1.0)
+    assert L.flags.f_contiguous and DMD.flags.f_contiguous
+    L, _, none = solvers._factor(system.K, "K")
+    assert L.flags.f_contiguous and none is None
+
+
+def test_lanczos_products_read_a_fortran_ordered_band(monkeypatch):
+    # scipy's dsbmv copies any other 2-D band into Fortran order on every call
+    calls = []
+    product = solvers.blas.dsbmv
+
+    def checked(kd, alpha, a, x, **kwargs):
+        assert a.flags.f_contiguous
+        calls.append(kd)
+        return product(kd, alpha, a, x, **kwargs)
+
+    monkeypatch.setattr(solvers.blas, "dsbmv", checked)
+    config, system = preset_system("vib10-atan-n1-r10", ("K", "M"))
+    assert fg.solve_vibration(system, config.modes).values.size == config.modes
+    assert len(calls) > config.modes

@@ -109,7 +109,21 @@ class CaseConfig:
 
     def build_model(self, patch: Optional[Patch] = None) -> PlateModel:
         """The case's plate model, on the given patch (which must be this
-        configuration's build_patch()) or on a newly built one."""
+        configuration's build_patch()) or on a newly built one.
+
+        The mapped net answers wrongly where a simply supported u edge
+        meets a simply supported v edge (first buckling load +21% with one
+        such corner, +81% with four, against the rational net), so such a
+        case raises ConfigurationError here, before it is assembled.
+        """
+        bcs = self.edge_bcs
+        corners = [(i, j - 2) for i in (0, 1) for j in (2, 3)
+                   if bcs[i] is bcs[j] is BC.SIMPLY_SUPPORTED]
+        if corners and self.geometry_type == "disk" and self.disk_net == "mapped":
+            raise ConfigurationError(
+                f"edge_bcs {''.join(bc.value for bc in bcs)}: simply supported edges meet at "
+                f"the corner (u, v) = {corners[0]} of the mapped net, which answers wrongly "
+                f'there; use "net": "rational"')
         spec = FGMSpec(ceramic=self.ceramic, metal=self.metal, n=self.power_index,
                        scheme=self.scheme, profile=self.profile)
         section = section_constants(spec, self.shear_model, self.thickness)

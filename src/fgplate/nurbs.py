@@ -27,26 +27,37 @@ operators split into integrals of the basis over the patch, which read no
 material, and a small per-case contraction (see assembly). A patch builds
 each integral once, on first use: Patch.gram, the global Gram of six basis
 channels (R, R_x, R_y, R_xx, R_yy, R_xy) over the coupled control-point
-pairs, summed serially in element order from the element Grams
-S_e = Phi^T diag(w det J) Phi, and Patch.load_vector, the consistent load
-vector of each load. The cases of a sweep over n, a/h or the shear model
-share one patch, and with it the Gram and the load vector.
+pairs, and Patch.load_vector, the consistent load vector of each load. The
+cases of a sweep over n, a/h or the shear model share one patch, and with
+it the Gram and the load vector.
+
+Each integral picks its method from the patch. On a tensor net (constant
+weights, x a function of xi alone and y of eta alone: every square) the
+basis is N_i(xi) N_j(eta) and every channel is a product of 1-D channels,
+so the integrals factor into 1-D Gauss sums (sum factorization: Antolin,
+Buffa, Calabro, Martinelli, Sangalli, CMAME 284, 2015): G is a product of
+two 1-D Grams per channel pair, and F = B_u^T (w_u x' q w_v y') B_v. On any
+other patch, the disks' nets among them, G is summed serially in element
+order from the element Grams S_e = Phi^T diag(w det J) Phi, and F from the
+element vectors.
 
 On an 11 x 11 cubic patch (14 x 14 control points) 86 coupled 1-D pairs per
 direction give 86^2 = 7,396 nonzero 4 x 4 blocks of K, of which 3,796 have
-A <= B, so G takes 3,796 x 36 doubles, 1.1 MB, and about 20 ms to build.
-The element Grams (96 x 96 each) would take 8.9 MB: kept for a sweep, they
-peaked the table-11 benchmark at 96.1 MB RSS against 87.8 MB (seed 3,
-2-vCPU VM) and ran no faster.
+A <= B, so G takes 3,796 x 36 doubles, 1.1 MB. On a 2-vCPU VM with one BLAS
+thread it takes 1.3-2.4 ms to build on the square and 12-14 ms from the
+element Grams; the square's load vector takes 0.3-0.5 ms, against 6-7 ms
+from the element vectors. The element Grams (96 x 96 each) would take 8.9 MB:
+kept for a sweep, they peaked the table-11 benchmark at 96.1 MB RSS against
+87.8 MB (seed 3, 2-vCPU VM) and ran no faster.
 
-G uses a (p+1) x (q+1) Gauss rule per element: on an affine square the
-integrands of K, M and Kg are polynomials of degree at most 2p per
-direction, which that rule integrates exactly, and on the disks more points
-move buckling loads by less than 1e-6. The load vector gets its own
-(p+3) x (q+3) rule, because its integrand q(x, y) R det J is not a
-polynomial for the half-sine load, nor on the rational disk: the (p+1) rule
-leaves a relative error of order 1e-8 in F there, the (p+3) rule one of
-order 1e-14.
+Both methods use the same rules. G uses a (p+1) x (q+1) Gauss rule per
+element: on an affine square the integrands of K, M and Kg are polynomials
+of degree at most 2p per direction, which that rule integrates exactly, and
+on the disks more points move buckling loads by less than 1e-6. The load
+vector gets its own (p+3) x (q+3) rule, because its integrand
+q(x, y) R det J is not a polynomial for the half-sine load, nor on the
+rational disk: the (p+1) rule leaves a relative error of order 1e-8 in F
+there, the (p+3) rule one of order 1e-14.
 """
 from __future__ import annotations
 
@@ -269,6 +280,18 @@ def _rational(patch: Patch, tab_u, tab_v):
     return active, R, dR, d2R
 
 
+def _check_jacobian(det, size, xis, etas) -> None:
+    """Raise SingularMappingError at the first point of the tensor grid
+    xis x etas (u outer) where det J vanishes against the square of size,
+    the largest entry of J there."""
+    singular = np.flatnonzero(np.abs(det) < 1.0e-14 * np.maximum(size, 1.0e-30) ** 2)
+    if singular.size:
+        a, b = divmod(int(singular[0]), len(etas))
+        raise SingularMappingError(
+            f"geometry Jacobian is singular at (xi, eta) = ({xis[a]:.6g}, {etas[b]:.6g})"
+        )
+
+
 def grid_basis(patch: Patch, tab_u, tab_v) -> BasisLocal:
     """Physical rational basis on the tensor grid of two tables (see _tables).
 
@@ -287,13 +310,7 @@ def grid_basis(patch: Patch, tab_u, tab_v) -> BasisLocal:
     jac = dR.transpose(0, 2, 1) @ pts  # jac[., k, l] = d x_l / d xi_k
     (xu, yu), (xv, yv) = jac[:, 0].T, jac[:, 1].T
     det = xu * yv - yu * xv
-    scale = np.maximum(np.abs(jac).max(axis=(1, 2)), 1.0e-30) ** 2
-    singular = np.flatnonzero(np.abs(det) < 1.0e-14 * scale)
-    if singular.size:
-        a, b = divmod(int(singular[0]), len(tab_v[0]))
-        raise SingularMappingError(
-            f"geometry Jacobian is singular at (xi, eta) = ({tab_u[0][a]:.6g}, {tab_v[0][b]:.6g})"
-        )
+    _check_jacobian(det, np.abs(jac).max(axis=(1, 2)), tab_u[0], tab_v[0])
 
     # inverse of jac^T: inv[., k, l] = d xi_k / d x_l
     inv = np.stack([yv, -xv, -yu, xu], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
@@ -504,6 +521,18 @@ def locate_point(patch: Patch, x: float, y: float) -> tuple[float, float]:
 _CHANNELS = 6
 
 
+def _gauss_rules(patch: Patch, extra_points: int):
+    """(params, weights) of the (p+extra) Gauss rule on every span, per
+    direction: each (spans, points), the weights scaled to the span."""
+    rules = []
+    for knots in (patch.knot_u, patch.knot_v):
+        gx, gw = _gauss_legendre(knots.degree + extra_points)
+        lo, hi = np.array([span[1:] for span in knots.spans()]).T
+        half = 0.5 * (hi - lo)
+        rules.append(((0.5 * (lo + hi))[:, None] + half[:, None] * gx, half[:, None] * gw))
+    return rules
+
+
 def _element_rows(patch: Patch, extra_points: int, order: int):
     """Per row of elements (one u span and every v span, rows in u order):
     the basis of the given order at each element's (p+extra) x (q+extra)
@@ -514,13 +543,7 @@ def _element_rows(patch: Patch, extra_points: int, order: int):
     tables of every Gauss point come from one _tables call, and each row
     takes its slice of the u table; the 2-D basis is formed once per row.
     """
-    rules = []
-    for knots in (patch.knot_u, patch.knot_v):
-        gx, gw = _gauss_legendre(knots.degree + extra_points)
-        lo, hi = np.array([span[1:] for span in knots.spans()]).T
-        half = 0.5 * (hi - lo)
-        rules.append(((0.5 * (lo + hi))[:, None] + half[:, None] * gx, half[:, None] * gw))
-    (params_u, weights_u), (params_v, weights_v) = rules
+    (params_u, weights_u), (params_v, weights_v) = _gauss_rules(patch, extra_points)
     n_el, n_v = params_v.shape
     n_u = params_u.shape[1]
     tab_u, tab_v = _tables(patch, params_u.ravel(), params_v.ravel(), order)
@@ -537,14 +560,58 @@ def _element_rows(patch: Patch, extra_points: int, order: int):
         yield BasisLocal(*grouped), by_element(wq)
 
 
+def _tensor_net(patch: Patch):
+    """(x, y) of a patch whose weights are constant and whose control net is
+    the tensor product of two 1-D nets, x of the u control points and y of
+    the v control points, as on every make_square_patch; None for any other
+    patch, the disks' among them. On such a patch R = N_i(xi) N_j(eta),
+    x = x(xi) and y = y(eta), so every patch integral factors into 1-D
+    Gauss sums (see the module docstring)."""
+    weights, points = patch.net.weights, patch.net.points
+    x, y = points[:, :1, 0], points[:1, :, 1]
+    tensor = ((weights == weights[0, 0]).all() and (points[..., 0] == x).all()
+              and (points[..., 1] == y).all())
+    return (x[:, 0], y[0]) if tensor else None
+
+
+def _tensor_tables(patch: Patch, net, extra_points: int):
+    """Per direction of a tensor net (see _tensor_net), at the (p+extra)
+    Gauss points of every span: the physical coordinate x, the 1-D channels
+    B[0] = N, B[1] = N'/x' and B[2] = (N'' - N' x''/x') / x'^2 as dense
+    (3, points, basis) tables, and the Gauss weights times x'. det J is
+    x' y', checked as grid_basis checks it before anything divides by x'."""
+    rules = _gauss_rules(patch, extra_points)
+    tables = _tables(patch, rules[0][0].ravel(), rules[1][0].ravel(), 2)
+    columns = [first[:, None] + np.arange(ders.shape[2]) for _, first, ders in tables]
+    # x, x' and x'' at the points of each direction
+    geometry = [(ders * coords[cols][:, None]).sum(axis=2).T
+                for (_, _, ders), cols, coords in zip(tables, columns, net)]
+    (_, xu, _), (_, yv, _) = geometry
+    _check_jacobian(np.outer(xu, yv).ravel(), np.maximum.outer(np.abs(xu), np.abs(yv)).ravel(),
+                    tables[0][0], tables[1][0])
+    out = []
+    for (_, _, ders), cols, (x, dx, d2x), (_, weights), coords in zip(tables, columns, geometry,
+                                                                      rules, net):
+        d1 = ders[:, 1] / dx[:, None]
+        B = np.zeros((3, len(cols), len(coords)))
+        B[:, np.arange(len(cols))[:, None], cols] = [
+            ders[:, 0], d1, (ders[:, 2] - d1 * d2x[:, None]) / (dx**2)[:, None]]
+        out.append((x, B, weights.ravel() * dx))
+    return out
+
+
 class _GlobalGram:
     """G[(A, B), (c, d)]: the integral over the patch of w det J times channel
     c of basis function A times channel d of basis function B, one row per
-    coupled control-point pair A <= B (rows sorted by A, then B), summed from
-    the element Grams in element order. first and second hold A and B of each
-    row, diagonal the rows with A = B. band_maps holds assembly's band map
-    of each fixed-DOF set, keyed by the fixed DOFs' bytes, built on first
-    use (see assembly._band_map)."""
+    coupled control-point pair A <= B (rows sorted by A, then B). first and
+    second hold A and B of each row, diagonal the rows with A = B. band_maps
+    holds assembly's band map of each fixed-DOF set, keyed by the fixed
+    DOFs' bytes, built on first use (see assembly._band_map).
+
+    On a tensor net (see _tensor_net) G is a product of 1-D Grams
+    (_tensor_values). On any other patch it is summed from the element
+    Grams S_e = Phi^T diag(w det J) Phi at (p+1) x (q+1) Gauss points,
+    serially in element order."""
 
     def __init__(self, patch: Patch):
         # the first control point of each element along u and v: the points of
@@ -560,6 +627,10 @@ class _GlobalGram:
         self.first, self.second = np.divmod(keys, patch.n_points)
         self.diagonal = np.flatnonzero(self.first == self.second)
         self.band_maps = {}
+        net = _tensor_net(patch)
+        if net is not None:
+            self.values = _tensor_values(patch, net, self.first, self.second)
+            return
         self.values = np.zeros((keys.size, _CHANNELS**2))
         start = 0
         for basis, wq in _element_rows(patch, 1, 2):
@@ -575,9 +646,34 @@ class _GlobalGram:
             start += row_el
 
 
+def _tensor_values(patch: Patch, net, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """G on a tensor net from the nine 1-D Grams of each direction at p+1
+    Gauss points per span: G[(A, B), (c, d)] = Iu[alpha_c, alpha_d][iA, iB]
+    Iv[beta_c, beta_d][jA, jB] with A = iA + jA nu."""
+    nu = patch.net.shape[0]
+    factors = []
+    for (_, B, wq), orders, a, b in zip(_tensor_tables(patch, net, 1), np.array(_DERIV_PAIRS).T,
+                                        np.divmod(first, nu)[::-1], np.divmod(second, nu)[::-1]):
+        gram = (B * wq[:, None]).swapaxes(1, 2)[:, None] @ B[None]  # I[alpha, alpha']
+        n = gram.shape[-1]
+        # rows (a, b) of the 1-D pairs, columns (c, d) of the channel pairs
+        gram = np.ascontiguousarray(gram[orders[:, None], orders].reshape(_CHANNELS**2, n * n).T)
+        factors.append(np.take(gram, a * n + b, axis=0))
+    return np.multiply(*factors, out=factors[0])
+
+
 def _assemble_load(patch: Patch, load) -> np.ndarray:
-    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element."""
+    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element:
+    on a tensor net (see _tensor_net) F = B_u^T (w_u x' * q * w_v y') B_v
+    over the tensor grid of the 1-D points, on any other patch a sum of
+    element vectors."""
     F = np.zeros(4 * patch.n_points)
+    net = _tensor_net(patch)
+    if net is not None:
+        (x, Bu, wu), (y, Bv, wv) = _tensor_tables(patch, net, 3)
+        Fp = Bu[0].T @ ((wu[:, None] * load.value(x[:, None], y)) * wv) @ Bv[0]
+        F[2::4] = F[3::4] = Fp.ravel(order="F")
+        return F
     for basis, wq in _element_rows(patch, 3, 1):
         x = basis.point
         wq = wq * load.value(x[..., 0], x[..., 1])

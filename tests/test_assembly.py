@@ -3,8 +3,9 @@ nullspace of the unconstrained stiffness, K, M and Kg against a point-by-point
 reference, load-column sums, the disk load resultant, quadrature consistency
 of the load vector, constrained-DOF bookkeeping, the solvability of every
 SSFF preset, assembly on the free DOFs against the full matrices, the
-pinned in-plane rotation and the mechanism of partly supported squares, and
-the Gram and load vectors that a patch builds once."""
+pinned in-plane rotation and the mechanism of partly supported squares, the
+Gram and load vectors that a patch builds once, and the factored Gram and
+load vector of tensor nets against the element sums."""
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +262,56 @@ def test_band_map_is_built_once_per_patch_and_edge_set():
     fresh = replace(other, patch=fg.make_square_patch(1.0, 1.0, 3, 2))
     assert np.array_equal(K, fg.assemble(fresh, want=("K",)).K)
     assert fresh.patch.gram.band_maps.keys() == maps.keys() - {key}
+
+
+def graded_square():
+    """A tensor net with x'' != 0 and y'' != 0, and constant weights of 2."""
+    patch = fg.make_square_patch(1.3, 0.7, 3, 5)
+    points = patch.net.points.copy()
+    x, y = points[..., 0] / 1.3, points[..., 1] / 0.7
+    points[..., 0], points[..., 1] = 1.3 * (x + 0.4 * x**2) / 1.4, 0.7 * (y + 0.3 * y**3) / 1.3
+    return fg.Patch(patch.knot_u, patch.knot_v, fg.ControlNet(points, 2.0 * patch.net.weights))
+
+
+TENSOR_NETS = {
+    "p2": lambda: fg.make_square_patch(1.3, 0.7, 2, 4),
+    "p3": lambda: fg.make_square_patch(1.3, 0.7, 3, 5),
+    "p4": lambda: fg.make_square_patch(0.7, 1.3, 4, 3),
+    "p3-doubled-knots": lambda: fg.make_square_patch(0.8, 1.9, 3, 4, 2),
+    "p4-doubled-knots": lambda: fg.make_square_patch(1.3, 0.7, 4, 3, 2),
+    "graded": graded_square,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_NETS))
+def test_factored_gram_and_load_vector_match_the_element_sums(monkeypatch, name):
+    patch = TENSOR_NETS[name]()
+    loads = (UniformLoad(2.0), SinusoidalLoad(1.0, 1.3, 0.7))
+    assert nurbs._tensor_net(patch) is not None
+    factored = nurbs._GlobalGram(patch)
+    factored_loads = [nurbs._assemble_load(patch, load) for load in loads]
+    monkeypatch.setattr(nurbs, "_tensor_net", lambda patch: None)
+    element = nurbs._GlobalGram(patch)
+    assert np.array_equal(factored.first, element.first)
+    assert np.array_equal(factored.second, element.second)
+    # within 1e-13 of each channel pair's largest entry
+    scale = np.abs(element.values).max(axis=0)
+    assert np.all(np.abs(factored.values - element.values) <= 1e-13 * scale)
+    for F, load in zip(factored_loads, loads):
+        reference = nurbs._assemble_load(patch, load)
+        assert np.abs(F - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_disk_nets_take_the_element_path(monkeypatch):
+    def factored(*args):
+        raise AssertionError("a disk took the factored path")
+
+    monkeypatch.setattr(nurbs, "_tensor_tables", factored)
+    for make in (fg.make_disk_patch, fg.make_mapped_disk_patch):
+        patch = make(0.5, 3, 3)
+        assert nurbs._tensor_net(patch) is None
+        nurbs._GlobalGram(patch)
+        nurbs._assemble_load(patch, UniformLoad(1.0))
 
 
 def test_free_dofs_are_the_complement_of_the_fixed_ones():

@@ -1,8 +1,9 @@
 """CLI behavior: output schemas per report family, determinism, the config
 echo (the document read) and its round-trip, exit codes for configuration
 and solver failures, free-plate vibration (rigid modes written as 0, a fully
-free plate a mass error), and partly supported squares (two adjacent
-supports solve, one is a mechanism)."""
+free plate a mass error), partly supported squares (two adjacent
+supports solve, one is a mechanism), and the simply supported corners that
+the mapped disk net refuses."""
 import json
 import math
 from pathlib import Path
@@ -297,6 +298,28 @@ def test_mesh_sweep_station_outside_a_later_net_exits_before_any_solve(
     assert "with 1 elements of degree 3" in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.csv").exists()
     assert solves == []
+
+
+@pytest.mark.parametrize("net,bcs,corner", [
+    ("mapped", "SSSS", "(0, 0)"), ("mapped", "SCCS", "(0, 1)"),
+    ("mapped", "SSCC", None), ("mapped", "CCCC", None), ("rational", "SSSS", None),
+])
+def test_simply_supported_corner_on_the_mapped_net_is_config_error(tmp_path, capsys, net,
+                                                                    bcs, corner):
+    # the mapped net's first buckling load was +81% (SSSS) and +21% (SCCS)
+    # against the rational net's, with exit 0
+    doc = small_static(geometry={"type": "disk", "radius": 0.5, "net": net},
+                       thickness_ratio=0.01, edge_bcs=bcs, analysis={"type": "buckle", "modes": 1},
+                       prestress=[[-1.0, 0.0], [0.0, -1.0]], report="buckling_dm")
+    doc.pop("load")
+    out = tmp_path / "out"
+    exit_code = main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    if corner is None:
+        assert exit_code == 0 and (out / "results.csv").exists()
+        return
+    assert exit_code == 2 and not (out / "results.csv").exists()
+    assert f"corner (u, v) = {corner} of the mapped net" in err and '"net": "rational"' in err
 
 
 def test_missing_file_is_config_error(tmp_path, capsys):

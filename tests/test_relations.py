@@ -1,0 +1,134 @@
+"""Metamorphic relations on the square: the same plate described two ways
+gives the same report (Chen et al., "Metamorphic testing: a review of
+challenges and opportunities", ACM Computing Surveys 51, 2018).
+
+Each seed draws one rectangle with a != b and, beside it, the square with
+b = a, like the fuzz draws a case: degree 2-4 on 2-5 elements, repeated
+interior knots on some cubic and quartic draws, a/h log-uniform from 3 to
+1e3, all 81 edge codes, every shear model, scheme and profile, and all
+three analyses. The relations:
+
+- mirror x -> a - x: the two u edges swap, and a shear prestress changes
+  sign;
+- joint scaling: a and b grow by 3 at a fixed a/h;
+- reflection in the diagonal of the square: the u-edge pair swaps with the
+  v-edge pair and Nx with Ny. sigma_x becomes sigma_y there, so a static
+  case compares w_bar only.
+
+The mirror compares w_bar only where the station, the centre, lies on a
+knot at which the space is only C1 (an even element count, and degree 2
+or repeated knots): sigma_x there is the one-sided value of the span to
+the right of the knot, and the mirror reads the span on the left.
+
+The reports must agree within a relative 1e-10; 60 draws agree within
+3.3e-13. A base draw whose solve fails (exit 3) must fail on the related
+plate too; two of the draws do. The draw stops at a/h = 1e3: thinner
+plates with a free edge stall at the float64 floor of the static
+contract, which test_solvers pins on its own.
+"""
+import math
+import random
+
+import pytest
+
+from fgplate.cases import run_case
+from fgplate.config import parse_config
+from fgplate.errors import ConfigurationError, FGPlateError
+
+SEEDS = range(60)
+RTOL = 1e-10
+PRESTRESS = ([[-1.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, -0.5]], [[-0.2, 1.0], [1.0, -0.3]])
+
+
+def draw(seed):
+    """The rectangle and the square of a seed, as configuration documents."""
+    rng = random.Random(seed)
+    analysis = rng.choice(("static", "vibrate", "buckle"))
+    degree = rng.randint(2, 4)
+    a = rng.uniform(0.5, 2.0)
+    doc = {
+        "analysis": {"type": analysis},
+        "geometry": {"type": "square", "a": a, "b": a * rng.choice((0.4, 0.7, 1.5, 2.5)),
+                     "interior_multiplicity": rng.randint(1, degree - 1)},
+        "thickness_ratio": 10.0 ** rng.uniform(math.log10(3.0), 3.0),
+        "degree": degree,
+        "elements": rng.randint(2, 5),
+        "material": {"ceramic": rng.choice(("Al2O3", "ZrO2-1", "ZrO2-2")), "metal": "Al",
+                     "scheme": rng.choice(("rule_of_mixture", "mori_tanaka")),
+                     "profile": rng.choice(("ceramic_power", "metal_power")),
+                     "power_index": rng.choice((0.0, 0.5, 2.0, 10.0))},
+        "shear_model": rng.choice(("cubic", "exponential", "sinusoidal", "quintic", "atan",
+                                   "atan_sin")),
+        "edge_bcs": "".join(rng.choice("SCF") for _ in range(4)),
+    }
+    if analysis == "static":
+        doc["load"] = {"type": rng.choice(("sinusoidal", "uniform")), "q0": 1.0}
+    else:
+        doc["analysis"]["modes"] = rng.randint(1, 4)
+    if analysis == "buckle":
+        doc["prestress"] = rng.choice(PRESTRESS)
+    return doc, dict(doc, geometry=dict(doc["geometry"], b=a))
+
+
+def mirrored(doc):
+    bcs = doc["edge_bcs"]
+    out = dict(doc, edge_bcs=bcs[1] + bcs[0] + bcs[2:])
+    if "prestress" in doc:
+        (nx, nxy), (_, ny) = doc["prestress"]
+        out["prestress"] = [[nx, -nxy], [-nxy, ny]]
+    return out
+
+
+def scaled(doc):
+    geometry = doc["geometry"]
+    return dict(doc, geometry=dict(geometry, a=3.0 * geometry["a"], b=3.0 * geometry["b"]))
+
+
+def reflected(doc):
+    bcs = doc["edge_bcs"]
+    out = dict(doc, edge_bcs=bcs[2:] + bcs[:2])
+    if "prestress" in doc:
+        (nx, nxy), (_, ny) = doc["prestress"]
+        out["prestress"] = [[ny, nxy], [nxy, nx]]
+    return out
+
+
+def solve(doc):
+    """The report values of a document, or "exit 3" where the solve fails."""
+    config = parse_config(doc)
+    try:
+        return run_case(config).report.values
+    except ConfigurationError:
+        raise
+    except FGPlateError:
+        return "exit 3"
+
+
+def breach(name, base, other, w_only=False):
+    if base == "exit 3" or other == "exit 3":
+        return None if base == other else f"{name}: {base!r} against {other!r}"
+    if w_only:
+        base, other = base[:1], other[:1]
+    if len(base) != len(other):
+        return f"{name}: {len(base)} values against {len(other)}"
+    worst = max(abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(base, other))
+    return None if worst <= RTOL else f"{name}: relative gap {worst:.2e} in {base} vs {other}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_relations_hold_on_drawn_rectangles_and_squares(seed):
+    rectangle, square = draw(seed)
+    static = rectangle["analysis"]["type"] == "static"
+    one_sided = static and rectangle["elements"] % 2 == 0 \
+        and rectangle["degree"] - rectangle["geometry"]["interior_multiplicity"] < 2
+    base = solve(rectangle)
+    breaches = [breach("mirror", base, solve(mirrored(rectangle)), w_only=one_sided),
+                breach("scaling", base, solve(scaled(rectangle))),
+                breach("diagonal", solve(square), solve(reflected(square)), w_only=static)]
+    assert not any(breaches), "\n".join(filter(None, breaches))
+
+
+def test_the_draws_reach_every_analysis_and_repeated_knots():
+    docs = [draw(seed)[0] for seed in SEEDS]
+    assert {doc["analysis"]["type"] for doc in docs} == {"static", "vibrate", "buckle"}
+    assert any(doc["geometry"]["interior_multiplicity"] > 1 for doc in docs)

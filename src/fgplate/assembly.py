@@ -45,7 +45,7 @@ from one product row, so results are deterministic.
 On an 11 x 11 cubic patch a K + M pair from G takes about 1 ms (1 BLAS
 thread, 2-vCPU VM), against 26-29 ms for contracting and scattering the 121
 element Grams in every case. G itself, built once per patch, takes 1.3-2.4
-ms on the square and 12-14 ms on the disks' nets (see nurbs). A band
+ms on the square and 6.6-8.4 ms on the disks' nets (see nurbs). A band
 matrix takes 0.58 MB on the 488 free DOFs of the clamped disk (kd = 147),
 0.83 MB on the 624 of SSSS (kd = 165) and 4.6 MB on 2,024 (kd = 285),
 against 1.9, 3.1 and 32.8 MB for the dense free-DOF matrix.

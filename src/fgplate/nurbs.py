@@ -31,26 +31,60 @@ pairs, and Patch.load_vector, the consistent load vector of each load. The
 cases of a sweep over n, a/h or the shear model share one patch, and with
 it the Gram and the load vector.
 
-Each integral picks its method from the patch. On a tensor net (constant
-weights, x a function of xi alone and y of eta alone: every square) the
-basis is N_i(xi) N_j(eta) and every channel is a product of 1-D channels,
-so the integrals factor into 1-D Gauss sums (sum factorization: Antolin,
-Buffa, Calabro, Martinelli, Sangalli, CMAME 284, 2015): G is a product of
-two 1-D Grams per channel pair, and F = B_u^T (w_u x' q w_v y') B_v. On any
-other patch, the disks' nets among them, G is summed serially in element
-order from the element Grams S_e = Phi^T diag(w det J) Phi, and F from the
-element vectors.
+Each integral picks its method from the patch itself, with no option. G
+has three:
+
+- On a tensor net (constant weights, x a function of xi alone and y of eta
+  alone: every square) the basis is N_i(xi) N_j(eta) and every channel is a
+  product of 1-D channels, so the integrals factor into 1-D Gauss sums (sum
+  factorization: Antolin, Buffa, Calabro, Martinelli, Sangalli, CMAME 284,
+  2015): G is a product of two 1-D Grams per channel pair, and
+  F = B_u^T (w_u x' q w_v y') B_v.
+- On a net that the eight symmetries of the square leave invariant (both
+  disk nets) G comes from one element per symmetry orbit. The net must be a
+  square control grid with one knot vector in both directions, symmetric
+  under t -> 1 - t, and its points and weights must map onto themselves
+  within 1e-14 of the net's scale under i <-> j with x <-> y, i -> n-1-i
+  with x -> -x and j -> n-1-j with y -> -y. A symmetry T then maps basis
+  function A onto T A and each channel onto a signed channel, so
+  G[(T A, T B), (c, d)] = s_c s_d G[(A, B), (pi c, pi d)]. The element
+  Grams are computed for one element per element orbit (21 of 121 at 11
+  elements), the representative pair rows (504 of 3,796) are summed from
+  them in element order, and every other row is one signed,
+  channel-permuted gather of its representative. The discrete K, M and Kg
+  then commute with the symmetries up to the roundoff of the contraction;
+  the element sums broke them by up to 3.7e-13 of the largest entry.
+- On any other patch G is summed serially in element order from the
+  element Grams S_e = Phi^T diag(w det J) Phi. This is the reference that
+  the other two methods are tested against.
+
+F is factored on a tensor net and summed from the element vectors on any
+other patch, the disks' among them.
 
 On an 11 x 11 cubic patch (14 x 14 control points) 86 coupled 1-D pairs per
 direction give 86^2 = 7,396 nonzero 4 x 4 blocks of K, of which 3,796 have
-A <= B, so G takes 3,796 x 36 doubles, 1.1 MB. On a 2-vCPU VM with one BLAS
-thread it takes 1.3-2.4 ms to build on the square and 12-14 ms from the
-element Grams; the square's load vector takes 0.3-0.5 ms, against 6-7 ms
-from the element vectors. The element Grams (96 x 96 each) would take 8.9 MB:
-kept for a sweep, they peaked the table-11 benchmark at 96.1 MB RSS against
-87.8 MB (seed 3, 2-vCPU VM) and ran no faster.
+A <= B, so G takes 3,796 x 36 doubles, 1.1 MB. Its build time, least of 15
+builds of a cubic patch at one BLAS thread on a 2-vCPU VM, over two runs on
+the square and four on the disks, which take the orbit path; the last
+column is the disks' element sums, and the disk net built first in a
+process took the upper end of its range:
 
-Both methods use the same rules. G uses a (p+1) x (q+1) Gauss rule per
+| elements | square | rational disk | mapped disk | element sums |
+|---|---|---|---|---|
+| 11 | 1.3-2.4 ms | 7.0-8.4 ms | 6.6-8.2 ms | 12.3-15.0 ms |
+| 15 | 3.5-4.0 ms | 10.5-13.1 ms | 9.9-13.8 ms | 21.0-24.2 ms |
+| 21 | 7.4 ms | 22.4-23.5 ms | 22.9-23.9 ms | 48.1-51.3 ms |
+
+At 11 elements on a disk, tabulating the 21 representative elements and
+forming their Grams takes about half of the orbit build (3.3 ms), the two
+signed gathers 1.7 ms, and the index maps and the sum over the elements the
+rest. Every index map is built per patch. The square's load vector takes
+0.3-0.5 ms, against 6-7 ms from the element vectors. The element Grams
+(96 x 96 each) would take 8.9 MB: kept for a sweep, they peaked the table-11
+benchmark at 96.1 MB RSS against 87.8 MB (seed 3, 2-vCPU VM) and ran no
+faster.
+
+All methods use the same rules. G uses a (p+1) x (q+1) Gauss rule per
 element: on an affine square the integrands of K, M and Kg are polynomials
 of degree at most 2p per direction, which that rule integrates exactly, and
 on the disks more points move buckling loads by less than 1e-6. The load
@@ -533,10 +567,12 @@ def _gauss_rules(patch: Patch, extra_points: int):
     return rules
 
 
-def _element_rows(patch: Patch, extra_points: int, order: int):
+def _element_rows(patch: Patch, extra_points: int, order: int, keep=None):
     """Per row of elements (one u span and every v span, rows in u order):
     the basis of the given order at each element's (p+extra) x (q+extra)
-    Gauss points, and the Gauss weights times det J.
+    Gauss points, and the Gauss weights times det J. A boolean (u span, v
+    span) mask keep, all elements by default, narrows each row to its kept
+    elements and skips the rows without one.
 
     Every array leads with (element, point), elements in v order and points
     with u outer, so the working set is one row of elements. The u and v
@@ -544,18 +580,21 @@ def _element_rows(patch: Patch, extra_points: int, order: int):
     takes its slice of the u table; the 2-D basis is formed once per row.
     """
     (params_u, weights_u), (params_v, weights_v) = _gauss_rules(patch, extra_points)
-    n_el, n_v = params_v.shape
-    n_u = params_u.shape[1]
+    n_u, n_v = params_u.shape[1], params_v.shape[1]
     tab_u, tab_v = _tables(patch, params_u.ravel(), params_v.ravel(), order)
 
     def by_element(a):
-        a = a.reshape((n_u, n_el, n_v) + a.shape[1:]).swapaxes(0, 1)
-        return a.reshape((n_el, n_u * n_v) + a.shape[3:])
+        a = a.reshape((n_u, -1, n_v) + a.shape[1:]).swapaxes(0, 1)
+        return a.reshape((a.shape[0], n_u * n_v) + a.shape[3:])
 
+    keep = np.ones((len(weights_u), len(weights_v)), dtype=bool) if keep is None else keep
     for row, weights in enumerate(weights_u):
+        if not keep[row].any():
+            continue
         points = slice(row * n_u, (row + 1) * n_u)
-        basis = grid_basis(patch, [t[points] for t in tab_u], tab_v)
-        wq = np.outer(weights, weights_v).ravel() * basis.jacobian_det
+        columns = (np.flatnonzero(keep[row])[:, None] * n_v + np.arange(n_v)).ravel()
+        basis = grid_basis(patch, [t[points] for t in tab_u], [t[columns] for t in tab_v])
+        wq = np.outer(weights, weights_v[keep[row]]).ravel() * basis.jacobian_det
         grouped = (None if v is None else by_element(v) for v in vars(basis).values())
         yield BasisLocal(*grouped), by_element(wq)
 
@@ -608,10 +647,13 @@ class _GlobalGram:
     holds assembly's band map of each fixed-DOF set, keyed by the fixed
     DOFs' bytes, built on first use (see assembly._band_map).
 
-    On a tensor net (see _tensor_net) G is a product of 1-D Grams
-    (_tensor_values). On any other patch it is summed from the element
-    Grams S_e = Phi^T diag(w det J) Phi at (p+1) x (q+1) Gauss points,
-    serially in element order."""
+    The patch picks the method (see the module docstring). On a tensor net
+    (see _tensor_net) G is a product of 1-D Grams (_tensor_values). On a net
+    that the eight symmetries of the square leave invariant (see
+    _symmetries) it is integrated over one element per orbit and filled by
+    signed gathers (_orbit_values). On any other patch it is summed from the
+    element Grams S_e = Phi^T diag(w det J) Phi at (p+1) x (q+1) Gauss
+    points, serially in element order."""
 
     def __init__(self, patch: Patch):
         # the first control point of each element along u and v: the points of
@@ -631,19 +673,166 @@ class _GlobalGram:
         if net is not None:
             self.values = _tensor_values(patch, net, self.first, self.second)
             return
+        images = _symmetries(patch)
+        if images is not None:
+            self.values = _orbit_values(patch, images, points, slots, self.first, self.second)
+            return
         self.values = np.zeros((keys.size, _CHANNELS**2))
         start = 0
         for basis, wq in _element_rows(patch, 1, 2):
-            row_el, n_q = wq.shape
-            phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
-                                  basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(row_el, n_q, -1)
-            # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)] over a <= b
-            gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
-            gram = gram.reshape(row_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
-            gram = gram[:, ia, ib].reshape(row_el, ia.size, _CHANNELS**2)
-            for rows, ge in zip(slots[start:start + row_el], gram):
+            gram = _element_grams(basis, wq)
+            for rows, ge in zip(slots[start:start + len(gram)], gram):
                 self.values[rows] += ge
-            start += row_el
+            start += len(gram)
+
+
+def _element_grams(basis: BasisLocal, wq: np.ndarray) -> np.ndarray:
+    """The element Grams S_e = Phi^T diag(w det J) Phi of a row of elements
+    (see _element_rows), as S_e[(a, b), (c, d)] over the local pairs a <= b
+    of np.triu_indices: shape (elements, pairs, 36)."""
+    row_el, n_q = wq.shape
+    nb = basis.R.shape[-1]
+    ia, ib = np.triu_indices(nb)
+    phi = np.concatenate([basis.R[:, :, None], basis.dRdx.swapaxes(2, 3),
+                          basis.d2Rdx2.swapaxes(2, 3)], axis=2).reshape(row_el, n_q, -1)
+    # S_e[(c, a), (d, b)], regrouped as S_e[(a, b), (c, d)] over a <= b
+    gram = (phi.swapaxes(1, 2) * wq[:, None, :]) @ phi
+    gram = gram.reshape(row_el, _CHANNELS, nb, _CHANNELS, nb).transpose(0, 2, 4, 1, 3)
+    return gram[:, ia, ib].reshape(row_el, ia.size, _CHANNELS**2)
+
+
+# the eight symmetries of the square as signed permutation matrices of the
+# plane, the identity first: (x, y) -> T (x, y)
+_SQUARE_SYMMETRIES = np.array([[[sx, 0], [0, sy]] for sx in (1, -1) for sy in (1, -1)]
+                              + [[[0, sx], [sy, 0]] for sx in (1, -1) for sy in (1, -1)])
+
+
+def _grid_images(n: int) -> np.ndarray:
+    """images[k, A] of each point A = i + j n of an n x n grid under T_k =
+    _SQUARE_SYMMETRIES[k] acting on the indices centred on the grid."""
+    centred = 2 * np.indices((n, n)) - (n - 1)
+    i, j = (np.einsum("kab,bij->akji", _SQUARE_SYMMETRIES, centred) + (n - 1)) // 2
+    return (i + j * n).reshape(len(i), -1)
+
+
+def _symmetries(patch: Patch):
+    """The control point maps of a patch that the eight symmetries T of the
+    square leave invariant: images[k, A] is the point at T_k x(A), with the
+    same weight (see _grid_images). The net is a square grid, both knot
+    vectors are one vector symmetric under t -> 1 - t, and the points and
+    weights agree with their images within 1e-14 of the net's largest
+    coordinate and weight, as on both disk nets; None for any other patch.
+    The basis then maps as R_{T A}(T x) = R_A(x), so every channel of
+    R_{T A} is a signed channel of R_A (see _channel_maps)."""
+    knots, (nu, nv) = patch.knot_u.values, patch.net.shape
+    if (nu != nv or not np.array_equal(knots, patch.knot_v.values)
+            or np.abs(knots + knots[::-1] - knots[0] - knots[-1]).max() > 1e-14):
+        return None
+    images = _grid_images(nu)
+    points = patch.net.points.reshape(-1, 2, order="F")
+    weights = patch.net.weights.ravel(order="F")
+    if (np.abs(points[images] - points @ _SQUARE_SYMMETRIES.transpose(0, 2, 1)).max()
+            > 1e-14 * max(np.abs(points).max(), 1e-30)
+            or np.abs(weights[images] - weights).max() > 1e-14 * weights.max()):
+        return None
+    return images
+
+
+def _channel_maps() -> tuple[np.ndarray, np.ndarray]:
+    """columns[2 k + t] and signs[2 k + t] take the Gram row of (T_k A, T_k B)
+    to the row of (A, B), where t says that T_k A > T_k B. With U = T_k^-1,
+    the channels (R, R_x, R_y, R_xx, R_yy, R_xy) of R_{U A} at U x are s_c
+    times the channels pi_c of R_A at x, so the row of (A, B) is signs times
+    the columns (pi_c, pi_d) of the row of (T_k A, T_k B), read as
+    (pi_d, pi_c) where t = 1."""
+    columns, signs = [], []
+    for U in _SQUARE_SYMMETRIES.transpose(0, 2, 1):
+        (a, b), (sa, sb) = np.abs(U).argmax(axis=1), U.sum(axis=1)
+        pi = np.array([0, 1 + a, 1 + b, 3 + a, 3 + b, 5])
+        pairs, sign = pi[:, None] * _CHANNELS + pi, np.array([1, sa, sb, 1, 1, sa * sb])
+        columns += [pairs.ravel(), pairs.T.ravel()]
+        signs += [np.outer(sign, sign).ravel()] * 2
+    return np.array(columns), np.array(signs, dtype=float)
+
+
+_COLUMNS, _SIGNS = _channel_maps()
+
+
+def _orbit_values(patch: Patch, images: np.ndarray, points: np.ndarray, slots: np.ndarray,
+                  first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """G on a net that the symmetries of the square leave invariant (see
+    _symmetries), from the element Grams of one element per orbit.
+
+    Each element and each pair row takes as representative the least index
+    in its orbit, its image under T_k for the first k that gives that index.
+    The representative rows come from _representative_rows, and every other
+    row is its representative row under the channel map of its T_k (see
+    _channel_maps). points and slots hold the control points of each element
+    and the rows of its local pairs, as in _GlobalGram."""
+    # the representative of each pair row, and whether T_k reverses its pair
+    row = np.empty((patch.n_points, patch.n_points), dtype=np.int32)
+    row[first, second] = np.arange(len(first))
+    k, rep = np.zeros(len(first), dtype=np.intp), np.arange(len(first))
+    for index, image in enumerate(images):
+        image_a, image_b = image[first], image[second]
+        image_row = row[np.minimum(image_a, image_b), np.maximum(image_a, image_b)]
+        better = image_row < rep
+        k[better], rep[better] = index, image_row[better]
+    is_rep = rep == np.arange(len(first))
+    position = np.cumsum(is_rep) - 1
+    values = _representative_rows(patch, points, slots, is_rep, position)
+    return _signed_gather(values, position[rep], 2 * k + (images[k, first] > images[k, second]))
+
+
+def _representative_rows(patch: Patch, points: np.ndarray, slots: np.ndarray,
+                         is_rep: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The pair rows of G marked in is_rep, in order (position numbers them),
+    each summed in element order over the elements that couple its pair. An
+    element's share is read from the Gram of its representative element
+    under the channel map of its T_k; only the representatives' Grams are
+    computed, as on the element path.
+
+    Its temporaries, 1.5 MB at 11 elements, are freed before G is allocated,
+    so G reuses their memory: with both alive, glibc trimmed the top of the
+    heap after each build, and the next case faulted it back in (480 more
+    page faults in a table-11 bending sweep)."""
+    nb, p = points.shape[1], patch.degrees[0]
+    # the representative of each element and the representatives' Grams; the
+    # elements run u span outer, so transpose each index to u fastest and back
+    n_el = math.isqrt(len(points))
+    transpose = np.arange(n_el**2).reshape(n_el, n_el).T.ravel()
+    element_images = transpose[_grid_images(n_el)[:, transpose]]
+    k_el, rep_el = element_images.argmin(axis=0), element_images.min(axis=0)
+    keep = rep_el == np.arange(n_el * n_el)
+    grams, start = np.empty((np.count_nonzero(keep), nb * (nb + 1) // 2, _CHANNELS**2)), 0
+    for basis, wq in _element_rows(patch, 1, 2, keep.reshape(n_el, n_el)):
+        grams[start:start + len(wq)] = _element_grams(basis, wq)
+        start += len(wq)
+
+    # the share of each element in each representative row that it couples
+    el, pair = np.nonzero(is_rep[slots])
+    ia, ib = np.triu_indices(nb)
+    local = np.empty((nb, nb), dtype=np.intp)
+    local[ia, ib] = np.arange(ia.size)
+    # the local points run u fastest, as the global ones do
+    la, lb = (_grid_images(p + 1)[k_el[el], i[pair]] for i in (ia, ib))
+    source = ((np.cumsum(keep)[rep_el[el]] - 1) * ia.size
+              + local[np.minimum(la, lb), np.maximum(la, lb)])
+    target = position[slots[el, pair]]
+    order = np.argsort(target, kind="stable")
+    shares = _signed_gather(grams.reshape(-1, _CHANNELS**2), source[order],
+                            (2 * k_el[el] + (la > lb))[order])
+    return np.add.reduceat(shares, np.flatnonzero(np.diff(target[order], prepend=-1)))
+
+
+def _signed_gather(source: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row r of the result is row rows[r] of source under the channel map
+    keys[r] (see _channel_maps): one gather per map."""
+    out = np.empty((len(rows), _CHANNELS**2))
+    for key in range(len(_COLUMNS)):
+        at = np.flatnonzero(keys == key)
+        out[at] = source[rows[at]][:, _COLUMNS[key]] * _SIGNS[key]
+    return out
 
 
 def _tensor_values(patch: Patch, net, first: np.ndarray, second: np.ndarray) -> np.ndarray:

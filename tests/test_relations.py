@@ -25,6 +25,18 @@ The reports must agree within a relative 1e-10; 60 draws agree within
 plate too; two of the draws do. The draw stops at a/h = 1e3: thinner
 plates with a free edge stall at the float64 floor of the static
 contract, which test_solvers pins on its own.
+
+On both disk nets, a reflection of the plane maps the edges onto each
+other: y -> -y swaps the two v edges (CCSF and CCFS), and the point
+reflection swaps both pairs (CSFC and SCCF; CSCS and SCSC, on the
+rational net only, since the mapped net refuses a simply supported
+corner). Each relation runs as a uniformly loaded static case, a
+vibration case and a biaxially compressed buckling case, drawn like the
+squares at degree 2-3 on 3-5 elements, n from 0.5 to 2 and h/R from 0.05
+to 0.2. The centre station lies on a knot where the space is only C1 on
+an even number of quadratic elements, so those static draws compare w_bar
+only, as the mirror does on the squares. No pair has a free-free corner,
+where the rational net's static solves stall (see test_solvers).
 """
 import math
 import random
@@ -126,6 +138,45 @@ def test_relations_hold_on_drawn_rectangles_and_squares(seed):
                 breach("scaling", base, solve(scaled(rectangle))),
                 breach("diagonal", solve(square), solve(reflected(square)), w_only=static)]
     assert not any(breaches), "\n".join(filter(None, breaches))
+
+
+DISK_RELATIONS = [("CCSF", "CCFS", "rational"), ("CCSF", "CCFS", "mapped"),
+                  ("CSFC", "SCCF", "rational"), ("CSFC", "SCCF", "mapped"),
+                  ("CSCS", "SCSC", "rational")]
+
+
+def draw_disk(analysis, bcs, net):
+    """A disk with the given analysis, edge codes and net, drawn from a seed
+    that names them."""
+    rng = random.Random(f"{bcs}-{net}-{analysis}")
+    doc = {
+        "analysis": {"type": analysis},
+        "geometry": {"type": "disk", "radius": rng.uniform(0.5, 2.0), "net": net},
+        "thickness_ratio": rng.uniform(0.05, 0.2),
+        "degree": rng.randint(2, 3),
+        "elements": rng.randint(3, 5),
+        "material": {"ceramic": rng.choice(("Al2O3", "ZrO2-1")), "metal": "Al",
+                     "power_index": rng.uniform(0.5, 2.0)},
+        "shear_model": rng.choice(("cubic", "atan", "sinusoidal")),
+        "edge_bcs": bcs,
+    }
+    if analysis == "static":
+        doc["load"] = {"type": "uniform", "q0": 1.0}
+    else:
+        doc["analysis"]["modes"] = rng.randint(1, 3)
+    if analysis == "buckle":
+        doc["prestress"] = [[-1.0, 0.0], [0.0, -1.0]]
+    return doc
+
+
+@pytest.mark.parametrize("analysis", ["static", "vibrate", "buckle"])
+@pytest.mark.parametrize("bcs, mirrored_bcs, net", DISK_RELATIONS)
+def test_disk_mirror_relations(bcs, mirrored_bcs, net, analysis):
+    base = draw_disk(analysis, bcs, net)
+    one_sided = analysis == "static" and base["degree"] == 2 and base["elements"] % 2 == 0
+    found = breach(f"{bcs} against {mirrored_bcs} on the {net} net", solve(base),
+                   solve(dict(base, edge_bcs=mirrored_bcs)), w_only=one_sided)
+    assert found is None, found
 
 
 def test_the_draws_reach_every_analysis_and_repeated_knots():

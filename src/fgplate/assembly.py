@@ -23,12 +23,15 @@ the basis over the patch and a small per-case contraction:
 Stress recovery (postprocess) reads a station's strains through the same
 bending and shear rows of L, so K and the stresses share one kinematics.
 
-A case is one product V = G @ C per matrix; it makes the 4 x 4 blocks of
-the pairs A = B exactly symmetric and writes each free entry of the pair
-blocks once into LAPACK's lower band storage, so nothing is accumulated per
-case. Entry (r, c) goes to ab[|r - c|, min(r, c)] of a (kd + 1) x nf array,
-the format that the solvers factorize (xPBTRF) and multiply (xSBMV) in; a
-pair block and its transpose share those slots. The half-bandwidth kd is
+A case multiplies G by C per matrix, _PRODUCT_ROWS rows of G at a time;
+each block of products V = G @ C makes the 4 x 4 blocks of its pairs A = B
+exactly symmetric and writes each free entry of its pair blocks once into
+LAPACK's lower band storage, so nothing is accumulated per case and no
+product of all of G is kept. Entry (r, c) goes to ab[|r - c|, min(r, c)]
+of a (kd + 1) x nf array stored column-major, as LAPACK stores a band: the
+flat slot is min(r, c) (kd + 1) + |r - c|, so the array is Fortran-ordered
+and the solvers factorize (xPBTRF) and multiply (xSBMV) it without a copy.
+A pair block and its transpose share those slots. The half-bandwidth kd is
 the largest |r - c| over the written entries, so the band is as narrow as
 the coupled control-point pairs allow in the natural control-point order,
 and GlobalSystem reads it back as K.shape[0] - 1. The matrix is numbered
@@ -150,17 +153,22 @@ class GlobalSystem:
 
     K, M and Kg are numbered by the free DOFs: row and column i belong to
     global DOF free_dofs[i]. Each is stored in LAPACK's lower band storage,
-    the solvers' input format: a (kd + 1) x nf array ab with
+    the solvers' input format: a Fortran-ordered (kd + 1) x nf array ab with
     ab[|i - j|, min(i, j)] the entry (i, j) of the symmetric matrix and zeros
     past the end of each diagonal. The half-bandwidth kd is K.shape[0] - 1:
     entry (i, j) is zero where |i - j| > kd. assemble makes the band as wide
     as the coupled control-point pairs reach in the free numbering, the same
-    for all three matrices; a system built by hand gives K, M and Kg one
-    band width too. reduce(matrix) is the dense view. F is the load vector
-    over all n_dofs DOFs, which solve_static reads on the free ones.
-    mechanism names a rigid motion that the constraints leave and that a
-    static or buckling solve cannot carry; vibration reports it as a zero
-    frequency. Solvers never write into these arrays.
+    for all three matrices, and writes it in Fortran order; a system built
+    by hand gives K, M and Kg one band width too, and is converted to
+    Fortran order once, here. reduce(matrix) is the dense view. F is the
+    load vector over all n_dofs DOFs, which solve_static reads on the free
+    ones. mechanism names a rigid motion that the constraints leave and that
+    a static or buckling solve cannot carry; vibration reports it as a zero
+    frequency.
+
+    The system holds K, M and Kg as read-only views (writeable False; the
+    caller's own arrays keep their flags): the solvers read them in place,
+    without a copy, and a write into them raises.
     """
 
     n_dofs: int
@@ -182,6 +190,13 @@ class GlobalSystem:
         free[fixed.astype(int)] = False
         object.__setattr__(self, "fixed_dofs", fixed)
         object.__setattr__(self, "free_dofs", np.flatnonzero(free))
+        for name in ("K", "M", "Kg"):
+            band = getattr(self, name)
+            if band is not None:
+                # a read-only view: the caller's array keeps its own flags
+                band = np.asfortranarray(band, dtype=float).view()
+                band.flags.writeable = False
+                object.__setattr__(self, name, band)
 
     def reduce(self, band: np.ndarray) -> np.ndarray:
         """The dense nf x nf free-DOF matrix of one of the system's band
@@ -321,10 +336,11 @@ _PRODUCT_ROWS = 256
 def _band_map(model: PlateModel, fixed: np.ndarray) -> tuple[int, int, np.ndarray]:
     """(kd, nf, slots) of the band that the given fixed DOFs leave on the
     model's patch: slots is the flat index of entry (A i, B j) of each pair
-    block of the Gram in a (kd + 1) x nf band, ab[|r - c|, min(r, c)],
-    or the spare slot (kd + 1) nf past it for every entry in the row or
-    column of a fixed DOF. Built once per patch and fixed-DOF set and kept
-    on the patch's Gram, so the cases of a sweep share it."""
+    block of the Gram in a column-major (kd + 1) x nf band, ab[|r - c|,
+    min(r, c)] at min(r, c) (kd + 1) + |r - c|, or the spare slot
+    (kd + 1) nf past it for every entry in the row or column of a fixed DOF.
+    Built once per patch and fixed-DOF set and kept on the patch's Gram, so
+    the cases of a sweep share it."""
     gram, key = model.patch.gram, fixed.tobytes()
     if key not in gram.band_maps:
         free = np.ones(model.n_dofs, dtype=bool)
@@ -336,7 +352,7 @@ def _band_map(model: PlateModel, fixed: np.ndarray) -> tuple[int, int, np.ndarra
         cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
         low, offsets = np.minimum(rows, cols), np.abs(rows - cols)
         kd = int(offsets[low >= 0].max(initial=0))
-        slots = np.where(low >= 0, offsets * nf + low, (kd + 1) * nf)
+        slots = np.where(low >= 0, low * (kd + 1) + offsets, (kd + 1) * nf)
         slots.flags.writeable = False
         gram.band_maps[key] = kd, nf, slots
     return gram.band_maps[key]
@@ -344,12 +360,12 @@ def _band_map(model: PlateModel, fixed: np.ndarray) -> tuple[int, int, np.ndarra
 
 def _assemble_matrices(model: PlateModel, want: set, fixed: np.ndarray) -> dict:
     """The wanted ones of K, M and Kg by name, on the DOFs that the given fixed
-    ones leave free (GlobalSystem.free_dofs), in LAPACK lower band storage,
-    from the global Gram of the model's patch: one blocked product with a
-    coefficient table per matrix, then each free entry of the pair blocks
-    written once through the band map of the fixed DOFs (_band_map). The
-    band is as wide as the written entries: kd = max |row - col| over the
-    pairs' free entries."""
+    ones leave free (GlobalSystem.free_dofs), in Fortran-ordered LAPACK lower
+    band storage, from the global Gram of the model's patch: each block of
+    _PRODUCT_ROWS rows of G times a coefficient table per matrix, its free
+    entries written once through the band map of the fixed DOFs (_band_map).
+    The band is as wide as the written entries: kd = max |row - col| over
+    the pairs' free entries."""
     section, gram = model.section, model.patch.gram
     tables = {}
     if "K" in want:
@@ -361,18 +377,22 @@ def _assemble_matrices(model: PlateModel, want: set, fixed: np.ndarray) -> dict:
         tables["Kg"] = _coefficient_table(_PRESTRESS_ROWS, model.prestress)
     kd, nf, slots = _band_map(model, fixed)
     spare = (kd + 1) * nf
-    G, d = gram.values, gram.diagonal
+    G = gram.values
+    # the rows of the pairs A = B in each block, as block-local indices
+    starts = range(0, len(G), _PRODUCT_ROWS)
+    diagonal = np.split(gram.diagonal, np.searchsorted(gram.diagonal, starts[1:]))
+    block = np.empty((_PRODUCT_ROWS, 16))
     out = {}
     for name, C in tables.items():
-        # V[(A, B), (i, j)]: the block of DOFs (A, i), (B, j)
-        V = np.empty((len(G), 16))
-        for lo in range(0, len(G), _PRODUCT_ROWS):
-            np.matmul(G[lo:lo + _PRODUCT_ROWS], C, out=V[lo:lo + _PRODUCT_ROWS])
-        V = V.reshape(-1, 4, 4)
-        V[d] = 0.5 * (V[d] + V[d].swapaxes(1, 2))
         ab = np.zeros(spare + 1)
-        ab[slots] = V.ravel()
-        out[name] = ab[:spare].reshape(kd + 1, nf)
+        for lo, d in zip(starts, diagonal):
+            # V[(A, B), (i, j)]: the block of DOFs (A, i), (B, j)
+            V = np.matmul(G[lo:lo + _PRODUCT_ROWS], C, out=block[:min(_PRODUCT_ROWS, len(G) - lo)])
+            V = V.reshape(-1, 4, 4)
+            d = d - lo
+            V[d] = 0.5 * (V[d] + V[d].swapaxes(1, 2))
+            ab[slots[16 * lo:16 * lo + V.size]] = V.ravel()
+        out[name] = ab[:spare].reshape(kd + 1, nf, order="F")
     return out
 
 

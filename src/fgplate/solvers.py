@@ -5,13 +5,14 @@ arrays that assembly builds.
 With four DOFs per control point in the natural control-point order, K, M
 and Kg are banded: the half-bandwidth kd is 147 at 488 free DOFs and 165 at
 624, against 285 at 2,024. assemble stores each in LAPACK's lower band
-storage, ab[|i - j|, min(i, j)] in a (kd + 1) x nf array (see GlobalSystem),
-so kd is K.shape[0] - 1 and the diagonal is row 0. Every analysis
-factorizes one Jacobi-equilibrated matrix A in that storage with xPBTRF,
-D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M or Kg is made.
+storage, ab[|i - j|, min(i, j)] in a Fortran-ordered (kd + 1) x nf array
+(see GlobalSystem), so kd is K.shape[0] - 1 and the diagonal is row 0.
+Every analysis factorizes one Jacobi-equilibrated matrix A in that storage
+with xPBTRF, D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M
+or Kg is made.
 
-- static: A = K, solved with xPBTRS, then refined with long-double
-  residuals from a band product with K;
+- static: A = K, solved with xPBTRS; the answer is certified or refined as
+  described below;
 - vibration and buckling: one flipped pencil, B v = mu (K + sigma B) v, of
   which only the k largest mu are computed. A = K + sigma B: vibration
   takes B = M and a small shift sigma (lambda = 1/mu - sigma), buckling B =
@@ -21,31 +22,48 @@ D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M or Kg is made.
 The k largest mu are those of the symmetric operator C = L^-1 D B D L^-T,
 found by ARPACK's implicitly restarted Lanczos (scipy's eigsh; Lehoucq,
 Sorensen and Yang, ARPACK Users' Guide, SIAM 1998). One product with C is
-two triangular band solves (xTBTRS) and one band product with B (xSBMV). The
-vectors map back as v = D L^-T x, so v^T (K + sigma B) v = 1. ARPACK needs
-k < n - 1; a system with fewer free DOFs forms C densely from the same
-factor and takes the top k of its full spectrum.
+a triangular band solve (xTBSV), a scaling by d, one band product with M,
+or with Kg and alpha = -1 (xSBMV), a scaling by d and a triangular band
+solve in place. The vectors map back as v = D L^-T x, so v^T (K + sigma B)
+v = 1. ARPACK needs k < n - 1; a system with fewer free DOFs forms C
+densely from the same factor and takes the top k of its full spectrum.
 
 LAPACK's band storage is column-major (Anderson et al., LAPACK Users'
 Guide, 3rd ed., SIAM 1999, section 5.3.3), and scipy's wrappers copy a 2-D
-operand that is not Fortran-ordered into that order on every call. So
-_factor builds A and D B D in Fortran order from the system's C-ordered
-bands, which it only reads: xPBTRF factors A in place, and every product
-reads D B D without a copy. At 624 free DOFs (kd = 165) a product takes
-74-76 us, 27 us of it in xSBMV, against 175-212 us and 87-107 us with the
-copy. The 10 lowest vibration modes then take 10.5-11.7 ms and the lowest
-one 4.0-4.5 ms, against 16-22 and 6.6-8.4 ms with the copy and 34-47 ms
-for either with LAPACK's dense subset eigensolver xSYGVX, which Lanczos
-replaced (vib10-atan-n1-r10, vib-atan-n1-r5; least of 40 solves, 2-vCPU
-VM, 1 and 2 BLAS threads).
+operand that is not Fortran-ordered into that order on every call. The
+system's bands are Fortran-ordered, so xSBMV reads K, M and Kg as assembly
+wrote them, and _factor builds D A D in one new Fortran-ordered array that
+xPBTRF factors in place: the factor is the only band that a vibration or
+buckling solve allocates, and D B D is never formed. At 624 free DOFs (kd =
+165) a product takes 85 us, 31 us of it in xSBMV, as it did on a scaled
+copy D B D (84 us), and a factorization of K + sigma M 1.2 ms (least of 300
+products and 50 factorizations, 1 BLAS thread, 2-vCPU VM).
+
+A static solve returns its first iterate x when the float64 certificate
+||r|| + gamma_m |||F| + |K| |x||| <= 1e-10 ||F|| holds (see solve_static),
+two xSBMV products, one of them with a temporary |K|. Where it fails, the
+residual comes from the error-free split of Ozaki, Ogita, Oishi and Rump
+(_split_residual): three xSBMV products over the two parts of the
+power-of-two-equilibrated P K P, the two other bands such a solve makes. On
+scale-mixed test systems it agrees with the exact rational residual within
+1.1e-6 of the residual's size; the long-double product it replaced agreed
+within 6e-4 to 1.8e-3 on an 82-DOF CFFC disk. An accurate residual drives
+the refinement to the float64 vector nearest the solution, and that vector
+can miss the contract: on that disk its residual is 1.5e-10 of ||F||. A
+stalled sweep therefore moves one entry of the best iterate to the float64
+neighbour that lowers the residual most (_unit_step), which takes the disk
+to 9.7e-11. On table-11's uniformly loaded squares the certificate holds
+for SSSS with atan and for CCCC with either shear model; SSSS with atan_sin
+refines. A case there, assembly included, takes 4.6-6.2 ms against 6.4-10.4
+ms with the long-double residual (1 BLAS thread, 2-vCPU VM).
 
 The solves run in scipy's LAPACK on its bundled OpenBLAS, which is
 multi-threaded: it uses up to one thread per core unless OPENBLAS_NUM_THREADS
 caps it. The Lanczos start vector comes from a fixed seed, so for a fixed
 thread count the results are deterministic.
 
-A solve reads the system's arrays and never writes into them, so a system
-can be solved again with the same result.
+The system's bands are read-only (see GlobalSystem) and a solve only reads
+them, so a system can be solved again with the same result.
 """
 from __future__ import annotations
 
@@ -65,6 +83,7 @@ from .errors import MassMatrixError, SolverError, SpectrumError
 __all__ = ["EigenResult", "solve_static", "solve_vibration", "solve_buckling"]
 
 _POSITIVE_CUTOFF = 1e-12
+_EPS = 2.0 ** -53  # the unit roundoff of float64
 _REFINEMENT_SWEEPS = 7  # corrections at most, each followed by its residual
 # the Lanczos start vector; a vector of ones shares the symmetry of a
 # symmetric plate and may miss a whole mode family
@@ -97,58 +116,144 @@ def _matrix(system: GlobalSystem, name: str) -> np.ndarray:
     return matrix
 
 
-def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for a symmetric A in lower band storage, in the precision of ab
-    and x: each stored entry below the diagonal also stands for its mirror."""
-    n = x.size
-    y = ab[0] * x
-    for k in range(1, ab.shape[0]):
-        y[k:] += ab[k, :n - k] * x[:n - k]
-        y[:n - k] += ab[k, :n - k] * x[k:]
-    return y
+def _scale(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D A D in place, for a symmetric A in lower band storage ab and D =
+    diag(d): ab[k, j] becomes ab[k, j] d_(j+k) d_j. Returns ab."""
+    ab *= sliding_window_view(np.concatenate([d, np.zeros(ab.shape[0] - 1)]), d.size)
+    ab *= d
+    return ab
 
 
 def _factor(K: np.ndarray, factored: str, B: Optional[np.ndarray] = None,
             sigma: float = 0.0) -> tuple:
     """The banded Cholesky factor of the Jacobi-equilibrated A = K + sigma B,
     for K and B in lower band storage of one width: D A D = L L^T with D =
-    diag(d) = diag(A)^-1/2, made by xPBTRF. Returns (L, d, D B D) with L and
-    D B D Fortran-ordered in lower band storage, D B D None without B. K and
-    B are only read. factored names A in the SolverError raised when it is
-    not positive definite."""
+    diag(d) = diag(A)^-1/2. Returns (L, d). D A D is built in one new
+    Fortran-ordered array, which xPBTRF factors in place into L; K and B are
+    only read. factored names A in the SolverError raised when it is not
+    positive definite."""
     diag = K[0] if B is None else K[0] + sigma * B[0]
     bad = np.flatnonzero(~(diag > 0.0))
     if bad.size:
         raise SolverError(f"{factored} is not positive definite on the free DOFs: diagonal "
                           f"pivot {bad[0] + 1} of {diag.size} is {diag[bad[0]]:.3e}")
     d = 1.0 / np.sqrt(diag)
-    # D A D in band storage is ab[k, j] d_(j+k) d_j, built in Fortran order:
-    # xPBTRF then factors A in place and xSBMV reads D B D without a copy
-    shifted = sliding_window_view(np.concatenate([d, np.zeros(K.shape[0] - 1)]), d.size)
-    A = np.multiply(K, shifted, order="F") * d
-    DBD = None if B is None else np.multiply(B, shifted, order="F") * d
     if sigma:
-        A += sigma * DBD
-    L, info = lapack.dpbtrf(A, lower=1, overwrite_ab=1)
+        A = np.multiply(B, sigma, order="F")
+        A += K
+    else:
+        A = np.array(K, order="F")
+    L, info = lapack.dpbtrf(_scale(A, d), lower=1, overwrite_ab=1)
     if info:
         raise SolverError(f"{factored} is not positive definite on the free DOFs: the "
                           f"banded Cholesky fails at pivot {info} of {diag.size}")
-    return L, d, DBD
+    return L, d
+
+
+def _abs_product(K: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|K| |x| for a symmetric K in lower band storage, by xSBMV."""
+    return blas.dsbmv(K.shape[0] - 1, 1.0, np.abs(K), np.abs(x), lower=1)
+
+
+def _certified_bound(K: np.ndarray, F: np.ndarray, x: np.ndarray) -> float:
+    """||r|| + gamma_m |||F| + |K| |x|||, with r = F - K x in float64 by
+    xSBMV, m = 2 kd + 2 and gamma_m = m u / (1 - m u), u = 2^-53: a bound on
+    the exact ||F - K x|| for a symmetric K in lower band storage (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    section 3.1)."""
+    kd = K.shape[0] - 1
+    m = 2 * kd + 2
+    residual = blas.dsbmv(kd, -1.0, K, x, beta=1.0, y=F, lower=1)
+    return float(np.linalg.norm(residual) + m * _EPS / (1.0 - m * _EPS)
+                 * np.linalg.norm(_abs_product(K, x) + np.abs(F)))
+
+
+def _high_part(v: np.ndarray, bits: int) -> np.ndarray:
+    """The entries of v rounded to one grid, bits binary digits below the
+    power of two above max |v|: fl((v + s) - s) with s = 2^(53 - bits) that
+    power (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, section 3).
+    v minus it is exact in float64."""
+    s = np.ldexp(1.0, int(np.frexp(max(v.max(), -v.min()))[1]) + 53 - bits)
+    high = v + s
+    high -= s
+    return high
+
+
+def _split_residual(K: np.ndarray, F: np.ndarray):
+    """The residual function x -> F - K x for a symmetric positive definite
+    K in lower band storage, exact but for the roundings of terms 2^-a and
+    2^-b times smaller than |K| |x|, with a, b about 21 at kd = 165 (Ozaki,
+    Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).
+
+    P K P, with P = diag(p) of powers of two that bring its diagonal into
+    [0.5, 2), is exact, and every entry of it lies below 2 in magnitude, so
+    one grid serves the whole band. It is split once into K1 + K2, K1 with a
+    binary digits on that grid, and each x / p into x1 + x2, x1 with b
+    digits on its own. With a + b + ceil(log2(2 kd + 1)) = 52, every partial
+    sum of K1 x1 lies on the product grid and below 2^53 of its steps, so
+    xSBMV computes K1 x1 exactly; K1 x2 + K2 x / p carries the rest. The
+    split makes two bands, P K P's two parts."""
+    kd = K.shape[0] - 1
+    p = np.ldexp(1.0, -(np.frexp(K[0])[1] // 2))
+    K2 = _scale(np.array(K, order="F"), p)
+    bits = 52 - (2 * kd).bit_length()
+    K1 = _high_part(K2, bits // 2)
+    K2 -= K1
+    Fp = F * p
+
+    def residual(x):
+        x = x / p
+        x1 = _high_part(x, bits - bits // 2)
+        tail = blas.dsbmv(kd, 1.0, K2, x, lower=1)
+        tail = blas.dsbmv(kd, 1.0, K1, x - x1, beta=1.0, y=tail, lower=1, overwrite_y=1)
+        r = Fp - blas.dsbmv(kd, 1.0, K1, x1, lower=1)
+        r -= tail
+        return r / p
+
+    return residual
+
+
+def _unit_step(K: np.ndarray, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """x with the one entry moved to its float64 neighbour that lowers
+    ||F - K x|| the most, for residual = F - K x: moving x_j by t changes
+    ||r||^2 by t^2 ||K e_j||^2 - 2 t (K r)_j. x itself where no such move
+    lowers it."""
+    kd = K.shape[0] - 1
+    squares = blas.dsbmv(kd, 1.0, np.square(K), np.ones(x.size), lower=1)
+    gradient = blas.dsbmv(kd, 1.0, K, residual, lower=1)
+    steps = np.stack([np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]) - x
+    gain = steps * (2.0 * gradient - steps * squares)
+    side, j = np.unravel_index(np.argmax(gain), gain.shape)
+    if gain[side, j] <= 0.0:
+        return x
+    x = x.copy()
+    x[j] += steps[side, j]
+    return x
 
 
 def solve_static(system: GlobalSystem) -> np.ndarray:
     """Solve K q = F on the free DOFs and expand with zeros on the fixed ones.
 
-    Uses the banded Cholesky factorization of the Jacobi-equilibrated K with
-    iterative refinement; the relative residual is driven below 1e-10 or a
-    SolverError is raised. Refinement stops at a relative residual of 1e-13,
-    or at a sweep that fails to halve the residual once the best residual
-    meets 1e-10, and returns the best iterate; the sweep count is logged.
-    Near 1e-10 the residual oscillates from sweep to sweep (2.7e-10,
-    4.5e-10, 4.7e-11 on an 82-DOF CFFC disk), so a stall above it does not
-    stop the sweeps. A stall's error also gives the float64 floor
-    eps |||K| |x||| / ||F|| (eps = 2^-53, x the best iterate): where it
-    exceeds 1e-10, rounding x to float64 alone can break the contract.
+    Uses the banded Cholesky factorization of the Jacobi-equilibrated K; the
+    relative residual is driven below 1e-10 or a SolverError is raised. The
+    first iterate x is returned when the float64 certificate
+    ||r|| + gamma_m |||F| + |K| |x||| <= 1e-10 ||F|| holds, with r the
+    float64 residual, m = 2 kd + 2 and gamma_m = m u / (1 - m u), u = 2^-53:
+    it bounds the exact residual (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., SIAM 2002, section 3.1). Otherwise x is
+    refined with split residuals (_split_residual) until the relative
+    residual reaches 1e-13, or until a sweep fails to halve the residual
+    once the best residual meets 1e-10, and the best iterate is returned;
+    the sweep count, the residual and what certified it are logged.
+
+    A sweep that fails to halve the residual has reached the float64
+    vector nearest the solution, whose residual can lie above 1e-10 (1.5e-10
+    on an 82-DOF CFFC disk), so a stall above the contract does not stop the
+    sweeps: the next one moves one entry of the best iterate to the float64
+    neighbour that lowers the residual most (_unit_step), which takes that
+    disk to 9.7e-11. A stall's error also gives the float64 floor eps |||K|
+    |x||| / ||F|| (eps = 2^-53, x the best iterate), a bound on the residual
+    that rounding x to float64 can leave.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
@@ -158,7 +263,7 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
         raise SolverError("no free DOFs remain after constraints")
 
     # symmetric Jacobi equilibration tames the membrane/bending scale spread
-    L, d, _ = _factor(K, "reduced stiffness")
+    L, d = _factor(K, "reduced stiffness")
 
     def solve(rhs):
         return lapack.dpbtrs(L, rhs, lower=1)[0]
@@ -168,64 +273,77 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     if fnorm == 0.0:
         return system.expand(np.zeros_like(y))
 
-    # iterative refinement with extended-precision residuals: the plain
-    # float64 residual evaluation floors out above the contract tolerance
-    # for badly scale-mixed thin-plate systems
-    K_ld, F_ld, d_ld = (array.astype(np.longdouble) for array in (K, F, d))
-    best_y, best_res = y, np.inf
+    x = y * d
+    bound = _certified_bound(K, F, x)
+    if bound <= 1e-10 * fnorm:
+        _log.debug("static solve: %d refinement sweeps, relative residual %.3e by the "
+                   "float64 certificate", 0, bound / fnorm)
+        return system.expand(x)
+
+    # the float64 residual floors out above the contract tolerance for
+    # badly scale-mixed thin-plate systems
+    split = _split_residual(K, F)
+    best_x, best_res = x, np.inf
     for sweeps in range(_REFINEMENT_SWEEPS + 1):
-        residual_ld = F_ld - _band_product(K_ld, (y * d).astype(np.longdouble))
-        res = float(np.linalg.norm(residual_ld.astype(np.float64)))
+        residual = split(x)
+        res = float(np.linalg.norm(residual))
         # a stalled sweep leaves the residual at the float64 solve's floor
         stalled = res > 0.5 * best_res
         if res < best_res:
-            best_y, best_res = y, res
+            best_x, best_res, best_residual = x, res, residual
         if ((stalled and best_res <= 1e-10 * fnorm) or res <= 1e-13 * fnorm
                 or sweeps == _REFINEMENT_SWEEPS):
             break
-        y = y + solve((residual_ld * d_ld).astype(np.float64))
-    _log.debug("static solve: %d refinement sweeps, relative residual %.3e",
-               sweeps, best_res / fnorm)
-    x = best_y * d
+        if stalled:
+            # the correction is below the float64 grid of x
+            x = _unit_step(K, best_x, best_residual)
+        else:
+            x = x + solve(residual * d) * d
+    _log.debug("static solve: %d refinement sweeps, relative residual %.3e by the "
+               "split residual", sweeps, best_res / fnorm)
     if best_res > 1e-10 * fnorm:
-        floor = 2.0 ** -53 * np.linalg.norm(_band_product(np.abs(K), np.abs(x))) / fnorm
+        floor = _EPS * np.linalg.norm(_abs_product(K, best_x)) / fnorm
         raise SolverError(f"static solve stalled at relative residual {best_res / fnorm:.3e}; "
                           f"the float64 floor eps |||K| |x||| / ||F|| is {floor:.3e}")
-    return system.expand(x)
+    return system.expand(best_x)
 
 
-def _negative_semidefinite(B: np.ndarray) -> bool:
-    """Whether a band matrix (lower band storage) is negative semidefinite
-    to roundoff: eps I - B has a band Cholesky factor, with eps = 1e-12 of
-    its largest diagonal entry."""
-    shifted = -B
-    shifted[0] += _POSITIVE_CUTOFF * np.abs(B[0]).max()
+def _negative_semidefinite(B: np.ndarray, d: np.ndarray, alpha: float) -> bool:
+    """Whether alpha D B D, for B in lower band storage and D = diag(d), is
+    negative semidefinite to roundoff: eps I - alpha D B D has a band
+    Cholesky factor, with eps = 1e-12 of its largest diagonal entry."""
+    shifted = _scale(np.multiply(B, -alpha, order="F"), d)
+    shifted[0] += _POSITIVE_CUTOFF * np.abs(shifted[0]).max()
     return lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
 
 
-def _largest_pairs(L: np.ndarray, d: np.ndarray, B: np.ndarray, k: int,
+def _largest_pairs(L: np.ndarray, d: np.ndarray, B: np.ndarray, alpha: float, k: int,
                    factored: str) -> tuple:
-    """The k largest mu of B v = mu A v, descending, with their vectors,
-    which are normalized to v^T A v = 1: the eigenpairs (mu, x) of
-    C = L^-1 B L^-T mapped back as v = D L^-T x, for L and d from _factor
-    and B as D B D in band storage. factored names A in a SolverError.
+    """The k largest mu of alpha B v = mu A v, descending, with their
+    vectors, which are normalized to v^T A v = 1: the eigenpairs (mu, x) of
+    C = L^-1 D (alpha B) D L^-T mapped back as v = D L^-T x, for L and d
+    from _factor and B in lower band storage. factored names A in a
+    SolverError.
 
-    C is congruent to B, so it has a positive eigenvalue only if B has one
-    (Sylvester's law of inertia). Where B has none, being zero or negative
-    semidefinite to roundoff (the flipped buckling pencil under tension),
-    its k largest mu are a multiple eigenvalue 0, which Lanczos cannot
-    converge; they are returned as 0 without it.
+    C is congruent to alpha B, so it has a positive eigenvalue only if alpha
+    B has one (Sylvester's law of inertia). Where it has none, being zero or
+    negative semidefinite to roundoff (the flipped buckling pencil under
+    tension), its k largest mu are a multiple eigenvalue 0, which Lanczos
+    cannot converge; they are returned as 0 without it.
     """
     n, kd = d.size, B.shape[0] - 1
     k = min(k, n)
     if k < 1:
         raise SolverError("need at least one requested mode")
-    if not B.any() or (not np.any(B[0] > 0.0) and _negative_semidefinite(B)):
+    if not B.any() or (not np.any(alpha * B[0] > 0.0) and _negative_semidefinite(B, d, alpha)):
         return np.zeros(k), np.zeros((n, k))
 
     def apply(x):
-        y = lapack.dtbtrs(L, x, uplo="L", trans="T")[0]
-        return lapack.dtbtrs(L, blas.dsbmv(kd, 1.0, B, y, lower=1), uplo="L")[0]
+        y = blas.dtbsv(kd, L, np.ravel(x), lower=1, trans=1)
+        y *= d
+        y = blas.dsbmv(kd, alpha, B, y, lower=1)
+        y *= d
+        return blas.dtbsv(kd, L, y, lower=1, overwrite_x=1)
 
     C = LinearOperator((n, n), matvec=apply, dtype=float)
     operator = f"L^-1 B L^-T with L L^T = {factored}"
@@ -273,8 +391,8 @@ def solve_vibration(system: GlobalSystem, k: int) -> EigenResult:
     ratio = K[0] / M[0]
     sigma = 1e-9 * np.median(ratio)
     factored = f"K + sigma M (sigma = {sigma:.3e})"
-    L, d, DMD = _factor(K, factored, M, sigma)
-    mu, vectors = _largest_pairs(L, d, DMD, k, factored)
+    L, d = _factor(K, factored, M, sigma)
+    mu, vectors = _largest_pairs(L, d, M, 1.0, k, factored)
     if mu[-1] <= 0.0:
         raise MassMatrixError(f"mass matrix has fewer than {mu.size} positive modes")
     values = 1.0 / mu - sigma
@@ -304,8 +422,8 @@ def solve_buckling(system: GlobalSystem, k: int) -> EigenResult:
     if system.mechanism:
         raise SolverError(system.mechanism)
     K, Kg = _matrix(system, "K"), _matrix(system, "Kg")
-    L, d, DGD = _factor(K, "stiffness matrix", Kg)
-    theta, vectors = _largest_pairs(L, d, -DGD, k, "stiffness matrix")
+    L, d = _factor(K, "stiffness matrix")
+    theta, vectors = _largest_pairs(L, d, Kg, -1.0, k, "stiffness matrix")
     scale = max(np.max(np.abs(Kg[0]) / K[0]), np.abs(theta).max())
     take = np.flatnonzero(theta > _POSITIVE_CUTOFF * scale)
     if not take.size:

@@ -302,16 +302,26 @@ def test_factored_gram_and_load_vector_match_the_element_sums(monkeypatch, name)
         assert np.abs(F - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
-def test_disk_nets_take_the_element_path(monkeypatch):
+def test_disk_nets_take_the_orbit_path(monkeypatch):
     def factored(*args):
         raise AssertionError("a disk took the factored path")
 
+    calls = []
+    orbit = nurbs._orbit_values
+
+    def counted(*args):
+        calls.append(args[0])
+        return orbit(*args)
+
     monkeypatch.setattr(nurbs, "_tensor_tables", factored)
+    monkeypatch.setattr(nurbs, "_orbit_values", counted)
     for make in (fg.make_disk_patch, fg.make_mapped_disk_patch):
         patch = make(0.5, 3, 3)
         assert nurbs._tensor_net(patch) is None
         nurbs._GlobalGram(patch)
         nurbs._assemble_load(patch, UniformLoad(1.0))
+        assert len(calls) == 1 and calls[0] is patch
+        calls.clear()
 
 
 DISK_NETS = {"rational": fg.make_disk_patch, "mapped": fg.make_mapped_disk_patch}

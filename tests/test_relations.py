@@ -37,6 +37,18 @@ to 0.2. The centre station lies on a knot where the space is only C1 on
 an even number of quadratic elements, so those static draws compare w_bar
 only, as the mirror does on the squares. No pair has a free-free corner,
 where the rational net's static solves stall (see test_solvers).
+
+Two relations change the model, not the description, where theory says
+the answer must not change:
+
+- at n = 0 the plate is one phase, so Mori-Tanaka and the rule of
+  mixtures give the same properties: drawn like the rectangles, the two
+  schemes agree within the same 1e-10 (12 draws, worst 4.8e-14; one
+  draw fails on both);
+- at a/h = 1e4 a simply supported square is a Kirchhoff plate, where the
+  six shear models differ only at order (h/a)^2 = 1e-8: uniformly or
+  sinusoidally loaded and vibrating squares agree within 1e-7 (12 draws,
+  worst 4.7e-9).
 """
 import math
 import random
@@ -177,6 +189,58 @@ def test_disk_mirror_relations(bcs, mirrored_bcs, net, analysis):
     found = breach(f"{bcs} against {mirrored_bcs} on the {net} net", solve(base),
                    solve(dict(base, edge_bcs=mirrored_bcs)), w_only=one_sided)
     assert found is None, found
+
+
+def draw_variant(seed, analysis):
+    """A square drawn like the rectangles, with the given analysis."""
+    rng = random.Random(f"variant-{seed}")
+    degree = rng.randint(2, 4)
+    doc = {
+        "analysis": {"type": analysis},
+        "geometry": {"type": "square", "a": rng.uniform(0.5, 2.0), "b": rng.uniform(0.5, 2.0)},
+        "thickness_ratio": 10.0 ** rng.uniform(math.log10(3.0), 3.0),
+        "degree": degree,
+        "elements": rng.randint(2, 5),
+        "material": {"ceramic": rng.choice(("Al2O3", "ZrO2-1", "ZrO2-2")), "metal": "Al",
+                     "profile": rng.choice(("ceramic_power", "metal_power")),
+                     "power_index": rng.choice((0.5, 2.0, 10.0))},
+        "shear_model": rng.choice(SHEAR_MODELS),
+        "edge_bcs": "".join(rng.choice("SCF") for _ in range(4)),
+    }
+    if analysis == "static":
+        doc["load"] = {"type": rng.choice(("sinusoidal", "uniform")), "q0": 1.0}
+    else:
+        doc["analysis"]["modes"] = rng.randint(1, 4)
+    if analysis == "buckle":
+        doc["prestress"] = rng.choice(PRESTRESS)
+    return doc
+
+
+SHEAR_MODELS = ("cubic", "exponential", "sinusoidal", "quintic", "atan", "atan_sin")
+VARIANT_SEEDS = range(12)
+THIN_RTOL = 1e-7
+
+
+@pytest.mark.parametrize("seed", VARIANT_SEEDS)
+def test_one_phase_plate_is_the_same_under_both_schemes(seed):
+    doc = draw_variant(seed, ("static", "vibrate", "buckle")[seed % 3])
+    doc["material"]["power_index"] = 0.0
+    schemes = [solve(dict(doc, material=dict(doc["material"], scheme=scheme)))
+               for scheme in ("rule_of_mixture", "mori_tanaka")]
+    found = breach("Mori-Tanaka against the rule of mixtures at n = 0", *schemes)
+    assert found is None, found
+
+
+@pytest.mark.parametrize("seed", VARIANT_SEEDS)
+def test_shear_models_agree_on_a_thin_simply_supported_square(seed):
+    doc = draw_variant(seed, ("static", "vibrate")[seed % 2])
+    doc.update(thickness_ratio=1e4, edge_bcs="SSSS")
+    doc["geometry"]["b"] = doc["geometry"]["a"]
+    base, *others = [solve(dict(doc, shear_model=model)) for model in SHEAR_MODELS]
+    for model, other in zip(SHEAR_MODELS[1:], others):
+        assert len(other) == len(base), model
+        worst = max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(base, other))
+        assert worst <= THIN_RTOL, f"{SHEAR_MODELS[0]} against {model}: relative gap {worst:.2e}"
 
 
 def test_the_draws_reach_every_analysis_and_repeated_knots():

@@ -1,10 +1,12 @@
 """Solver tests: trivial systems, residual bounds, degenerate-pair handling,
 cross-checks of the discretization against independent trigonometric-series
 solutions, spectral monotonicity properties, systems left unchanged by a
-solve, top-k buckling against the full spectrum, and the banded Lanczos
-eigensolver against a dense subset eigh on the same matrices."""
+solve, top-k buckling against the full spectrum, the banded Lanczos
+eigensolver against a dense subset eigh on the same matrices, and the
+static residual's certificate and split against exact rational residuals."""
 import logging
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -346,6 +348,27 @@ def test_solve_leaves_the_system_unchanged_and_repeats_bitwise(analysis):
         assert np.array_equal(first.vectors, second.vectors)
 
 
+@pytest.mark.parametrize("analysis", SOLVES)
+def test_bands_are_read_only(analysis):
+    want, solve = SOLVES[analysis]
+    spec = fg.FGMSpec(ceramic=AL2O3, metal=AL, n=1.0)
+    _, system = build_case(spec, fg.ShearModel.ATAN, (BC.CLAMPED,) * 4, nel=3,
+                           load=SinusoidalLoad(1.0, 1.0, 1.0), prestress=-np.eye(2), want=want)
+    first, second = solve(system), solve(system)
+    if analysis == "static":
+        assert np.array_equal(first, second)
+    else:
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.vectors, second.vectors)
+    with pytest.raises(ValueError, match="read-only"):
+        system.K[0, 0] = 0.0
+    # a band built by hand is taken as a read-only Fortran-ordered view;
+    # the caller's array keeps its own flags
+    K = lower_band(np.eye(3))
+    system = GlobalSystem(n_dofs=3, K=K)
+    assert K.flags.writeable and not system.K.flags.writeable and system.K.flags.f_contiguous
+
+
 PRESTRESSES = {
     "compressive": [[-1.0, 0.0], [0.0, -1.0]],
     "tensile": [[1.0, 0.0], [0.0, 0.5]],
@@ -595,28 +618,62 @@ def test_band_systems_built_by_hand_match_dense_solves(kd):
         assert_allclose(aligned(got.vectors, unit), unit, atol=1e-9)
 
 
-def test_band_product_in_long_double_matches_the_dense_one(static_case):
-    # the static refinement's residual: the band product against the dense
-    # long-double product of the same K, at the solution and a random vector
-    _, system = static_case
-    K_ld = system.K.astype(np.longdouble)
-    dense_ld = system.reduce(system.K).astype(np.longdouble)
-    x = fg.solve_static(system)[system.free_dofs]
-    for x in (x, np.random.default_rng(5).standard_normal(x.size)):
-        x_ld = x.astype(np.longdouble)
-        got, expected = solvers._band_product(K_ld, x_ld), dense_ld @ x_ld
-        assert got.dtype == np.longdouble
-        error = np.linalg.norm((got - expected).astype(float))
-        assert error <= 1e-17 * np.linalg.norm(expected.astype(float))
+def exact_residual(K, F, x):
+    """F - K x in rational arithmetic for a dense K, rounded to float64."""
+    n = len(F)
+    return np.array([float(Fraction(F[i]) - sum(Fraction(K[i, j]) * Fraction(x[j])
+                                                 for j in range(n) if K[i, j]))
+                     for i in range(n)])
 
 
-def test_long_double_is_wider_than_float64():
-    # solve_static's iterative refinement evaluates its residuals in
-    # np.longdouble; where that is float64 the residual floors out above the
-    # 1e-10 contract on scale-mixed thin plates
-    assert np.finfo(np.longdouble).eps < 2.0 ** -60, (
-        "np.longdouble is no wider than float64 here, so solve_static's iterative "
-        "refinement loses its extended-precision residual")
+def scale_mixed_systems(count, n=24, kd=3):
+    """Random banded SPD systems D A D with D spread over six decades and A
+    from well conditioned to near singular, and their float64 Cholesky
+    solutions."""
+    rng = np.random.default_rng(11)
+    for draw in range(count):
+        A = banded_spd(rng, n, kd, 0.0)
+        A += (10.0 ** -(draw % 13) - np.linalg.eigvalsh(A)[0]) * np.eye(n)
+        D = np.diag(10.0 ** rng.uniform(-3.0, 3.0, n))
+        K, F = np.tril(D @ A @ D), rng.standard_normal(n)
+        K += np.tril(K, -1).T
+        yield K, F, sla.solveh_banded(lower_band(K, kd), F, lower=True)
+
+
+def test_certified_bound_holds_and_split_residual_is_exact_to_its_last_bits():
+    # the certificate bounds the exact residual of a float64 solution, and
+    # the split residual agrees with it to 1e-3 of its size, at any
+    # conditioning and scale spread
+    accepted = 0
+    for K, F, x in scale_mixed_systems(39):
+        kd = 3
+        exact = np.linalg.norm(exact_residual(K, F, x))
+        bound = solvers._certified_bound(lower_band(K, kd), F, x)
+        assert exact <= bound
+        accepted += bound <= 1e-10 * np.linalg.norm(F)
+        split = solvers._split_residual(lower_band(K, kd), F)(x)
+        assert np.linalg.norm(split - exact_residual(K, F, x)) <= 1e-3 * exact
+    assert 0 < accepted < 39
+
+
+def test_static_answers_meet_the_contract_in_exact_arithmetic(monkeypatch):
+    # whichever residual certified it, a returned answer's exact residual
+    # meets 1e-10; the others raise as stalled. 7 of the 26 draws solve: 3
+    # by the float64 certificate and 4 by the split residual, 2 of those
+    # only after steps to a float64 neighbour of the refined iterate
+    steps = []
+    unit_step = solvers._unit_step
+    monkeypatch.setattr(solvers, "_unit_step", lambda *args: steps.append(1) or unit_step(*args))
+    solved = 0
+    for K, F, _ in scale_mixed_systems(26):
+        try:
+            q = fg.solve_static(tiny_system(K, F=F, kd=3))
+        except SolverError as exc:
+            assert "static solve stalled" in str(exc)
+            continue
+        solved += 1
+        assert np.linalg.norm(exact_residual(K, F, q)) <= 1e-10 * np.linalg.norm(F)
+    assert solved == 7 and steps
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +682,13 @@ def test_long_double_is_wider_than_float64():
 # ---------------------------------------------------------------------------
 
 def test_factor_returns_fortran_ordered_bands():
+    # the system's bands are Fortran-ordered as assembled; the factor is the
+    # one new band a solve makes, built and factored in that order
     _, system = preset_system("vib-atan-n1-r5", ("K", "M"))
-    assert system.K.flags.c_contiguous
-    L, _, DMD = solvers._factor(system.K, "A", system.M, 1.0)
-    assert L.flags.f_contiguous and DMD.flags.f_contiguous
-    L, _, none = solvers._factor(system.K, "K")
-    assert L.flags.f_contiguous and none is None
+    assert system.K.flags.f_contiguous and system.M.flags.f_contiguous
+    for L, _ in (solvers._factor(system.K, "A", system.M, 1.0), solvers._factor(system.K, "K")):
+        assert L.flags.f_contiguous and L.shape == system.K.shape
+        assert not np.shares_memory(L, system.K) and not np.shares_memory(L, system.M)
 
 
 def test_lanczos_products_read_a_fortran_ordered_band(monkeypatch):

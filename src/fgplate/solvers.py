@@ -11,8 +11,7 @@ Every analysis factorizes one Jacobi-equilibrated matrix A in that storage
 with xPBTRF, D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M
 or Kg is made.
 
-- static: A = K, solved with xPBTRS; the answer is certified or refined as
-  described below;
+- static: A = K, solved with xPBTRS and refined as described below;
 - vibration and buckling: one flipped pencil, B v = mu (K + sigma B) v, of
   which only the k largest mu are computed. A = K + sigma B: vibration
   takes B = M and a small shift sigma (lambda = 1/mu - sigma), buckling B =
@@ -39,23 +38,32 @@ buckling solve allocates, and D B D is never formed. At 624 free DOFs (kd =
 copy D B D (84 us), and a factorization of K + sigma M 1.2 ms (least of 300
 products and 50 factorizations, 1 BLAS thread, 2-vCPU VM).
 
-A static solve returns its first iterate x when the float64 certificate
-||r|| + gamma_m |||F| + |K| |x||| <= 1e-10 ||F|| holds (see solve_static),
-two xSBMV products, one of them with a temporary |K|. Where it fails, the
-residual comes from the error-free split of Ozaki, Ogita, Oishi and Rump
-(_split_residual): three xSBMV products over the two parts of the
-power-of-two-equilibrated P K P, the two other bands such a solve makes. On
-scale-mixed test systems it agrees with the exact rational residual within
-1.1e-6 of the residual's size; the long-double product it replaced agreed
-within 6e-4 to 1.8e-3 on an 82-DOF CFFC disk. An accurate residual drives
-the refinement to the float64 vector nearest the solution, and that vector
-can miss the contract: on that disk its residual is 1.5e-10 of ||F||. A
-stalled sweep therefore moves one entry of the best iterate to the float64
-neighbour that lowers the residual most (_unit_step), which takes the disk
-to 9.7e-11. On table-11's uniformly loaded squares the certificate holds
-for SSSS with atan and for CCCC with either shear model; SSSS with atan_sin
-refines. A case there, assembly included, takes 4.6-6.2 ms against 6.4-10.4
-ms with the long-double residual (1 BLAS thread, 2-vCPU VM).
+A static solve refines its first iterate with residuals from the
+error-free split of Ozaki, Ogita, Oishi and Rump (_split_residual): three
+xSBMV products over the two parts of the power-of-two-equilibrated P K P,
+the two other bands such a solve makes. On scale-mixed test systems the
+split agrees with the exact rational residual within 1.1e-6 of the
+residual's size; the long-double product it replaced agreed within 6e-4 to
+1.8e-3 on an 82-DOF CFFC disk. The answer is always a corrected iterate.
+The first iterate carries the roundoff of the factor, which xPBTRF rounds
+differently at different BLAS thread counts; one correction from an
+accurate residual brings it within about an ulp of the solution whatever
+the factor's last bits. So a float64 certificate (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12) that
+accepted the first iterate would save the split on well-conditioned
+systems, but would make the answer depend on the thread count. A table-11
+bending case, assembly included, takes 4.7-6.4 ms against 6.1-15.4 ms with
+the long-double residual, and about 0.9 ms more than with that certificate
+where it holds (medians per case on four seeds' op lists, 1 BLAS thread,
+2-vCPU VM).
+
+An accurate residual drives the refinement to the float64 vector nearest
+the solution, and that vector can miss the contract: on that disk its
+residual is 1.5e-10 of ||F||. A stalled sweep above the contract therefore
+moves one entry of the best iterate to the float64 neighbour that lowers
+the residual most (_unit_step). Such moves share the sweep budget with the
+corrections, so whether a stall raises depends on that budget; that disk
+solves at 1.5e-12 after 4 sweeps.
 
 The solves run in scipy's LAPACK on its bundled OpenBLAS, which is
 multi-threaded: it uses up to one thread per core unless OPENBLAS_NUM_THREADS
@@ -119,8 +127,11 @@ def _matrix(system: GlobalSystem, name: str) -> np.ndarray:
 def _scale(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
     """D A D in place, for a symmetric A in lower band storage ab and D =
     diag(d): ab[k, j] becomes ab[k, j] d_(j+k) d_j. Returns ab."""
-    ab *= sliding_window_view(np.concatenate([d, np.zeros(ab.shape[0] - 1)]), d.size)
-    ab *= d
+    # through ab.T, whose rows are ab's contiguous columns: 2.7x faster than
+    # the same products over ab's rows on a Fortran-ordered ab
+    rows = ab.T
+    rows *= sliding_window_view(np.concatenate([d, np.zeros(ab.shape[0] - 1)]), ab.shape[0])
+    rows *= d[:, None]
     return ab
 
 
@@ -148,24 +159,6 @@ def _factor(K: np.ndarray, factored: str, B: Optional[np.ndarray] = None,
         raise SolverError(f"{factored} is not positive definite on the free DOFs: the "
                           f"banded Cholesky fails at pivot {info} of {diag.size}")
     return L, d
-
-
-def _abs_product(K: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|K| |x| for a symmetric K in lower band storage, by xSBMV."""
-    return blas.dsbmv(K.shape[0] - 1, 1.0, np.abs(K), np.abs(x), lower=1)
-
-
-def _certified_bound(K: np.ndarray, F: np.ndarray, x: np.ndarray) -> float:
-    """||r|| + gamma_m |||F| + |K| |x|||, with r = F - K x in float64 by
-    xSBMV, m = 2 kd + 2 and gamma_m = m u / (1 - m u), u = 2^-53: a bound on
-    the exact ||F - K x|| for a symmetric K in lower band storage (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
-    section 3.1)."""
-    kd = K.shape[0] - 1
-    m = 2 * kd + 2
-    residual = blas.dsbmv(kd, -1.0, K, x, beta=1.0, y=F, lower=1)
-    return float(np.linalg.norm(residual) + m * _EPS / (1.0 - m * _EPS)
-                 * np.linalg.norm(_abs_product(K, x) + np.abs(F)))
 
 
 def _high_part(v: np.ndarray, bits: int) -> np.ndarray:
@@ -213,13 +206,13 @@ def _split_residual(K: np.ndarray, F: np.ndarray):
     return residual
 
 
-def _unit_step(K: np.ndarray, x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+def _unit_step(K: np.ndarray, squares: np.ndarray, x: np.ndarray,
+               residual: np.ndarray) -> np.ndarray:
     """x with the one entry moved to its float64 neighbour that lowers
-    ||F - K x|| the most, for residual = F - K x: moving x_j by t changes
-    ||r||^2 by t^2 ||K e_j||^2 - 2 t (K r)_j. x itself where no such move
-    lowers it."""
+    ||F - K x|| the most, for residual = F - K x and squares_j = ||K e_j||^2:
+    moving x_j by t changes ||r||^2 by t^2 squares_j - 2 t (K r)_j. x itself
+    where no such move lowers it."""
     kd = K.shape[0] - 1
-    squares = blas.dsbmv(kd, 1.0, np.square(K), np.ones(x.size), lower=1)
     gradient = blas.dsbmv(kd, 1.0, K, residual, lower=1)
     steps = np.stack([np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]) - x
     gain = steps * (2.0 * gradient - steps * squares)
@@ -234,26 +227,24 @@ def _unit_step(K: np.ndarray, x: np.ndarray, residual: np.ndarray) -> np.ndarray
 def solve_static(system: GlobalSystem) -> np.ndarray:
     """Solve K q = F on the free DOFs and expand with zeros on the fixed ones.
 
-    Uses the banded Cholesky factorization of the Jacobi-equilibrated K; the
+    Uses the banded Cholesky factorization of the Jacobi-equilibrated K
+    with iterative refinement on split residuals (_split_residual); the
     relative residual is driven below 1e-10 or a SolverError is raised. The
-    first iterate x is returned when the float64 certificate
-    ||r|| + gamma_m |||F| + |K| |x||| <= 1e-10 ||F|| holds, with r the
-    float64 residual, m = 2 kd + 2 and gamma_m = m u / (1 - m u), u = 2^-53:
-    it bounds the exact residual (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., SIAM 2002, section 3.1). Otherwise x is
-    refined with split residuals (_split_residual) until the relative
-    residual reaches 1e-13, or until a sweep fails to halve the residual
-    once the best residual meets 1e-10, and the best iterate is returned;
-    the sweep count, the residual and what certified it are logged.
+    first iterate is always corrected at least once, so that the answer
+    does not carry the factor's roundoff. Refinement then stops at a
+    relative residual of 1e-13, or at a sweep that fails to halve the
+    residual once the best corrected iterate meets 1e-10, and returns that
+    iterate; the sweep count and the residual are logged.
 
-    A sweep that fails to halve the residual has reached the float64
-    vector nearest the solution, whose residual can lie above 1e-10 (1.5e-10
-    on an 82-DOF CFFC disk), so a stall above the contract does not stop the
+    A sweep that fails to halve the residual has reached the float64 vector
+    nearest the solution, whose residual can lie above 1e-10 (1.5e-10 on an
+    82-DOF CFFC disk), so a stall above the contract does not stop the
     sweeps: the next one moves one entry of the best iterate to the float64
-    neighbour that lowers the residual most (_unit_step), which takes that
-    disk to 9.7e-11. A stall's error also gives the float64 floor eps |||K|
-    |x||| / ||F|| (eps = 2^-53, x the best iterate), a bound on the residual
-    that rounding x to float64 can leave.
+    neighbour that lowers the residual most (_unit_step). Such moves count
+    against the same budget of _REFINEMENT_SWEEPS sweeps as the
+    corrections. A stall's error also gives the float64 floor
+    eps |||K| |x||| / ||F|| (eps = 2^-53, x the best iterate), a bound on
+    the residual that rounding x to float64 can leave.
     """
     if system.mechanism:
         raise SolverError(system.mechanism)
@@ -273,36 +264,35 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     if fnorm == 0.0:
         return system.expand(np.zeros_like(y))
 
-    x = y * d
-    bound = _certified_bound(K, F, x)
-    if bound <= 1e-10 * fnorm:
-        _log.debug("static solve: %d refinement sweeps, relative residual %.3e by the "
-                   "float64 certificate", 0, bound / fnorm)
-        return system.expand(x)
-
     # the float64 residual floors out above the contract tolerance for
     # badly scale-mixed thin-plate systems
     split = _split_residual(K, F)
+    x, squares = y * d, None
     best_x, best_res = x, np.inf
     for sweeps in range(_REFINEMENT_SWEEPS + 1):
         residual = split(x)
         res = float(np.linalg.norm(residual))
         # a stalled sweep leaves the residual at the float64 solve's floor
         stalled = res > 0.5 * best_res
-        if res < best_res:
+        # the first iterate carries the factor's roundoff, which differs
+        # with the BLAS thread count; a corrected iterate does not
+        if sweeps and res < best_res:
             best_x, best_res, best_residual = x, res, residual
-        if ((stalled and best_res <= 1e-10 * fnorm) or res <= 1e-13 * fnorm
+        if ((stalled and best_res <= 1e-10 * fnorm) or (sweeps and res <= 1e-13 * fnorm)
                 or sweeps == _REFINEMENT_SWEEPS):
             break
         if stalled:
             # the correction is below the float64 grid of x
-            x = _unit_step(K, best_x, best_residual)
+            if squares is None:
+                squares = blas.dsbmv(K.shape[0] - 1, 1.0, np.square(K), np.ones(x.size), lower=1)
+            x = _unit_step(K, squares, best_x, best_residual)
         else:
             x = x + solve(residual * d) * d
-    _log.debug("static solve: %d refinement sweeps, relative residual %.3e by the "
-               "split residual", sweeps, best_res / fnorm)
+    _log.debug("static solve: %d refinement sweeps, relative residual %.3e",
+               sweeps, best_res / fnorm)
     if best_res > 1e-10 * fnorm:
-        floor = _EPS * np.linalg.norm(_abs_product(K, best_x)) / fnorm
+        floor = _EPS * np.linalg.norm(
+            blas.dsbmv(K.shape[0] - 1, 1.0, np.abs(K), np.abs(best_x), lower=1)) / fnorm
         raise SolverError(f"static solve stalled at relative residual {best_res / fnorm:.3e}; "
                           f"the float64 floor eps |||K| |x||| / ||F|| is {floor:.3e}")
     return system.expand(best_x)

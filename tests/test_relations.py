@@ -237,6 +237,8 @@ def test_shear_models_agree_on_a_thin_simply_supported_square(seed):
     doc.update(thickness_ratio=1e4, edge_bcs="SSSS")
     doc["geometry"]["b"] = doc["geometry"]["a"]
     base, *others = [solve(dict(doc, shear_model=model)) for model in SHEAR_MODELS]
+    failed = [model for model, values in zip(SHEAR_MODELS, [base, *others]) if values == "exit 3"]
+    assert not failed, f"the solve fails under {failed}"
     for model, other in zip(SHEAR_MODELS[1:], others):
         assert len(other) == len(base), model
         worst = max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(base, other))

@@ -348,11 +348,12 @@ def _band_map(model: PlateModel, fixed: np.ndarray) -> tuple[int, int, np.ndarra
         nf = int(np.count_nonzero(free))
         position = np.full(model.n_dofs, -1)
         position[free] = np.arange(nf)
-        rows = np.repeat(position[4 * gram.first[:, None] + np.arange(4)], 4, axis=1).ravel()
-        cols = np.tile(position[4 * gram.second[:, None] + np.arange(4)], (1, 4)).ravel()
+        # (pairs, 4, 4) broadcasts of the rows' and the columns' positions
+        rows = position[4 * gram.first[:, None] + np.arange(4)][:, :, None]
+        cols = position[4 * gram.second[:, None] + np.arange(4)][:, None, :]
         low, offsets = np.minimum(rows, cols), np.abs(rows - cols)
         kd = int(offsets[low >= 0].max(initial=0))
-        slots = np.where(low >= 0, low * (kd + 1) + offsets, (kd + 1) * nf)
+        slots = np.where(low >= 0, low * (kd + 1) + offsets, (kd + 1) * nf).ravel()
         slots.flags.writeable = False
         gram.band_maps[key] = kd, nf, slots
     return gram.band_maps[key]

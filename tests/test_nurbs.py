@@ -3,8 +3,9 @@ reproduction, physical derivatives against finite differences, the grid basis
 against one-point calls, the exact circular boundary of the disk patch,
 refinement invariance, C1 continuity, the inverse map at random stations
 on both disk nets and at a NaN station, its round trip to roundoff near the
-rational disk's corners, its evaluation count, and the stacked u and v
-tables against separate ones."""
+rational disk's corners, its evaluation count, the homogeneous map that it
+inverts against the rational basis, and the stacked u and v tables against
+separate ones."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +14,8 @@ import fgplate as fg
 from fgplate.bspline import basis_derivs, basis_tables, open_uniform_knots
 from fgplate.errors import RefinementError, SingularMappingError
 from fgplate.nurbs import (
+    _map,
+    _rational,
     _tables,
     evaluate_point,
     grid_basis,
@@ -344,6 +347,36 @@ def test_locate_point_round_trips_to_roundoff(net):
     for x, y in stations:
         u, v = locate_point(patch, x, y)
         assert np.hypot(*(evaluate_point(patch, u, v) - (x, y))) <= bound
+
+
+@pytest.mark.parametrize("net", ["square", "rational", "mapped"])
+def test_homogeneous_map_matches_the_rational_basis(net):
+    # 400 stations over the net and 100 within about 1e-3 of its corners
+    if net == "square":
+        patch = fg.make_square_patch(2.0, 1.5, 3, 11)
+        rng = np.random.default_rng(5)
+        corners = np.repeat([[0.0, 0.0], [2.0, 0.0], [0.0, 1.5], [2.0, 1.5]], 25, axis=0)
+        stations = np.concatenate([rng.random((400, 2)) * (2.0, 1.5),
+                                   np.abs(corners - rng.uniform(0.0, 1e-3, corners.shape))])
+    elif net == "rational":
+        patch = fg.make_disk_patch(0.5, 3, 11)
+        stations = disk_stations(0.5, 400, 5, rim=0.999, corner_points=25)
+    else:
+        patch = fg.make_mapped_disk_patch(0.5, 3, 11)
+        stations = disk_stations(0.5, 400, 6, rim=0.99, corner_points=25)
+    size = np.abs(patch.net.points).max()
+    points = patch.net.points.reshape(-1, 2, order="F")
+    for x, y in stations:
+        u, v = locate_point(patch, x, y)
+        (point,), (jac,) = _map(patch, u, v)
+        tables = _tables(patch, u, v, 1)
+        (active,), _, (dR,), _ = _rational(patch, *tables)
+        assert np.abs(point - grid_basis(patch, *tables).point[0]).max() <= 1e-14 * size
+        # each Jacobian entry sums 16 terms, whose magnitudes add up to 66
+        # times the net's size at the edges of these 11-element nets; on the
+        # square both miss the exact affine Jacobian by up to 1.4e-14 of it
+        terms = np.abs(dR).sum(axis=0)[:, None] * size
+        assert (np.abs(jac - dR.T @ points[active]) <= 1e-14 * terms).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

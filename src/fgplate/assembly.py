@@ -11,8 +11,10 @@ the basis over the patch and a small per-case contraction:
 - G[(A, B), (c, d)] is the global Gram of the patch over the coupled
   control-point pairs A <= B and the pairs (c, d) of six basis channels,
   which the patch builds once (Patch.gram), as it does the load vector of
-  each load (Patch.load_vector); on a square both factor into 1-D Gauss
-  sums (sum factorization; see nurbs);
+  each load over the control points (Patch.load_vector); on a square both
+  factor into 1-D Gauss sums (sum factorization; see nurbs). Neither knows
+  the four DOFs of a point: the contraction below places G's pairs, and
+  assemble writes the load vector into the wb and ws slots;
 - C = L^T D L is a 36 x 16 table C[(c, d), (i, j)] per matrix and case, with
   D the section's bending and shear blocks (K), its inertia block (M) or N0
   (Kg), and L the kinematic table: strain_operators evaluated on a unit
@@ -301,8 +303,9 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
     edge conditions (see edge_constraints), and the load vector.
 
     K, M and Kg are contractions of the patch's Gram (Patch.gram) with the
-    section, and F is the patch's load vector of the model's load
-    (Patch.load_vector). The patch builds each once, on first use, so a
+    section. F places the patch's load vector of the model's load
+    (Patch.load_vector), one entry per control point, in the wb and ws
+    slots of each point. The patch builds each once, on first use, so a
     request without a matrix or without F leaves that pass unbuilt.
     """
     want = set(want)
@@ -316,7 +319,11 @@ def assemble(model: PlateModel, want=("K", "F")) -> GlobalSystem:
 
     fixed, mechanism = edge_constraints(model, inertia="M" in want)
     matrices = _assemble_matrices(model, want, fixed) if want - {"F"} else {}
-    F = model.patch.load_vector(model.load) if "F" in want else None
+    F = None
+    if "F" in want:
+        # the pressure acts on w = wb + ws
+        F = np.zeros(model.n_dofs)
+        F[2::4] = F[3::4] = model.patch.load_vector(model.load)
     return GlobalSystem(n_dofs=model.n_dofs, fixed_dofs=fixed, mechanism=mechanism, F=F,
                         **matrices)
 

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BC, PlateModel, assemble
-from .errors import ConfigurationError, MassMatrixError, SpectrumError
+from .assembly import BC, GlobalSystem, PlateModel, assemble
+from .errors import ConfigurationError, MassMatrixError, SolverError
 from .config import _SWEPT, CaseConfig
 from .nurbs import BasisLocal, Patch
 from .postprocess import (
@@ -68,23 +68,29 @@ def run_case(config: CaseConfig, *, patch: Optional[Patch] = None) -> CaseResult
                                   "mode wb = -ws = const has neither inertia nor strain energy")
         system = assemble(model, want=("K", "M"))
         eigen = solve_vibration(system, config.modes)
-        report = nondimensionalize(config.report, model, span=config.span,
+        report = nondimensionalize(config.report, model, span=config.a,
                                    omegas=eigen.frequencies())
     else:
-        system = assemble(model, want=("K", "Kg"))
-        if not np.any(system.free_dofs % 4 >= 2):
-            raise SpectrumError("no buckling mode: no free deflection DOF (wb, ws) remains "
-                                "after the edge constraints")
-        eigen = solve_buckling(system, config.modes)
-        report = nondimensionalize(config.report, model, span=config.span, p_crs=eigen.values)
+        eigen = solve_buckling(_deflecting(model, ("K", "Kg")), config.modes)
+        report = nondimensionalize(config.report, model, span=config.a, p_crs=eigen.values)
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
+
+
+def _deflecting(model: PlateModel, want: tuple) -> GlobalSystem:
+    """The system of a static or buckling case, which answers through the
+    deflection: one that the edge constraints leave without a free wb or ws
+    DOF raises, since it has w = 0 under any load and no buckling mode."""
+    system = assemble(model, want=want)
+    if not np.any(system.free_dofs % 4 >= 2):
+        raise SolverError("the plate cannot deflect: no free deflection DOF (wb, ws) remains "
+                          "after the edge constraints")
+    return system
 
 
 def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, BasisLocal]:
     """A static case and the basis at its station, which is located once for
     the deflection, the stress and a profile."""
-    system = assemble(model, want=("K", "F"))
-    q = solve_static(system)
+    q = solve_static(_deflecting(model, ("K", "F")))
     x, y = config.center()
     basis = _station_basis(model, x, y)
     w_center = _field(q, basis)[4]
@@ -92,7 +98,7 @@ def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, Bas
     if config.report is ReportFamily.BENDING_EC:
         h = model.section.h
         sigma = _profile(q, model, basis, (x, y), [h / 3.0]).sigma_x[0]
-    report = nondimensionalize(config.report, model, span=config.span,
+    report = nondimensionalize(config.report, model, span=config.a,
                                q0=config.q0, w_center=w_center, sigma_x=sigma)
     result = CaseResult(config=config, report=report, model=model, q=q,
                         w_center=w_center, sigma_x=sigma)

@@ -53,10 +53,13 @@ _PHASE_KEYS = ("E", "nu", "rho")
 
 @dataclass(frozen=True)
 class CaseConfig:
-    """Validated analysis case; geometry dims in meters, loads in Pa."""
+    """Validated analysis case; geometry dims in meters, loads in Pa.
+
+    parse_config builds it from the rows of _KEYS, which own every field's
+    default, so no field has one here."""
 
     geometry_type: str                 # "square" | "disk"
-    a: float                           # side length or radius
+    a: float                           # side length or radius: the reports' length
     b: float
     thickness_ratio: float             # a/h for squares, h/R for disks
     degree: int
@@ -71,26 +74,21 @@ class CaseConfig:
     analysis: str
     modes: int
     report: ReportFamily
-    load_type: Optional[str] = None    # "sinusoidal" | "uniform"
-    q0: float = 1.0
-    prestress: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
-    disk_net: str = "rational"         # "rational" | "mapped"
-    interior_multiplicity: int = 1
-    station: Optional[tuple[float, float]] = None
-    profile_samples: int = 101
-    sweep_axis: Optional[str] = None
-    sweep_values: tuple = ()
+    load_type: Optional[str]           # "sinusoidal" | "uniform"
+    q0: float
+    prestress: Optional[tuple[tuple[float, float], tuple[float, float]]]
+    disk_net: str                      # "rational" | "mapped"
+    interior_multiplicity: int
+    station: Optional[tuple[float, float]]
+    profile_samples: int
+    sweep_axis: Optional[str]
+    sweep_values: tuple
 
     @property
     def thickness(self) -> float:
         if self.geometry_type == "square":
             return self.a / self.thickness_ratio
         return self.a * self.thickness_ratio
-
-    @property
-    def span(self) -> float:
-        """Reference length for the report formulas (side length or radius)."""
-        return self.a
 
     def center(self) -> tuple[float, float]:
         if self.station is not None:

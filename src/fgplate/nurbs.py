@@ -35,9 +35,11 @@ operators split into integrals of the basis over the patch, which read no
 material, and a small per-case contraction (see assembly). A patch builds
 each integral once, on first use: Patch.gram, the global Gram of six basis
 channels (R, R_x, R_y, R_xx, R_yy, R_xy) over the coupled control-point
-pairs, and Patch.load_vector, the consistent load vector of each load. The
-cases of a sweep over n, a/h or the shear model share one patch, and with
-it the Gram and the load vector.
+pairs, and Patch.load_vector, the consistent load vector of each load, one
+entry per control point. Neither knows the plate's DOFs: assembly places
+them (assemble writes the load vector into the wb and ws slots). The cases
+of a sweep over n, a/h or the shear model share one patch, and with it the
+Gram and the load vector.
 
 Each integral picks its method from the patch itself, with no option. G
 has three:
@@ -226,11 +228,14 @@ class Patch:
         return _GlobalGram(self)
 
     def load_vector(self, load) -> np.ndarray:
-        """A fresh copy of the consistent load vector of a load, which the
-        patch builds once per load; equal loads share one vector."""
+        """The consistent load vector of a load over the control points,
+        read-only: the patch builds it once per load, equal loads share one
+        vector, and every call hands out that vector."""
         if load not in self._loads:
-            self._loads[load] = _assemble_load(self, load)
-        return self._loads[load].copy()
+            F = _assemble_load(self, load)
+            F.flags.writeable = False
+            self._loads[load] = F
+        return self._loads[load]
 
     def elements(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
         """Nonempty knot spans as ((u0, u1), (v0, v1)) rectangles."""
@@ -471,9 +476,9 @@ def make_disk_patch(radius: float, degree: int, n_elements: int) -> Patch:
     homog = elevate_bezier(homog, degree - 2)
     homog = elevate_bezier(homog.swapaxes(0, 1), degree - 2).swapaxes(0, 1)
 
-    ku = KnotVector(np.concatenate([np.zeros(degree + 1), np.ones(degree + 1)]), degree)
-    kv = KnotVector(np.concatenate([np.zeros(degree + 1), np.ones(degree + 1)]), degree)
-    patch = _patch_from_homogeneous(ku, kv, homog)
+    # one Bezier knot vector for both directions; h_refine keeps them one
+    bezier = KnotVector(np.concatenate([np.zeros(degree + 1), np.ones(degree + 1)]), degree)
+    patch = _patch_from_homogeneous(bezier, bezier, homog)
 
     interior = [k / n_elements for k in range(1, n_elements)]
     return h_refine(patch, interior, interior)
@@ -515,7 +520,9 @@ def _patch_from_homogeneous(ku: KnotVector, kv: KnotVector, homog: np.ndarray) -
 
 
 def h_refine(patch: Patch, new_knots_u, new_knots_v) -> Patch:
-    """Insert knots in both directions; the surface geometry is unchanged."""
+    """Insert knots in both directions; the surface geometry is unchanged.
+    Where both directions end with equal knot vectors, the refined patch
+    gets one vector object for both, so their pieces are built once."""
     homog = patch.net.homogeneous()
     ku, kv = patch.knot_u, patch.knot_v
 
@@ -525,6 +532,8 @@ def h_refine(patch: Patch, new_knots_u, new_knots_v) -> Patch:
     for eta in new_knots_v:
         kv, homog = insert_knot(kv, homog, eta)
     homog = homog.swapaxes(0, 1)
+    if np.array_equal(kv.values, ku.values):  # a patch has one degree
+        kv = ku
     return _patch_from_homogeneous(ku, kv, homog)
 
 
@@ -806,15 +815,13 @@ def _orbit_values(patch: Patch, images: np.ndarray, points: np.ndarray, slots: n
     row is its representative row under the channel map of its T_k (see
     _channel_maps). points and slots hold the control points of each element
     and the rows of its local pairs, as in _GlobalGram."""
-    # the representative of each pair row, and whether T_k reverses its pair
+    # the representative of each pair row over its (8, rows) image table,
+    # and whether T_k reverses its pair
     row = np.empty((patch.n_points, patch.n_points), dtype=np.int32)
     row[first, second] = np.arange(len(first))
-    k, rep = np.zeros(len(first), dtype=np.intp), np.arange(len(first))
-    for index, image in enumerate(images):
-        image_a, image_b = image[first], image[second]
-        image_row = row[np.minimum(image_a, image_b), np.maximum(image_a, image_b)]
-        better = image_row < rep
-        k[better], rep[better] = index, image_row[better]
+    image_a, image_b = images[:, first], images[:, second]
+    image_rows = row[np.minimum(image_a, image_b), np.maximum(image_a, image_b)]
+    k, rep = image_rows.argmin(axis=0), image_rows.min(axis=0)
     is_rep = rep == np.arange(len(first))
     position = np.cumsum(is_rep) - 1
     values = _representative_rows(patch, points, slots, is_rep, position)
@@ -889,22 +896,20 @@ def _tensor_values(patch: Patch, net, first: np.ndarray, second: np.ndarray) -> 
 
 
 def _assemble_load(patch: Patch, load) -> np.ndarray:
-    """Consistent load vector with a (p+3) x (q+3) Gauss rule per element:
-    on a tensor net (see _tensor_net) F = B_u^T (w_u x' * q * w_v y') B_v
-    over the tensor grid of the 1-D points, on any other patch a sum of
-    element vectors."""
-    F = np.zeros(4 * patch.n_points)
+    """The consistent load vector F_A = integral of q R_A over the patch, one
+    entry per control point, with a (p+3) x (q+3) Gauss rule per element: on
+    a tensor net (see _tensor_net) F = B_u^T (w_u x' * q * w_v y') B_v over
+    the tensor grid of the 1-D points, on any other patch a sum of element
+    vectors."""
     net = _tensor_net(patch)
     if net is not None:
         (x, Bu, wu), (y, Bv, wv) = _tensor_tables(patch, net, 3)
-        Fp = Bu[0].T @ ((wu[:, None] * load.value(x[:, None], y)) * wv) @ Bv[0]
-        F[2::4] = F[3::4] = Fp.ravel(order="F")
-        return F
+        F = Bu[0].T @ ((wu[:, None] * load.value(x[:, None], y)) * wv) @ Bv[0]
+        return F.ravel(order="F")
+    F = np.zeros(patch.n_points)
     for basis, wq in _element_rows(patch, 3, 1):
         x = basis.point
         wq = wq * load.value(x[..., 0], x[..., 1])
         for active, we, R in zip(basis.active_indices[:, 0], wq, basis.R):
-            Fe = we @ R
-            F[4 * active + 2] += Fe
-            F[4 * active + 3] += Fe
+            F[active] += we @ R
     return F

@@ -7,9 +7,11 @@ and Kg are banded: the half-bandwidth kd is 147 at 488 free DOFs and 165 at
 624, against 285 at 2,024. assemble stores each in LAPACK's lower band
 storage, ab[|i - j|, min(i, j)] in a Fortran-ordered (kd + 1) x nf array
 (see GlobalSystem), so kd is K.shape[0] - 1 and the diagonal is row 0.
-Every analysis factorizes one Jacobi-equilibrated matrix A in that storage
-with xPBTRF, D A D = L L^T with D = diag(A)^-1/2; no nf x nf copy of K, M
-or Kg is made.
+Every analysis factorizes one equilibrated matrix A in that storage with
+xPBTRF, D A D = L L^T, where D holds the powers of two that bring diag(A)
+into [0.5, 2): D A D is then exact, and the static refinement reads the same
+D A D. This is the solvers' one equilibration. No nf x nf copy of K, M or
+Kg is made.
 
 - static: A = K, solved with xPBTRS and refined as described below;
 - vibration and buckling: one flipped pencil, B v = mu (K + sigma B) v, of
@@ -38,13 +40,14 @@ buckling solve allocates, and D B D is never formed. At 624 free DOFs (kd =
 copy D B D (84 us), and a factorization of K + sigma M 1.2 ms (least of 300
 products and 50 factorizations, 1 BLAS thread, 2-vCPU VM).
 
-A static solve refines its first iterate with residuals from the
-error-free split of Ozaki, Ogita, Oishi and Rump (_split_residual): three
-xSBMV products over the two parts of the power-of-two-equilibrated P K P,
-the two other bands such a solve makes. On scale-mixed test systems the
-split agrees with the exact rational residual within 1.1e-6 of the
-residual's size; the long-double product it replaced agreed within 6e-4 to
-1.8e-3 on an 82-DOF CFFC disk. The answer is always a corrected iterate.
+A static solve refines the equilibrated unknown y = D^-1 x with residuals
+D (F - K D y) from the error-free split of Ozaki, Ogita, Oishi and Rump
+(_split_residual): three xSBMV products over the two parts of D K D, the
+two other bands such a solve makes. The split takes the factor's D and does
+no scaling of its own. On scale-mixed test systems the split agrees with
+the exact rational residual within 1.1e-6 of the residual's size; the
+long-double product it replaced agreed within 6e-4 to 1.8e-3 on an 82-DOF
+CFFC disk. The answer is always a corrected iterate.
 The first iterate carries the roundoff of the factor, which xPBTRF rounds
 differently at different BLAS thread counts; one correction from an
 accurate residual brings it within about an ulp of the solution whatever
@@ -137,18 +140,18 @@ def _scale(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _factor(K: np.ndarray, factored: str, B: Optional[np.ndarray] = None,
             sigma: float = 0.0) -> tuple:
-    """The banded Cholesky factor of the Jacobi-equilibrated A = K + sigma B,
-    for K and B in lower band storage of one width: D A D = L L^T with D =
-    diag(d) = diag(A)^-1/2. Returns (L, d). D A D is built in one new
-    Fortran-ordered array, which xPBTRF factors in place into L; K and B are
-    only read. factored names A in the SolverError raised when it is not
-    positive definite."""
+    """The banded Cholesky factor of the equilibrated A = K + sigma B, for K
+    and B in lower band storage of one width: D A D = L L^T with D = diag(d)
+    the powers of two that bring diag(A) into [0.5, 2), so that D A D is
+    exact. Returns (L, d). D A D is built in one new Fortran-ordered array,
+    which xPBTRF factors in place into L; K and B are only read. factored
+    names A in the SolverError raised when it is not positive definite."""
     diag = K[0] if B is None else K[0] + sigma * B[0]
     bad = np.flatnonzero(~(diag > 0.0))
     if bad.size:
         raise SolverError(f"{factored} is not positive definite on the free DOFs: diagonal "
                           f"pivot {bad[0] + 1} of {diag.size} is {diag[bad[0]]:.3e}")
-    d = 1.0 / np.sqrt(diag)
+    d = np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
     if sigma:
         A = np.multiply(B, sigma, order="F")
         A += K
@@ -172,36 +175,34 @@ def _high_part(v: np.ndarray, bits: int) -> np.ndarray:
     return high
 
 
-def _split_residual(K: np.ndarray, F: np.ndarray):
-    """The residual function x -> F - K x for a symmetric positive definite
-    K in lower band storage, exact but for the roundings of terms 2^-a and
-    2^-b times smaller than |K| |x|, with a, b about 21 at kd = 165 (Ozaki,
-    Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).
+def _split_residual(K: np.ndarray, F: np.ndarray, d: np.ndarray):
+    """The residual function y -> D (F - K D y) of the equilibrated system,
+    for a symmetric positive definite K in lower band storage and d from
+    _factor, exact but for the roundings of terms 2^-a and 2^-b times
+    smaller than |D K D| |y|, with a, b about 21 at kd = 165 (Ozaki, Ogita,
+    Oishi and Rump, Numer. Algorithms 59, 2012).
 
-    P K P, with P = diag(p) of powers of two that bring its diagonal into
-    [0.5, 2), is exact, and every entry of it lies below 2 in magnitude, so
-    one grid serves the whole band. It is split once into K1 + K2, K1 with a
-    binary digits on that grid, and each x / p into x1 + x2, x1 with b
-    digits on its own. With a + b + ceil(log2(2 kd + 1)) = 52, every partial
-    sum of K1 x1 lies on the product grid and below 2^53 of its steps, so
-    xSBMV computes K1 x1 exactly; K1 x2 + K2 x / p carries the rest. The
-    split makes two bands, P K P's two parts."""
+    D holds powers of two, so D K D and D F are exact, and every entry of
+    D K D lies below 2 in magnitude, so one grid serves the whole band. It is
+    split once into K1 + K2, K1 with a binary digits on that grid, and each
+    y into y1 + y2, y1 with b digits on its own. With a + b + ceil(log2(2 kd
+    + 1)) = 52, every partial sum of K1 y1 lies on the product grid and below
+    2^53 of its steps, so xSBMV computes K1 y1 exactly; K1 y2 + K2 y carries
+    the rest. The split makes two bands, D K D's two parts."""
     kd = K.shape[0] - 1
-    p = np.ldexp(1.0, -(np.frexp(K[0])[1] // 2))
-    K2 = _scale(np.array(K, order="F"), p)
+    K2 = _scale(np.array(K, order="F"), d)
     bits = 52 - (2 * kd).bit_length()
     K1 = _high_part(K2, bits // 2)
     K2 -= K1
-    Fp = F * p
+    Fd = F * d
 
-    def residual(x):
-        x = x / p
-        x1 = _high_part(x, bits - bits // 2)
-        tail = blas.dsbmv(kd, 1.0, K2, x, lower=1)
-        tail = blas.dsbmv(kd, 1.0, K1, x - x1, beta=1.0, y=tail, lower=1, overwrite_y=1)
-        r = Fp - blas.dsbmv(kd, 1.0, K1, x1, lower=1)
+    def residual(y):
+        y1 = _high_part(y, bits - bits // 2)
+        tail = blas.dsbmv(kd, 1.0, K2, y, lower=1)
+        tail = blas.dsbmv(kd, 1.0, K1, y - y1, beta=1.0, y=tail, lower=1, overwrite_y=1)
+        r = Fd - blas.dsbmv(kd, 1.0, K1, y1, lower=1)
         r -= tail
-        return r / p
+        return r
 
     return residual
 
@@ -227,9 +228,10 @@ def _unit_step(K: np.ndarray, squares: np.ndarray, x: np.ndarray,
 def solve_static(system: GlobalSystem) -> np.ndarray:
     """Solve K q = F on the free DOFs and expand with zeros on the fixed ones.
 
-    Uses the banded Cholesky factorization of the Jacobi-equilibrated K
-    with iterative refinement on split residuals (_split_residual); the
-    relative residual is driven below 1e-10 or a SolverError is raised. The
+    Uses the banded Cholesky factorization of the equilibrated D K D (see
+    _factor) and refines the equilibrated unknown y = D^-1 x on split
+    residuals of D K D and D F (_split_residual); the relative residual
+    ||F - K x|| / ||F|| is driven below 1e-10 or a SolverError is raised. The
     first iterate is always corrected at least once, so that the answer
     does not carry the factor's roundoff. Refinement then stops at a
     relative residual of 1e-13, or at a sweep that fails to halve the
@@ -253,12 +255,13 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
     if K.shape[1] == 0:
         raise SolverError("no free DOFs remain after constraints")
 
-    # symmetric Jacobi equilibration tames the membrane/bending scale spread
+    # equilibration tames the membrane/bending scale spread
     L, d = _factor(K, "reduced stiffness")
 
     def solve(rhs):
         return lapack.dpbtrs(L, rhs, lower=1)[0]
 
+    # refinement runs on the equilibrated unknown y = D^-1 x
     y = solve(F * d)
     fnorm = np.linalg.norm(F)
     if fnorm == 0.0:
@@ -266,36 +269,39 @@ def solve_static(system: GlobalSystem) -> np.ndarray:
 
     # the float64 residual floors out above the contract tolerance for
     # badly scale-mixed thin-plate systems
-    split = _split_residual(K, F)
-    x, squares = y * d, None
-    best_x, best_res = x, np.inf
+    split = _split_residual(K, F, d)
+    squares = None
+    best_y, best_res = y, np.inf
     for sweeps in range(_REFINEMENT_SWEEPS + 1):
-        residual = split(x)
+        scaled = split(y)
+        # F - K x at x = D y, exactly: d holds powers of two
+        residual = scaled / d
         res = float(np.linalg.norm(residual))
         # a stalled sweep leaves the residual at the float64 solve's floor
         stalled = res > 0.5 * best_res
         # the first iterate carries the factor's roundoff, which differs
         # with the BLAS thread count; a corrected iterate does not
         if sweeps and res < best_res:
-            best_x, best_res, best_residual = x, res, residual
+            best_y, best_res, best_residual = y, res, residual
         if ((stalled and best_res <= 1e-10 * fnorm) or (sweeps and res <= 1e-13 * fnorm)
                 or sweeps == _REFINEMENT_SWEEPS):
             break
         if stalled:
             # the correction is below the float64 grid of x
             if squares is None:
-                squares = blas.dsbmv(K.shape[0] - 1, 1.0, np.square(K), np.ones(x.size), lower=1)
-            x = _unit_step(K, squares, best_x, best_residual)
+                squares = blas.dsbmv(K.shape[0] - 1, 1.0, np.square(K), np.ones(y.size), lower=1)
+            y = _unit_step(K, squares, best_y * d, best_residual) / d
         else:
-            x = x + solve(residual * d) * d
+            y = y + solve(scaled)
     _log.debug("static solve: %d refinement sweeps, relative residual %.3e",
                sweeps, best_res / fnorm)
+    x = best_y * d
     if best_res > 1e-10 * fnorm:
         floor = _EPS * np.linalg.norm(
-            blas.dsbmv(K.shape[0] - 1, 1.0, np.abs(K), np.abs(best_x), lower=1)) / fnorm
+            blas.dsbmv(K.shape[0] - 1, 1.0, np.abs(K), np.abs(x), lower=1)) / fnorm
         raise SolverError(f"static solve stalled at relative residual {best_res / fnorm:.3e}; "
                           f"the float64 floor eps |||K| |x||| / ||F|| is {floor:.3e}")
-    return system.expand(best_x)
+    return system.expand(x)
 
 
 def _negative_semidefinite(B: np.ndarray, d: np.ndarray, alpha: float) -> bool:

@@ -262,6 +262,24 @@ def test_buckling_without_free_deflection_names_it(tmp_path, capsys):
     assert "deflection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry,degree,elements,edge_bcs", [
+    ({"type": "square", "a": 1.0}, 3, 1, "FCCC"),
+    ({"type": "disk", "radius": 0.5}, 3, 1, "CCFF"),
+    ({"type": "square", "a": 1.0}, 2, 1, "CCCC"),
+    ({"type": "square", "a": 1.0}, 2, 2, "CCCC"),
+    ({"type": "square", "a": 1.0}, 3, 1, "CCCC"),
+])
+def test_static_case_that_cannot_deflect_is_solver_error(tmp_path, capsys, geometry, degree,
+                                                          elements, edge_bcs):
+    # the clamps fix every wb and ws: these wrote w_bar = sigma_bar = 0 with exit 0
+    doc = small_static(geometry=geometry, degree=degree, elements=elements, edge_bcs=edge_bcs,
+                       load={"type": "uniform", "q0": 1.0}, report="bending_dm")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    assert "no free deflection DOF" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_station_off_disk_is_config_error(tmp_path, capsys):
     doc = small_static(geometry={"type": "disk", "radius": 0.5}, thickness_ratio=0.1,
                        load={"type": "uniform", "q0": 1.0}, report="bending_dm",

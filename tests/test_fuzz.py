@@ -9,8 +9,8 @@ About one draw in ten misspells a key or gives one that does not apply.
 Every draw goes through `fgplate run` and must keep the CLI's contract:
 
 - the exit code is 0, 2 or 3, and a failed run writes no results.csv;
-- exit 0 writes only finite numbers, frequencies >= 0 and ascending,
-  buckling factors > 0 and ascending;
+- exit 0 writes only finite numbers, a nonzero w_bar for a static case,
+  frequencies >= 0 and ascending, buckling factors > 0 and ascending;
 - exit 2 says "configuration error:", and every bad draw exits 2;
 - exit 3 says "solver error:" and names the failing quantity with one of
   the library's phrases in SOLVER_PHRASES.
@@ -135,7 +135,8 @@ def _contract_breach(code, err, out, analysis, spoiled):
     if not rows or not all(math.isfinite(v) for row in rows for v in row):
         return f"results.csv holds {lines!r}"
     if analysis == "static":
-        return None
+        # a static case that cannot deflect exits 3; one that solves deflects
+        return None if rows[0][0] != 0.0 else f"{header} reads {lines!r}"
     values = [row[1] for row in rows]
     if values != sorted(values):
         return f"{header} not ascending: {values}"

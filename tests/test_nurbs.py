@@ -246,6 +246,21 @@ def test_refine_adds_one_function_per_knot(square):
     assert refined.net.shape[1] == square.net.shape[1]
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 4])
+def test_rational_disk_has_one_knot_vector(p, n):
+    # one vector object, so the patch builds its Taylor pieces once
+    patch = fg.make_disk_patch(0.5, p, n)
+    assert patch.knot_u is patch.knot_v
+
+
+def test_refine_shares_equal_knot_vectors_only(square):
+    refined = fg.h_refine(square, [0.37], [0.37])
+    assert refined.knot_u is refined.knot_v
+    refined = fg.h_refine(square, [0.37], [0.41])
+    assert refined.knot_u is not refined.knot_v
+
+
 def test_refine_preserves_geometry_and_unity(disk):
     refined = fg.h_refine(disk, [0.21, 0.43], [0.11, 0.77])
     rng = np.random.default_rng(17)

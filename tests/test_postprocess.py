@@ -177,7 +177,7 @@ def test_static_case_locates_its_station_once(monkeypatch):
     x, y = config.center()
     w = fg.field_at(q, model, x, y)[4]
     sigma = fg.stress_profile(q, model, x, y, [h / 3.0]).sigma_x[0]
-    expected = fg.nondimensionalize(config.report, model, span=config.span, q0=config.q0,
+    expected = fg.nondimensionalize(config.report, model, span=config.a, q0=config.q0,
                                     w_center=w, sigma_x=sigma)
     assert (result.w_center, result.sigma_x) == (w, sigma)
     assert (result.report.w_bar, result.report.sigma_x_bar) == (expected.w_bar, expected.sigma_x_bar)

@@ -118,6 +118,33 @@ def test_buckling_no_spectrum():
 
 
 # ---------------------------------------------------------------------------
+# failure branches that no preset reaches, on systems built by hand
+# ---------------------------------------------------------------------------
+
+def test_vibration_rejects_an_eigenvalue_negative_beyond_roundoff():
+    # diag K = (1, -1e-12) with M = I: K + sigma M is positive definite, but
+    # lambda = -1e-12 lies below the rigid-mode floor -1e-16 max(diag K / diag M)
+    system = GlobalSystem(n_dofs=2, K=[[1.0, -1e-12]], M=[[1.0, 1.0]])
+    with pytest.raises(SolverError, match=re.escape(
+            "vibration eigenvalue lambda = -1.000e-12 is negative beyond roundoff")):
+        fg.solve_vibration(system, 1)
+
+
+def test_static_rejects_a_system_without_free_dofs():
+    system = GlobalSystem(n_dofs=4, K=np.zeros((1, 0)), F=np.ones(4), fixed_dofs=np.arange(4))
+    with pytest.raises(SolverError, match="no free DOFs remain after constraints"):
+        fg.solve_static(system)
+
+
+def test_unit_step_at_an_exact_solution_returns_x_itself():
+    # with a zero residual no float64 neighbour of any entry lowers it
+    K = lower_band(np.array([[4.0, 1.0], [1.0, 3.0]]), 1)
+    x = np.array([0.25, -0.5])
+    squares = np.array([17.0, 10.0])
+    assert solvers._unit_step(K, squares, x, np.zeros(2)) is x
+
+
+# ---------------------------------------------------------------------------
 # solution quality on real systems
 # ---------------------------------------------------------------------------
 
@@ -645,9 +672,12 @@ def scale_mixed_systems(count, n=24, kd=3):
 
 def test_split_residual_is_exact_to_its_last_bits():
     # the split residual of a float64 solution agrees with the exact one to
-    # 1e-3 of its size, at any conditioning and scale spread
+    # 1e-3 of its size, at any conditioning and scale spread; the split reads
+    # the factor's powers of two d and the equilibrated unknown y = x / d
     for K, F, x in scale_mixed_systems(39):
-        split = solvers._split_residual(lower_band(K, 3), F)(x)
+        band = lower_band(K, 3)
+        d = solvers._factor(band, "K")[1]
+        split = solvers._split_residual(band, F, d)(x / d) / d
         exact = exact_residual(K, F, x)
         assert np.linalg.norm(split - exact) <= 1e-3 * np.linalg.norm(exact)
 

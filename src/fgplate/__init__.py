@@ -54,8 +54,10 @@ from .nurbs import (
 from .postprocess import (
     NondimReport,
     ReportFamily,
+    Station,
     StressProfile,
     field_at,
+    locate,
     nondimensionalize,
     stress_profile,
 )

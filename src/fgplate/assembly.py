@@ -164,9 +164,10 @@ class GlobalSystem:
     by hand gives K, M and Kg one band width too, and is converted to
     Fortran order once, here. reduce(matrix) is the dense view. F is the
     load vector over all n_dofs DOFs, which solve_static reads on the free
-    ones. mechanism names a rigid motion that the constraints leave and that
-    a static or buckling solve cannot carry; vibration reports it as a zero
-    frequency.
+    ones. mechanism names why a static or buckling solve of the system has
+    no answer: a rigid motion that the constraints leave, which vibration
+    reports as a zero frequency, or no free deflection DOF (wb, ws) at all
+    (edge_constraints).
 
     The system holds K, M and Kg as read-only views (writeable False; the
     caller's own arrays keep their flags): the solvers read them in place,
@@ -453,7 +454,12 @@ def edge_constraints(model: PlateModel, *,
     that system raises. A single simply supported straight edge and no clamp
     also leave w free to rotate about that edge: a mechanism. Along the arcs
     of the disks neither rotation vanishes, so nothing more is pinned there.
-    Several mechanisms are named together, separated by "; ".
+
+    Constraints that fix every wb and ws DOF (clamps on a mesh too coarse to
+    leave an interior control point, say) leave a system without inertia
+    that cannot deflect: w = 0 under any load, and no buckling mode. That is
+    named as a mechanism too, since a static or buckling solve of it has no
+    answer. Several mechanisms are named together, separated by "; ".
     """
     fixed: set[int] = set()
     shape = model.patch.net.shape
@@ -472,6 +478,9 @@ def edge_constraints(model: PlateModel, *,
     rigid = ("is left free as a rigid mode of the mass matrix: assemble without M for a "
              "static or buckling solve")
     mechanisms = []
+    if not inertia and fixed.issuperset(d for d in range(model.n_dofs) if d % 4 >= 2):
+        mechanisms.append("the plate cannot deflect: no free deflection DOF (wb, ws) remains "
+                          "after the edge constraints")
     if supported:
         for c in floating:
             # u0 floats only when both v edges are free, v0 when both u edges are

@@ -1,6 +1,9 @@
 """Case orchestration: configuration in, solved case and report out.
 
 This is the library-level runner behind the CLI; it never touches files.
+It reads points only through the public postprocess.locate: a static
+result carries the Station of its case (CaseResult.station), located once
+for the deflection, the stress and the CLI's profile.
 """
 from __future__ import annotations
 
@@ -9,23 +12,16 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BC, GlobalSystem, PlateModel, assemble
-from .errors import ConfigurationError, MassMatrixError, SolverError
+from .assembly import BC, PlateModel, assemble
+from .errors import ConfigurationError, MassMatrixError
 from .config import _SWEPT, CaseConfig
-from .nurbs import BasisLocal, Patch
-from .postprocess import (
-    NondimReport,
-    ReportFamily,
-    StressProfile,
-    _field,
-    _profile,
-    _station_basis,
-    nondimensionalize,
-)
+from .nurbs import Patch
+from .postprocess import (NondimReport, ReportFamily, Station, StressProfile, locate,
+                          nondimensionalize)
 # perfbench's tracer still wraps these names in this namespace, but run_case
-# calls none of them: it recovers the station through one located basis, and
-# assemble applies the edge conditions itself. apply_boundary_conditions is
-# only that name: it is edge_constraints, not the old step on a system
+# calls none of them: it recovers the station through one located Station,
+# and assemble applies the edge conditions itself. apply_boundary_conditions
+# is only that name: it is edge_constraints, not the old step on a system
 from .assembly import edge_constraints as apply_boundary_conditions  # noqa: F401
 from .postprocess import field_at, stress_profile  # noqa: F401
 from .solvers import EigenResult, solve_buckling, solve_static, solve_vibration
@@ -35,6 +31,10 @@ __all__ = ["CaseResult", "SweepResult", "run_case", "sweep_case", "profile_case"
 
 @dataclass(frozen=True)
 class CaseResult:
+    """One solved case and its report. A static case also carries the
+    solution q, the raw w and sigma_x it reports, and the located Station
+    they were read from; a vibration or buckling case carries its eigen."""
+
     config: CaseConfig
     report: NondimReport
     model: object = None
@@ -42,6 +42,7 @@ class CaseResult:
     eigen: Optional[EigenResult] = None
     w_center: Optional[float] = None
     sigma_x: Optional[float] = None
+    station: Optional[Station] = None
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def run_case(config: CaseConfig, *, patch: Optional[Patch] = None) -> CaseResult
     model = config.build_model(patch)
 
     if config.analysis == "static":
-        return _static_case(config, model)[0]
+        return _static_case(config, model)
 
     if config.analysis == "vibrate":
         if all(bc is BC.FREE for bc in model.edge_bcs):
@@ -71,38 +72,24 @@ def run_case(config: CaseConfig, *, patch: Optional[Patch] = None) -> CaseResult
         report = nondimensionalize(config.report, model, span=config.a,
                                    omegas=eigen.frequencies())
     else:
-        eigen = solve_buckling(_deflecting(model, ("K", "Kg")), config.modes)
+        eigen = solve_buckling(assemble(model, want=("K", "Kg")), config.modes)
         report = nondimensionalize(config.report, model, span=config.a, p_crs=eigen.values)
     return CaseResult(config=config, report=report, model=model, eigen=eigen)
 
 
-def _deflecting(model: PlateModel, want: tuple) -> GlobalSystem:
-    """The system of a static or buckling case, which answers through the
-    deflection: one that the edge constraints leave without a free wb or ws
-    DOF raises, since it has w = 0 under any load and no buckling mode."""
-    system = assemble(model, want=want)
-    if not np.any(system.free_dofs % 4 >= 2):
-        raise SolverError("the plate cannot deflect: no free deflection DOF (wb, ws) remains "
-                          "after the edge constraints")
-    return system
-
-
-def _static_case(config: CaseConfig, model: PlateModel) -> tuple[CaseResult, BasisLocal]:
-    """A static case and the basis at its station, which is located once for
-    the deflection, the stress and a profile."""
-    q = solve_static(_deflecting(model, ("K", "F")))
-    x, y = config.center()
-    basis = _station_basis(model, x, y)
-    w_center = _field(q, basis)[4]
+def _static_case(config: CaseConfig, model: PlateModel) -> CaseResult:
+    """A static case, whose station is located once for the deflection, the
+    stress and a profile."""
+    q = solve_static(assemble(model, want=("K", "F")))
+    station = locate(model.patch, *config.center())
+    w_center = station.field(q)[4]
     sigma = None
     if config.report is ReportFamily.BENDING_EC:
-        h = model.section.h
-        sigma = _profile(q, model, basis, (x, y), [h / 3.0]).sigma_x[0]
+        sigma = station.stresses(q, model, [model.section.h / 3.0]).sigma_x[0]
     report = nondimensionalize(config.report, model, span=config.a,
                                q0=config.q0, w_center=w_center, sigma_x=sigma)
-    result = CaseResult(config=config, report=report, model=model, q=q,
-                        w_center=w_center, sigma_x=sigma)
-    return result, basis
+    return CaseResult(config=config, report=report, model=model, q=q,
+                      w_center=w_center, sigma_x=sigma, station=station)
 
 
 def sweep_case(config: CaseConfig) -> SweepResult:
@@ -128,7 +115,7 @@ def profile_case(config: CaseConfig) -> tuple[CaseResult, StressProfile]:
     """Static solve plus a through-thickness stress profile at the station."""
     if config.analysis != "static":
         raise ConfigurationError("profiles require a static analysis configuration")
-    result, basis = _static_case(config, config.build_model())
+    result = _static_case(config, config.build_model())
     h = result.model.section.h
     z = np.linspace(-h / 2.0, h / 2.0, config.profile_samples)
-    return result, _profile(result.q, result.model, basis, config.center(), z)
+    return result, result.station.stresses(result.q, result.model, z)

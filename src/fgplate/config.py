@@ -14,6 +14,13 @@ depend on that field (a mesh sweep checks its station on each value's net),
 so every value's error raises before the first solve. A case of the sweep
 is the parsed configuration with that one field set.
 
+A station lies on the plate when the case's own net locates it, through
+the postprocess.locate that the case then reports it by; that is the one
+on-plate rule for the square and both disk nets, with no tolerance of its
+own. So a configuration with an explicit station builds its patch once at
+parse time (each value's patch for a mesh sweep), and a station that
+parse_config accepts is a station that the solve can read.
+
 The contract is closed. A key that no row names is an error that names the
 closest known key. A key given where its row does not apply is an error
 too: analysis.modes outside vibrate and buckle, load, station and
@@ -26,13 +33,14 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .assembly import BC, PlateModel, SinusoidalLoad, UniformLoad
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, SingularMappingError
 from .materials import (
     MATERIALS,
     FGMSpec,
@@ -42,8 +50,8 @@ from .materials import (
     ShearModel,
     section_constants,
 )
-from .nurbs import Patch, locate_point, make_disk_patch, make_mapped_disk_patch, make_square_patch
-from .postprocess import ReportFamily
+from .nurbs import Patch, make_disk_patch, make_mapped_disk_patch, make_square_patch
+from .postprocess import ReportFamily, locate
 
 __all__ = ["CaseConfig", "load_config", "parse_config", "PRESETS", "preset_config"]
 
@@ -167,14 +175,16 @@ def load_config(path: str) -> CaseConfig:
 
 def _number(value, key: str, kind=float):
     """value read as a finite float, or as an int with kind=int; anything else,
-    a fractional value for an int included, raises ConfigurationError naming
-    the key."""
-    try:
-        number = kind(value)
-        if math.isfinite(number) and number == float(value):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
+    a JSON boolean or string, a fractional value for an int and an integer
+    too large for a float included, raises ConfigurationError naming the
+    key. Any real number but a bool is read, so numpy scalars are too."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = kind(value)
+            if math.isfinite(number) and number == float(value):
+                return number
+        except (ValueError, OverflowError):
+            pass
     kind_name = "an integer" if kind is int else "a finite number"
     raise ConfigurationError(f"{key} must be {kind_name}, got {value!r}")
 
@@ -400,8 +410,6 @@ def parse_config(doc: dict) -> CaseConfig:
         raise ConfigurationError(
             f"report family {fields['report'].value!r} does not apply to {analysis} analysis"
         )
-    if fields["station"] is not None:
-        _check_station(fields)
     if analysis == "vibrate":
         for name in ("ceramic", "metal"):
             if fields[name].rho == 0.0:
@@ -412,39 +420,35 @@ def parse_config(doc: dict) -> CaseConfig:
     if axis is not None:
         fields["sweep_values"] = tuple(_sweep_value(_SWEPT[axis], v, axis)
                                        for v in fields["sweep_values"])
-        if axis == "mesh" and fields["station"] is not None:
-            for elements in fields["sweep_values"]:
-                _check_station(dict(fields, elements=elements))
     if stray:
         raise ConfigurationError(f"{stray[0].path} does not apply to a {analysis} case on a "
                                  f"{gtype}; it applies to {' and '.join(stray[0].only)} only")
-    return CaseConfig(**fields)
+    config = CaseConfig(**fields)
+    if config.station is not None:
+        for elements in config.sweep_values if axis == "mesh" else (config.elements,):
+            _check_station(replace(config, elements=elements))
+    return config
 
 
-def _check_station(fields: dict) -> None:
-    """The station must lie on the plate and, on the mapped disk, inside the
-    net's boundary."""
-    (x, y), a, b = fields["station"], fields["a"], fields["b"]
-    tol = 1e-12 * max(a, b)  # points on the boundary, up to roundoff, lie on the plate
-    if fields["geometry_type"] == "square":
-        outside = not (-tol <= x <= a + tol and -tol <= y <= b + tol)
-        where = f"the square [0, {a:g}] x [0, {b:g}]"
-    else:
-        outside = math.hypot(x, y) > a + tol
-        where = f"the disk r <= {a:g}"
-    if outside:
-        raise ConfigurationError(f"station ({x:g}, {y:g}) lies outside {where}")
-    if fields["geometry_type"] == "disk" and fields["disk_net"] == "mapped":
-        # the mapped net's boundary sags inside the circle: by 0.37% of R
-        # at 11 cubic elements, by 15% on one quadratic element
-        degree, elements = fields["degree"], fields["elements"]
-        try:
-            locate_point(make_mapped_disk_patch(a, degree, elements), x, y)
-        except GeometryError:
-            raise ConfigurationError(
-                f"station ({x:g}, {y:g}) lies outside the mapped net, whose boundary "
-                f"sags inside the circle r = {a:g} with {elements} elements of degree "
-                f'{degree}; use "net": "rational" for the exact circle') from None
+def _check_station(config: CaseConfig) -> None:
+    """The station must lie on the plate: the case's own net must locate it,
+    through the locate that reports it. The mapped net's boundary sags inside
+    the circle, by 0.37% of R at 11 cubic elements and by 15% on one
+    quadratic element, so a station near the rim can lie outside it."""
+    x, y = config.station
+    patch = config.build_patch()
+    try:
+        locate(patch, x, y)
+    except (GeometryError, SingularMappingError):
+        if config.geometry_type == "square":
+            where = f"the square [0, {config.a:g}] x [0, {config.b:g}]"
+        elif config.disk_net == "mapped":
+            where = (f"the mapped net, whose boundary sags inside the circle r = {config.a:g} "
+                     f"with {config.elements} elements of degree {config.degree}; use "
+                     f'"net": "rational" for the exact circle')
+        else:
+            where = f"the disk r <= {config.a:g}"
+        raise ConfigurationError(f"station ({x!r}, {y!r}) lies outside {where}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -550,7 +550,11 @@ def locate_point(patch: Patch, x: float, y: float) -> tuple[float, float]:
     costs one evaluation of the map (_map): one lookup of its u and v
     tables, contracted with one block of the homogeneous net. Each step is
     halved until the residual decreases; a direction without descent (a
-    point off the patch, say) fails at once.
+    point off the patch, say) fails at once, and a zero Jacobian
+    determinant fails as singular. Each raises GeometryError; the failure
+    without descent and the one that uses up the budget of _NEWTON_STEPS
+    steps each name the residual against the tolerance. The budget guards
+    the loop: no probe has been seen to use it up.
 
     The first iterate whose residual falls below 1e-13 of the net's largest
     control coordinate is returned, so round trips have a long tail: on
@@ -592,9 +596,11 @@ def locate_point(patch: Patch, x: float, y: float) -> tuple[float, float]:
                 break
             t *= 0.5
             if t < 1e-8:  # no descent along the Newton direction, e.g. off the patch
-                raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")
+                raise GeometryError(f"inverse map found no descent toward point ({x}, {y}): "
+                                    f"residual {norm:.3g} above the tolerance {tol:.3g}")
         (u, v), res, jac, norm = trial, trial_res, trial_jac, trial_norm
-    raise GeometryError(f"inverse map failed to converge for point ({x}, {y})")
+    raise GeometryError(f"inverse map did not converge in {_NEWTON_STEPS} Newton steps for "
+                        f"point ({x}, {y}): residual {norm:.3g} above the tolerance {tol:.3g}")
 
 
 # basis channels of the element Gram, in order: R, R_x, R_y, R_xx, R_yy, R_xy

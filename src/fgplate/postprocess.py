@@ -1,11 +1,18 @@
 """Field recovery and nondimensional reporting.
 
-Solutions live on control points; evaluation at a physical station first
-inverts the geometry map, then combines the basis with the coefficient
-vector. Stress recovery reads the strains through assembly's kinematic
-tables, the same rows that define K, and the stresses through the shared
-plane-stress moduli of materials, for all z samples at once. The transverse
-shear profile vanishes at the outer surfaces by construction.
+Solutions live on control points. Every point recovery first locates the
+physical point: locate(patch, x, y) inverts the geometry map (locate_point)
+and tabulates the order-2 physical basis there (physical_derivs), and
+returns the frozen Station that holds both. Station.field(q) combines the
+basis with the coefficient vector, and Station.stresses(q, model, z) reads
+the stresses from it. field_at and stress_profile are those calls on a
+newly located station; the cases, the CLI's profile and the config's
+on-plate check use the same locate.
+
+Stress recovery reads the strains through assembly's kinematic tables, the
+same rows that define K, and the stresses through the shared plane-stress
+moduli of materials, for all z samples at once. The transverse shear
+profile vanishes at the outer surfaces by construction.
 """
 from __future__ import annotations
 
@@ -18,10 +25,12 @@ import numpy as np
 from .assembly import _BENDING_ROWS, _SHEAR_ROWS, PlateModel
 from .errors import ConfigurationError
 from .materials import effective_props, plane_stress_moduli, shear_fn
-from .nurbs import BasisLocal, locate_point, physical_derivs
+from .nurbs import BasisLocal, Patch, locate_point, physical_derivs
 
 __all__ = [
     "StressProfile",
+    "Station",
+    "locate",
     "ReportFamily",
     "NondimReport",
     "field_at",
@@ -89,48 +98,60 @@ class NondimReport:
             v for v in (self.w_bar, self.sigma_x_bar) if v is not None)
 
 
-def _station_basis(model: PlateModel, x: float, y: float) -> BasisLocal:
-    """Basis with physical derivatives at a physical station. The field and
-    the stresses at one station are recovered from one such basis, so the
-    station is located once."""
-    xi, eta = locate_point(model.patch, x, y)
-    return physical_derivs(model.patch, xi, eta)
+@dataclass(frozen=True)
+class Station:
+    """A physical point located on a patch: the point (x, y) as given, its
+    parameters (xi, eta) and the order-2 basis with physical derivatives
+    there. The field and the stresses at one station are read from this one
+    value, so a point is located once however many quantities it reports."""
+
+    point: tuple[float, float]
+    params: tuple[float, float]
+    basis: BasisLocal
+
+    def field(self, q: np.ndarray):
+        """Generalized displacements (u0, v0, wb, ws, w) at the station."""
+        u0, v0, wb, ws = (self.basis.R @ q.reshape(-1, 4)[self.basis.active_indices]).tolist()
+        return u0, v0, wb, ws, wb + ws
+
+    def stresses(self, q: np.ndarray, model: PlateModel,
+                 z_samples: Sequence[float]) -> StressProfile:
+        """In-plane and transverse shear stresses at the station, one per z."""
+        # six basis channels of the four DOF components, channel outer, as in L
+        phi = np.column_stack([self.basis.R, self.basis.dRdx, self.basis.d2Rdx2])
+        channels = (phi.T @ q.reshape(-1, 4)[self.basis.active_indices]).ravel()
+        eps0, kb, ks = (_BENDING_ROWS @ channels).reshape(3, 3)
+        es = _SHEAR_ROWS @ channels
+        h = model.section.h
+        z = np.asarray(z_samples, dtype=float)
+        E, nu, _ = effective_props(z, h, model.spec)
+        q11, q12, q66 = plane_stress_moduli(E, nu)
+        _, fp, g, _ = shear_fn(model.shear, z, h)
+        eps = eps0 + z[:, None] * kb + g[:, None] * ks
+        shear = q66 * fp
+        return StressProfile(self.point, z, q11 * eps[:, 0] + q12 * eps[:, 1],
+                             q12 * eps[:, 0] + q11 * eps[:, 1], q66 * eps[:, 2],
+                             shear * es[0], shear * es[1])
 
 
-def _field(q: np.ndarray, basis: BasisLocal):
-    u0, v0, wb, ws = (basis.R @ q.reshape(-1, 4)[basis.active_indices]).tolist()
-    return u0, v0, wb, ws, wb + ws
+def locate(patch: Patch, x: float, y: float) -> Station:
+    """The station at the physical point (x, y) of the patch. A point that
+    the inverse map cannot locate raises GeometryError, and one where the
+    map's Jacobian is singular raises SingularMappingError."""
+    xi, eta = locate_point(patch, x, y)
+    return Station((x, y), (xi, eta), physical_derivs(patch, xi, eta))
 
 
 def field_at(q: np.ndarray, model: PlateModel, x: float, y: float):
     """Generalized displacements (u0, v0, wb, ws, w) at a physical point."""
-    return _field(q, _station_basis(model, x, y))
-
-
-def _profile(q: np.ndarray, model: PlateModel, basis: BasisLocal, station: tuple[float, float],
-             z_samples: Sequence[float]) -> StressProfile:
-    # six basis channels of the four DOF components, channel outer, as in L
-    phi = np.column_stack([basis.R, basis.dRdx, basis.d2Rdx2])
-    channels = (phi.T @ q.reshape(-1, 4)[basis.active_indices]).ravel()
-    eps0, kb, ks = (_BENDING_ROWS @ channels).reshape(3, 3)
-    es = _SHEAR_ROWS @ channels
-    h = model.section.h
-    z = np.asarray(z_samples, dtype=float)
-    E, nu, _ = effective_props(z, h, model.spec)
-    q11, q12, q66 = plane_stress_moduli(E, nu)
-    _, fp, g, _ = shear_fn(model.shear, z, h)
-    eps = eps0 + z[:, None] * kb + g[:, None] * ks
-    shear = q66 * fp
-    return StressProfile(station, z, q11 * eps[:, 0] + q12 * eps[:, 1],
-                         q12 * eps[:, 0] + q11 * eps[:, 1], q66 * eps[:, 2],
-                         shear * es[0], shear * es[1])
+    return locate(model.patch, x, y).field(q)
 
 
 def stress_profile(
     q: np.ndarray, model: PlateModel, x: float, y: float, z_samples: Sequence[float]
 ) -> StressProfile:
     """In-plane and transverse shear stresses through the thickness at (x, y)."""
-    return _profile(q, model, _station_basis(model, x, y), (x, y), z_samples)
+    return locate(model.patch, x, y).stresses(q, model, z_samples)
 
 
 def nondimensionalize(

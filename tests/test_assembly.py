@@ -770,6 +770,25 @@ def test_free_translation_with_a_mass_matrix_stops_static_and_buckling():
     assert_allclose(omegas[1:], [4200.3, 6821.0], rtol=2e-5)
 
 
+def test_constraints_that_fix_every_deflection_dof_are_a_mechanism():
+    # CCCC on one cubic element fixes every wb and ws: without inertia no
+    # static or buckling solve has an answer; with inertia it is no mechanism
+    model = square_model(p=3, nel=1, bcs=_bcs("CCCC"), load=UniformLoad(1.0),
+                         prestress=-np.eye(2))
+    fixed, mechanism = fg.edge_constraints(model)
+    assert set(range(2, model.n_dofs, 4)) | set(range(3, model.n_dofs, 4)) <= set(fixed.tolist())
+    assert mechanism == ("the plate cannot deflect: no free deflection DOF (wb, ws) remains "
+                         "after the edge constraints")
+    assert fg.edge_constraints(model, inertia=True)[1] is None
+    for want, solve in ((("K", "F"), fg.solve_static),
+                        (("K", "Kg"), lambda system: fg.solve_buckling(system, 2))):
+        with pytest.raises(SolverError, match="no free deflection DOF"):
+            solve(fg.assemble(model, want=want))
+    # a second element leaves interior deflection DOFs free
+    two = replace(model, patch=fg.make_square_patch(1.0, 1.0, 3, 2))
+    assert fg.edge_constraints(two)[1] is None
+
+
 def test_single_straight_support_is_a_mechanism_only_on_the_square():
     for code in ("SFFF", "FSFF", "FFSF", "FFFS"):
         bcs = _bcs(code)

@@ -289,6 +289,33 @@ def test_station_off_disk_is_config_error(tmp_path, capsys):
     assert "station" in capsys.readouterr().err
 
 
+_DISK = {"type": "disk", "radius": 0.5}
+
+
+@pytest.mark.parametrize("geometry,degree,elements,station,where", [
+    ({"type": "square", "a": 1.0}, 3, 11, [1.0000000000005, 0.5], "square"),
+] + [
+    (_DISK, 3, 11, [0.5 * (1.0 + 1e-13) * f(math.radians(t)) for f in (math.cos, math.sin)],
+     "disk") for t in (0.0, 22.5, 45.0)
+] + [
+    # beyond a corner of the disk, where the inverse map's Jacobian is singular
+    (_DISK, 2, 5, [-0.38, -0.38], "disk"),
+], ids=["square-edge", "disk-0deg", "disk-22.5deg", "disk-45deg", "disk-singular-corner"])
+def test_station_the_net_cannot_locate_exits_2(tmp_path, capsys, geometry, degree, elements,
+                                                station, where):
+    # the first four lie 1e-13 of the span off the plate: they passed
+    # parse_config and then exited 3 as a failed inverse map or a singular
+    # Jacobian. The message gives the station in full: with :g the first
+    # printed as (1, 0.5), a point on the square
+    doc = small_static(geometry=geometry, degree=degree, elements=elements, station=station,
+                       load={"type": "uniform", "q0": 1.0}, report="bending_dm")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    x, y = station
+    assert f"station ({x!r}, {y!r}) lies outside the {where}" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_station_outside_mapped_net_is_config_error(tmp_path, capsys):
     doc = small_static(geometry={"type": "disk", "radius": 0.5, "net": "mapped"},
                        thickness_ratio=0.1, elements=11, load={"type": "uniform", "q0": 1.0},

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fgplate as fg
@@ -117,6 +118,25 @@ def test_phase_object_error_names_the_fault(phase, match):
         pytest.param(lambda d: d.update(elements=4.5), "elements", id="fractional-elements"),
         # the reports divide by q0
         pytest.param(lambda d: d["load"].update(q0=0), "load.q0", id="zero-q0"),
+        # a JSON boolean or string is not a number, and an integer too large
+        # for a float is not a finite number
+        pytest.param(lambda d: d.update(elements=True), "elements", id="bool-elements"),
+        pytest.param(lambda d: d.update(thickness_ratio=True), "thickness_ratio",
+                     id="bool-thickness_ratio"),
+        pytest.param(lambda d: d["material"].update(power_index=True), "material.power_index",
+                     id="bool-power_index"),
+        pytest.param(lambda d: d["load"].update(q0=True), "load.q0", id="bool-q0"),
+        pytest.param(lambda d: d.update(thickness_ratio="5"), "thickness_ratio",
+                     id="string-thickness_ratio"),
+        pytest.param(lambda d: d.update(thickness_ratio=10 ** 400), "thickness_ratio",
+                     id="huge-int-thickness_ratio"),
+        pytest.param(lambda d: d.update(station=[True, 0.5]), "station", id="bool-station"),
+        pytest.param(lambda d: (d.pop("load"), d.update(analysis={"type": "buckle", "modes": 2},
+                                                        report="buckling_dm",
+                                                        prestress=[[-1.0, 0.0], [0.0, True]])),
+                     "prestress", id="bool-prestress"),
+        pytest.param(lambda d: d.update(sweep={"axis": "n", "values": [0.5, True]}),
+                     "sweep.values", id="bool-n-sweep"),
         # a station off the plate is a configuration error, not a failed inverse map
         pytest.param(lambda d: d.update(station=[1.5, 0.5]), "station", id="station-off-square"),
         pytest.param(lambda d: d.update(geometry={"type": "disk", "radius": 0.5},
@@ -128,6 +148,14 @@ def test_invalid_configs_rejected(mutate, match):
     mutate(doc)
     with pytest.raises(ConfigurationError, match=match):
         parse_config(doc)
+
+
+def test_numbers_read_as_numbers():
+    # an integer-valued float reads as an int key, and numpy scalars read too
+    config = parse_config(minimal_static(elements=3.0, thickness_ratio=np.float64(5.0),
+                                         degree=np.int64(2)))
+    assert (config.elements, config.thickness_ratio, config.degree) == (3, 5.0, 2)
+    assert type(config.elements) is int
 
 
 def analysis_doc(analysis, **overrides):
@@ -174,7 +202,9 @@ def test_default_report_family(analysis, default):
     {"station": [1.0, 1.0]},
     {"station": [0.0, 0.0]},
     {"station": [0.5, 0.0], "geometry": {"type": "disk", "radius": 0.5}, "thickness_ratio": 0.1},
-], ids=["square-corner", "square-origin", "disk-rim"])
+    {"station": [0.5 / math.sqrt(2.0)] * 2, "geometry": {"type": "disk", "radius": 0.5},
+     "thickness_ratio": 0.1},
+], ids=["square-corner", "square-origin", "disk-rim", "disk-rim-45"])
 def test_station_on_boundary_runs(overrides):
     config = parse_config(minimal_static(elements=3, **overrides))
     assert config.station == tuple(overrides["station"])

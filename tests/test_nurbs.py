@@ -306,6 +306,21 @@ def test_locate_point_round_trip(square, disk):
             assert np.hypot(x2 - x, y2 - y) < 1e-11
 
 
+def test_locate_point_singular_jacobian_branch():
+    # about 7% outside the disk beyond a corner, Newton walks to the
+    # parametric corner (0, 0), where the disk's map is singular
+    with pytest.raises(fg.GeometryError, match=r"inverse map Jacobian singular near \(0.0, 0.0\)"):
+        locate_point(fg.make_disk_patch(0.5, 2, 5), -0.38, -0.38)
+
+
+def test_locate_point_without_descent_names_its_residual(disk):
+    # a point off the patch: no step along the Newton direction lowers the
+    # residual, which the message gives against the tolerance
+    with pytest.raises(fg.GeometryError, match=r"no descent toward point \(1.5, 0.0\): "
+                                               r"residual \S+ above the tolerance \S+"):
+        locate_point(disk, 1.5, 0.0)
+
+
 def test_locate_point_rejects_nan_station(disk):
     # a NaN station used to reach the span check and be reported as a
     # parameter outside the knot range; inf as a failed Newton iteration

@@ -186,6 +186,21 @@ def test_static_case_locates_its_station_once(monkeypatch):
         assert np.array_equal(getattr(profile, name), getattr(public, name))
 
 
+def test_static_result_carries_the_station_of_its_report():
+    config = replace(fg.preset_config("bend-sin-atan-n1-r4"), elements=5, station=(0.3, 0.6))
+    result, profile = fg.profile_case(config)
+    station, model, q = result.station, result.model, result.q
+    assert isinstance(station, fg.Station) and station.point == (0.3, 0.6)
+    assert station.params == fg.nurbs.locate_point(model.patch, 0.3, 0.6)
+    assert station.field(q)[4] == result.w_center == fg.field_at(q, model, 0.3, 0.6)[4]
+    h = model.section.h
+    assert station.stresses(q, model, [h / 3.0]).sigma_x[0] == result.sigma_x
+    assert profile.station == station.point
+    assert np.array_equal(profile.sigma_x, station.stresses(q, model, profile.z_samples).sigma_x)
+    # the other analyses locate no station
+    assert fg.run_case(fg.preset_config("vib-atan-n0-r5")).station is None
+
+
 # ---------------------------------------------------------------------------
 # nondimensionalization
 # ---------------------------------------------------------------------------
